@@ -475,8 +475,8 @@ def main(argv=None):
     validate(args, parser)
     try:
         return RUNNERS[args.mode](args, parser)
-    except FileNotFoundError as e:
-        parser.error(f"cannot read input: {e}")
+    except OSError as e:
+        parser.error(f"cannot access file: {e}")
     except (KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -86,10 +86,25 @@ def graph_to_json(g):
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
+def _require_int(x, what):
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def graph_from_json(obj):
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph json must have keys 'n' and 'edges'")
-    return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    n = _require_int(obj["n"], "vertex count")
+    edges = obj["edges"]
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError("graph json 'edges' must be a list")
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} must be a list of two vertices")
+        for v in e:
+            _require_int(v, "edge endpoint")
+    return Graph(n, [tuple(e) for e in edges])
 
 
 def induced_subgraph(g, mask):
@@ -292,14 +307,14 @@ class UnitIntervalModel:
         return f"UnitIntervalModel(n={self.n}, h={list(self.h)})"
 
 
-def model_to_json(m):
-    return {"n": m.n, "bounds": list(m.h)}
-
-
 def model_from_json(obj):
     if not isinstance(obj, dict) or "n" not in obj or "bounds" not in obj:
         raise ValueError("model json must have keys 'n' and 'bounds'")
-    return UnitIntervalModel(int(obj["n"]), [int(b) for b in obj["bounds"]])
+    bounds = obj["bounds"]
+    if not isinstance(bounds, (list, tuple)):
+        raise ValueError("model json 'bounds' must be a list")
+    return UnitIntervalModel(_require_int(obj["n"], "vertex count"),
+                             [_require_int(b, "bound") for b in bounds])
 
 
 def unit_interval_graph(model):

@@ -11,39 +11,48 @@ from __future__ import annotations
 
 import itertools
 
+from . import symfunc
 from .graphs import mask_of
 from .numbers import divisors, mobius
 
+_dep_cache = {}
 
-def _dependent(g, a, b):
-    return a == b or g.adjacent(a, b)
+
+def _deps(g):
+    """Closed-neighbourhood masks: bit u-1 of dep[v] is set iff pieces u and
+    v do not commute (u == v or u ~ v).  Index 0 is unused."""
+    dep = _dep_cache.get(g)
+    if dep is None:
+        dep = _dep_cache[g] = tuple(
+            a | (1 << (v - 1)) if v else 0 for v, a in enumerate(g.adj))
+    return dep
 
 
 def canonical_word_with_perm(g, word):
     """Canonical (lex-max) word of the trace of `word`, plus the permutation
     perm with perm[k] = index in `word` of the piece at canonical slot k."""
+    dep = _deps(g)
     n = len(word)
-    preds = [[] for _ in range(n)]
-    succs = [[] for _ in range(n)]
-    blockers = [0] * n
-    for i in range(n):
+    preds = []  # preds[i]: bitmask of earlier positions that block i
+    for i, v in enumerate(word):
+        d = dep[v]
+        m = 0
         for j in range(i):
-            if _dependent(g, word[j], word[i]):
-                preds[i].append(j)
-                succs[j].append(i)
-                blockers[i] += 1
-    avail = {i for i in range(n) if blockers[i] == 0}
+            if d >> (word[j] - 1) & 1:
+                m |= 1 << j
+        preds.append(m)
+    left = (1 << n) - 1
     out = []
     perm = []
     for _ in range(n):
-        best = max(avail, key=lambda i: word[i])
-        avail.remove(best)
+        best = -1
+        for i in range(n):
+            if (left >> i & 1 and not preds[i] & left
+                    and (best < 0 or word[i] > word[best])):
+                best = i
+        left ^= 1 << best
         out.append(word[best])
         perm.append(best)
-        for j in succs[best]:
-            blockers[j] -= 1
-            if blockers[j] == 0:
-                avail.add(j)
     return tuple(out), tuple(perm)
 
 
@@ -54,11 +63,13 @@ def canonical_word(g, word):
 class Heap:
     """A trace over a host graph, held in canonical-word form."""
 
-    __slots__ = ("graph", "word")
+    __slots__ = ("graph", "word", "support_mask")
 
     def __init__(self, graph, word):
+        word = tuple(word)
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "word", tuple(word))
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "support_mask", mask_of(word))
 
     def __setattr__(self, *a):
         raise AttributeError("Heap is immutable")
@@ -74,10 +85,6 @@ class Heap:
         for v in self.word:
             alpha[v - 1] += 1
         return tuple(alpha)
-
-    @property
-    def support_mask(self):
-        return mask_of(set(self.word))
 
     def __eq__(self, other):
         return (isinstance(other, Heap)
@@ -127,16 +134,29 @@ def compose_all(heaps):
 
 def sources(h):
     """Piece indices with no dependent piece before them."""
-    g, w = h.graph, h.word
+    dep = _deps(h.graph)
+    below = 0  # vertices that do not commute with some earlier piece
     out = []
-    for i in range(len(w)):
-        if not any(_dependent(g, w[j], w[i]) for j in range(i)):
+    for i, v in enumerate(h.word):
+        if not below >> (v - 1) & 1:
             out.append(i)
+        below |= dep[v]
     return out
 
 
 def is_pyramid(h):
     return h.size >= 1 and len(sources(h)) == 1
+
+
+def _upper_closure(dep, w, p):
+    """Bitmask of the piece indices at or above piece p of word w."""
+    reach = 1 << p
+    blocked = dep[w[p]]
+    for j in range(p + 1, len(w)):
+        if blocked >> (w[j] - 1) & 1:
+            reach |= 1 << j
+            blocked |= dep[w[j]]
+    return reach
 
 
 def rotate(h, p):
@@ -145,26 +165,37 @@ def rotate(h, p):
     g, w = h.graph, h.word
     if not (0 <= p < len(w)):
         raise IndexError("piece index out of range")
-    reach = {p}
-    for j in range(p + 1, len(w)):
-        if any(_dependent(g, w[i], w[j]) for i in reach):
-            reach.add(j)
-    upper = [i for i in range(len(w)) if i in reach]
-    lower = [i for i in range(len(w)) if i not in reach]
-    new_word = tuple(w[i] for i in upper) + tuple(w[i] for i in lower)
+    reach = _upper_closure(_deps(g), w, p)
+    new_word = (tuple(v for i, v in enumerate(w) if reach >> i & 1)
+                + tuple(v for i, v in enumerate(w) if not reach >> i & 1))
     canon, perm = canonical_word_with_perm(g, new_word)
     return Heap(g, canon), perm.index(0)
 
 
 def rotate_to_source(h, p):
     """Iterate rotation at p until p is the unique bottom piece; returns the
-    resulting pyramid (precondition: h is a pyramid)."""
+    resulting pyramid.
+
+    Precondition: h is a pyramid.  Then at most size - 1 rotations are
+    needed.  Let C be the upward closure of p in the current heap H, so that
+    H = R o C with R the remaining pieces.  Rotation gives C o R, in which
+    the closure of p still contains C, since the order inside C is kept.  If
+    it contained nothing more, no piece of R would depend on a piece of C:
+    the letters of C and of R would commute, so every heap with the letters
+    of h, h among them, would have a bottom piece in each part, and h would
+    not be a pyramid.  So each rotation adds at least one piece to the
+    closure of p, which starts with one piece, and once it holds all pieces,
+    p is the unique bottom piece.
+    """
+    dep = _deps(h.graph)
+    full = (1 << h.size) - 1
     cur, cp = h, p
-    for _ in range(4 * h.size * h.size + 8):
-        if is_pyramid(cur) and sources(cur) == [cp]:
+    for _ in range(h.size):
+        if _upper_closure(dep, cur.word, cp) == full:
             return cur
         cur, cp = rotate(cur, cp)
-    raise RuntimeError(f"rotation did not stabilize for {h!r} at piece {p}")
+    raise ValueError(f"rotation at piece {p} of {h!r} did not reach a "
+                     "pyramid within size - 1 steps: not a pyramid")
 
 
 def rotation_class(h):
@@ -208,25 +239,39 @@ def is_lyndon(h):
     return h.word == cls[0].word
 
 
+def _extends_canonically(dep, w, v):
+    d = dep[v]
+    for u in reversed(w):
+        if d >> (u - 1) & 1:
+            return True
+        if u < v:
+            return False
+    return True
+
+
 _heap_cache = {}
 
 
 def enumerate_heaps(g, n):
-    """All heaps of size n on g, as canonical words extended letter by letter
-    (every prefix of a canonical word is canonical)."""
+    """All heaps of size n on g, sorted by canonical word.
+
+    Canonical words are extended letter by letter (every prefix of a
+    canonical word is canonical).  For canonical w, the word w + (v,) is
+    canonical iff every letter of the longest suffix of w that commutes with
+    v is larger than v: a smaller one could be overtaken by v.  Extending
+    the sorted words of size n - 1 by ascending letters keeps them sorted.
+    """
     key = (g, n)
     if key in _heap_cache:
         return _heap_cache[key]
     if n == 0:
         result = (Heap(g, ()),)
     else:
-        result = []
-        for h in enumerate_heaps(g, n - 1):
-            for v in g.vertices():
-                cand = h.word + (v,)
-                if canonical_word(g, cand) == cand:
-                    result.append(Heap(g, cand))
-        result = tuple(sorted(result, key=lambda x: x.word))
+        dep = _deps(g)
+        result = tuple(Heap(g, h.word + (v,))
+                       for h in enumerate_heaps(g, n - 1)
+                       for v in g.vertices()
+                       if _extends_canonically(dep, h.word, v))
     _heap_cache[key] = result
     return result
 
@@ -239,11 +284,48 @@ _lyndon_cache = {}
 
 
 def enumerate_lyndon(g, n):
+    """Lyndon heaps of size n, sorted by canonical word.
+
+    One sweep over the pyramids in ascending order builds each rotation
+    class once, from its least member.  By Lalonde's dichotomy a class of
+    size n holds exactly one Lyndon heap, its least member, and a smaller
+    (periodic) class holds none.
+    """
     key = (g, n)
     if key not in _lyndon_cache:
-        _lyndon_cache[key] = tuple(
-            h for h in enumerate_pyramids(g, n) if is_lyndon(h))
+        seen = set()
+        out = []
+        for h in enumerate_pyramids(g, n):
+            if h.word in seen:
+                continue
+            cls = rotation_class(h)
+            seen.update(c.word for c in cls)
+            if len(cls) == n:
+                out.append(h)
+        _lyndon_cache[key] = tuple(out)
     return _lyndon_cache[key]
+
+
+_support_cache = {}
+
+
+def _lyndon_counts_by_support(g, n):
+    """table[S] = number of Lyndon heaps of size n whose support lies inside
+    the vertex bitmask S: exact-support counts, summed over subsets (zeta
+    transform)."""
+    key = (g, n)
+    table = _support_cache.get(key)
+    if table is None:
+        table = [0] * (1 << g.n)
+        for h in enumerate_lyndon(g, n):
+            table[h.support_mask] += 1
+        for b in range(g.n):
+            bit = 1 << b
+            for s in range(1 << g.n):
+                if s & bit:
+                    table[s] += table[s ^ bit]
+        _support_cache[key] = table
+    return table
 
 
 def lyndon_count(g, n, support=None):
@@ -251,20 +333,26 @@ def lyndon_count(g, n, support=None):
     whose pieces all lie inside it are counted."""
     if support is None:
         return len(enumerate_lyndon(g, n))
-    return sum(1 for h in enumerate_lyndon(g, n)
-               if h.support_mask & ~support == 0)
+    return _lyndon_counts_by_support(g, n)[support & g.full_mask]
+
+
+def clear_caches():
+    """Empty every module-level cache of the heap layer and the symmetric
+    function layer, so that the next call recomputes from scratch."""
+    for cache in (_dep_cache, _heap_cache, _lyndon_cache, _support_cache):
+        cache.clear()
+    for fn in (symfunc._m_pair_product, symfunc.basis_element,
+               symfunc.p_in_monomials):
+        fn.cache_clear()
 
 
 def _downward_closed_subsets(h, size):
     """Piece index sets of the given size closed under dependency
     predecessors."""
-    g, w = h.graph, h.word
+    dep, w = _deps(h.graph), h.word
     n = len(w)
-    preds = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            if _dependent(g, w[j], w[i]):
-                preds[i].add(j)
+    preds = [{j for j in range(i) if dep[w[i]] >> (w[j] - 1) & 1}
+             for i in range(n)]
     for subset in itertools.combinations(range(n), size):
         s = set(subset)
         if all(preds[i] <= s for i in s):

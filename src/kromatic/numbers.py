@@ -8,16 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-import itertools
 
 
 # ---------------------------------------------------------------------------
 # partitions
-
-def is_partition(lam):
-    return all(isinstance(p, int) and p > 0 for p in lam) and all(
-        lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
-
 
 def partitions_of(n, max_part=None):
     """Yield partitions of n in descending lex order: (n), ..., (1,..,1)."""
@@ -315,7 +309,3 @@ def compositions(length, total):
 def compositions_up_to(length, max_total):
     for total in range(length, max_total + 1):
         yield from compositions(length, total)
-
-
-def iter_product(*ranges):
-    return itertools.product(*ranges)

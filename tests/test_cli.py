@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,20 @@ def test_lyndon_words(capsys):
     assert data["words"]["2"] == ["12"]
 
 
+@pytest.mark.parametrize("graph, degree, digest", [
+    ("paw", 7,
+     "55816d8041ca505de0b93d0b8754d408c23600b1c712b3e0a2627ea1a2848ec0"),
+    ("c4", 6,
+     "55448474d43108855cc1d7d072927c8925c265cd45d076579b4b6cfc5842d739"),
+])
+def test_lyndon_stdout_digest(capsys, graph, degree, digest):
+    # sha256 of the full stdout (counts and every canonical word) as
+    # produced by the per-pyramid is_lyndon filter
+    assert main(["lyndon", "--graph", graph, "--degree", str(degree)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_independence_dump(capsys):
     rc, data = run_json(capsys, ["independence", "--graph", "k2"])
     assert rc == 0
@@ -112,6 +127,22 @@ def test_custom_graph_file(tmp_path, capsys):
     assert data["graph"] == "edge"
     got = {tuple(t["partition"]): t["coeff"] for t in data["terms"]}
     assert got[(2,)] == "-1" and got[(3,)] == "2"
+
+
+def test_malformed_input_file_exits_two(tmp_path, capsys):
+    graph = tmp_path / "bad-graph.json"
+    graph.write_text(json.dumps({"n": 2, "edges": [[1, "2"]]}))
+    assert main(["expand", "--graph", str(graph), "--degree", "3"]) == 2
+    model = tmp_path / "bad-model.json"
+    model.write_text(json.dumps({"n": 2, "bounds": [2, "2"]}))
+    assert main(["qexpand", "--model", str(model), "--degree", "3"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_graph_directory_exits_two(tmp_path):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--graph", str(tmp_path), "--suite", "heaps"])
+    assert e.value.code == 2
 
 
 def test_verify_numbers_suite(capsys):

@@ -1,14 +1,20 @@
-import pytest
+import itertools
 
-from kromatic import bundled_graph
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kromatic import BUNDLED_GRAPHS, bundled_graph
+from kromatic.graphs import Graph, independence_polynomial
 from kromatic.heaps import (
-    Heap, ascent_count, canonical_word, compose, compose_all, enumerate_heaps,
-    enumerate_lyndon, enumerate_pyramids, heap_count_identity_defect,
-    heap_from_word, is_aperiodic, is_lyndon, is_pyramid, left_divide,
-    lyndon_count, lyndon_factorize, lyndon_mobius_check, rotate,
-    rotate_to_source, rotation_class, sources, word_str,
+    Heap, ascent_count, canonical_word, canonical_word_with_perm,
+    clear_caches, compose, compose_all, enumerate_heaps, enumerate_lyndon,
+    enumerate_pyramids, heap_count_identity_defect, heap_from_word,
+    is_aperiodic, is_lyndon, is_pyramid, left_divide, lyndon_count,
+    lyndon_factorize, lyndon_mobius_check, rotate, rotate_to_source,
+    rotation_class, sources, word_str,
 )
-from kromatic.numbers import divisors
+from kromatic.numbers import divisors, mobius
+from kromatic.symfunc import series_log, series_neg_sub, series_reciprocal
 
 from helpers import check_canonical_invariance
 
@@ -177,3 +183,136 @@ def test_word_str():
 
 def test_canonical_invariance_randomized():
     assert check_canonical_invariance(trials=200) == 200
+
+
+# ---------------------------------------------------------------------------
+# differential tests: each fast route against a slow oracle, on random graphs
+# with at most 5 vertices (including the empty graph, isolated vertices and
+# disconnected graphs) and on the bundled graphs
+
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=60,
+                        deadline=None)
+BUNDLED = [bundled_graph(name) for name in BUNDLED_GRAPHS]
+
+
+@st.composite
+def small_graphs(draw, max_n=5):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@st.composite
+def graph_and_word(draw, max_len=6):
+    g = draw(small_graphs())
+    if g.n == 0:
+        return g, ()
+    word = draw(st.lists(st.integers(1, g.n), max_size=max_len))
+    return g, tuple(word)
+
+
+def _lex_max_by_swaps(g, word):
+    """Largest word of the commutation class, by search over swaps of
+    adjacent commuting letters."""
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        w = frontier.pop()
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a != b and not g.adjacent(a, b):
+                x = w[:i] + (b, a) + w[i + 2:]
+                if x not in seen:
+                    seen.add(x)
+                    frontier.append(x)
+    return max(seen)
+
+
+def _lyndon_by_filter(g, k):
+    return [h for h in enumerate_pyramids(g, k) if is_lyndon(h)]
+
+
+def _lyndon_count_by_formula(g, k, support):
+    """Viennot: log(1 / I_W(-t)) = sum over pyramids P in W of t^|P| / |P|;
+    then k * #Lyndon(k) = sum over d | k of mobius(k / d) * #Pyramids(d)."""
+    heaps = series_reciprocal(
+        series_neg_sub(independence_polynomial(g, support)), k)
+    log = series_log(heaps, k)
+    total = sum(mobius(k // d) * d * log[d] for d in divisors(k))
+    assert total % k == 0
+    return int(total / k)
+
+
+@DIFFERENTIAL
+@given(graph_and_word())
+def test_canonical_word_is_lex_max_of_class(gw):
+    g, word = gw
+    clear_caches()
+    canon, perm = canonical_word_with_perm(g, word)
+    assert canon == _lex_max_by_swaps(g, word)
+    assert sorted(perm) == list(range(len(word)))
+    assert tuple(word[i] for i in perm) == canon
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_enumerate_heaps_matches_all_words(g):
+    for k in range(4):
+        clear_caches()
+        fast = [h.word for h in enumerate_heaps(g, k)]
+        words = itertools.product(range(1, g.n + 1), repeat=k)
+        assert fast == sorted({canonical_word(g, w) for w in words})
+
+
+def _check_lyndon_routes(g, k):
+    clear_caches()
+    fast = list(enumerate_lyndon(g, k))
+    assert fast == _lyndon_by_filter(g, k)
+    for support in range(1 << g.n):
+        got = lyndon_count(g, k, support)
+        assert got == sum(1 for h in fast
+                          if h.support_mask & ~support == 0)
+        assert got == _lyndon_count_by_formula(g, k, support)
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_lyndon_routes_random_graphs(g):
+    for k in range(1, 5):
+        _check_lyndon_routes(g, k)
+
+
+@pytest.mark.parametrize("g", BUNDLED, ids=BUNDLED_GRAPHS)
+def test_lyndon_routes_bundled(g):
+    for k in range(1, 7):
+        _check_lyndon_routes(g, k)
+
+
+def test_clear_caches_recomputes():
+    first = enumerate_lyndon(PAW, 4)
+    assert enumerate_lyndon(PAW, 4) is first
+    clear_caches()
+    again = enumerate_lyndon(PAW, 4)
+    assert again == first and again is not first
+
+
+@pytest.mark.parametrize("g", BUNDLED, ids=BUNDLED_GRAPHS)
+def test_rotation_steps_within_proved_bound(g):
+    # rotate_to_source proves that size - 1 rotations suffice; count them
+    # here with the public one-step rotation
+    for k in range(1, 7):
+        for h in enumerate_pyramids(g, k):
+            for p in range(k):
+                cur, cp, steps = h, p, 0
+                while sources(cur) != [cp]:
+                    assert steps < k - 1, (h, p)
+                    cur, cp = rotate(cur, cp)
+                    steps += 1
+                assert rotate_to_source(h, p) == cur
+
+
+def test_rotate_to_source_rejects_split_heap():
+    # the pieces 3 and 1 of P3 commute: no rotation joins them
+    with pytest.raises(ValueError):
+        rotate_to_source(heap_from_word(P3, (3, 1)), 0)
