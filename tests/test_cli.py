@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS
 from kromatic.cli import main
 
 GOLDEN_K2 = {
@@ -98,6 +99,121 @@ def test_lyndon_stdout_digest(capsys, graph, degree, digest):
     assert main(["lyndon", "--graph", graph, "--degree", str(degree)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the full stdout of every expand job at degree 8 (bundled graph x
+# basis x direct/--omega) and every qexpand job at degree 5 (bundled model x
+# basis x direct/--omega), recorded from the monomial-basis implementation.
+EXPAND_DIGESTS = dict([
+    ("k1 p", "424efe112cc22645ae60c7b3cca6cdf6c565f7c87d6bbb2c02f926a4085539a9"),
+    ("k1 p --omega", "08f9d200cc4a8ee7cd5fc4b50d4db77a1b6b9b1e2fd4e9ce9b41df0f7f539cfb"),
+    ("k1 pbar", "b8e4f5b5337ea34b1b5399ca80ceef4b195e3b151b23c7676a71e2175257a4c0"),
+    ("k1 pbar --omega", "5a8db043cfe6b774e2f49a98dd9a1f9ba578ef0b80a7a2dde8ab9ec4154128ae"),
+    ("k1 pbarprime", "358fbd7b8e96636fcdee226f2b658e8117003b2f53c62b229cde090054795aac"),
+    ("k1 pbarprime --omega", "c8e500b8eaead4b04e6d76c2f6e0b52a6630a91bf948dbb10a186a6ef76f7708"),
+    ("k2 p", "77341511cc5b20f196b956fa1d52b407d595c818280e963d0b90a2556f346b62"),
+    ("k2 p --omega", "2c55bf3122f7deac4ebe4d5edf8a97914202cb53aba584597885441a87b94aa1"),
+    ("k2 pbar", "1fae4910fb7506e2ffbcfd7411645879c493618a08611dea16575bc15557a569"),
+    ("k2 pbar --omega", "815e74e6e879d389d52fd25cc30dc01a201f77003b47c2af3910516c0a0fefff"),
+    ("k2 pbarprime", "8f53b9433c784cd0a556ab198c5feb35439cac746ca56d66fb0499e1b5354131"),
+    ("k2 pbarprime --omega", "4cbe5993bdbf5f4c25de6a1cef551e0d9e24f4f5ea4eeb037466b27d01296069"),
+    ("k3 p", "4410bf718d8537c63b683ed322f2c5514f54128e012632436bfa87a2eacceb22"),
+    ("k3 p --omega", "44a6b0457280662447f8356440127f63091c751aaf326f2d9ae681a491a5fd16"),
+    ("k3 pbar", "7688e088cdf1540956a0680dcfaae3e0b341f6b580023e6c8631fc768c6b8128"),
+    ("k3 pbar --omega", "0a2bc67dde1f1b432b8568c401ee386c43065a3a63131d2b035f303805604a9c"),
+    ("k3 pbarprime", "67fb20e4ef44af5b506baa1039e8457b1991f49d0a40be6a217160093fa30581"),
+    ("k3 pbarprime --omega", "23e3d2895309816bcba9c4fea9e5b7526b12a74b20ff8b6ed10e26b92390dd33"),
+    ("p3 p", "519ee0a53963f132e75dbd7bb0091133f0ee0d1317ef7b1f8f9c16d7d3379b62"),
+    ("p3 p --omega", "37a4b107d66d054025bf9717664e82f2f76993956c46f427e445ece1e4ad8248"),
+    ("p3 pbar", "9b87f80bbc9bde96403b4046ac8f8ccf9045931869f9e512810d6df0b0baf57a"),
+    ("p3 pbar --omega", "4af850ba132537c8d86453c91f3defe8d1d7ecea36d9316bced08fbb43833360"),
+    ("p3 pbarprime", "797118d557e385b366d39fbe8ee0697d55dbbcf4e254c3aa9157c5c0830e0589"),
+    ("p3 pbarprime --omega", "eda03008d7686a48f63916fb7936592797b2839feb0255b91407d61e54d09871"),
+    ("p4 p", "a1ec3fecd5e02d7dd9c906db5122b72d84e4ac8d5e23b123995c63adb6474cef"),
+    ("p4 p --omega", "6fcc9d992b8fd05f96877668364cbcdc4bd77878fd9e1078a3d45fa97eb49c09"),
+    ("p4 pbar", "90f22e190ab640ff1444082c5feb2ceb8999d47ea5a7148ccf6ad3a9b51228dc"),
+    ("p4 pbar --omega", "e844087547764c42a21ba5e708ba2c3963767276c34c725cd78676b5279f2c08"),
+    ("p4 pbarprime", "59ec624a23de17bf2f562be4ed3bc652d7850855200a5a5f043de67a6d7f2dc8"),
+    ("p4 pbarprime --omega", "fc13a12cb81bb958b534c7c8662e1c3c586e2ed7027eb6ba9d4e69eafcf1df77"),
+    ("c4 p", "7bc65e1c36d9aae61225be7ce0b1e5553f27ed0d4aa84cfdbb2a8d3f25d5b63c"),
+    ("c4 p --omega", "c75e11dc2ffb1d8877e2ca85a38c6c328bd826b973af1bbe63e06ec4cf2d9f68"),
+    ("c4 pbar", "7efdc256b39a662e71de4b675956c669a10396e50ef7dad0b8be144d8260cb3d"),
+    ("c4 pbar --omega", "c9ab3fa932847c2329d7067c3cdbf9fc113322d16e1a0fa60c93622646c19946"),
+    ("c4 pbarprime", "64286bdfda44a8e53e312f399ee81330a6681d81c0f431279db2155da2fc811a"),
+    ("c4 pbarprime --omega", "7fd2ce82f9023224f602617ab8cff0ed64da2ced05acfabf4ffaefa742de10a9"),
+    ("paw p", "9e67c48fe689d60635350cc2b7567f95d5b882a2be0a5e60e9cebed43cef8027"),
+    ("paw p --omega", "a8b445ef1d4783944f9359f24ad68ad2eea7f605cf2981c0b980ebd909885912"),
+    ("paw pbar", "fc41c766fbf464799b70d5257b88a24f5d30c3dd032b74bbe502d51f3ee48704"),
+    ("paw pbar --omega", "49aac37a88511a8b50e328b4195671fb0f20b9653350ee5e18de3b1f4346361e"),
+    ("paw pbarprime", "9ad7523fc6d76e14c40ba1dddfb98ba434e18f485f0497728d44563e40e391c6"),
+    ("paw pbarprime --omega", "accfc6a159f9fd3b5d801feb012ef6b7130be43f0b05a651a5e8287ecffa0b93"),
+])
+
+QEXPAND_DIGESTS = dict([
+    ("ui-k2 p", "cdf078ec806868fcb341c69ae48246cbfd6c82cfcd02b05d33880d4257f87766"),
+    ("ui-k2 p --omega", "5647a0aecd2e70d016d506e4544c6ec7d3af5fc8c5d37f44b9863350e66212e0"),
+    ("ui-k2 pbar", "0b3d8c4ded5f69fb2b641bd9f6ca61b1333c7ec44ec10241f14f871965510f5f"),
+    ("ui-k2 pbar --omega", "0ecda6d57334e33c2c4b7a5cf33c060a9bfbabf42806d1b69479cbcdcd020c4c"),
+    ("ui-k2 pbarprime", "27183216b3f247dde81bb2841d0854ec059d4c9067855da63f1e7302a06fdec7"),
+    ("ui-k2 pbarprime --omega", "912e43301e839b4efff7011283eba0eead3af419503a98226ccbc1d1bc6509ab"),
+    ("ui-k3 p", "638e956754cb0234927e69b348ee60a338c7671283b39d716101501d14504f27"),
+    ("ui-k3 p --omega", "44d165dfeb96332aa091b4df9142d32390814e7f8f625b7388731d87a9971395"),
+    ("ui-k3 pbar", "fd84ad4f0913d5f2ab3b06e1a3e74e59eacd45998a764111f06e6afad7c11b2c"),
+    ("ui-k3 pbar --omega", "da00e19b9ad9cad9a87a00cac708483fad6325bae8d0feb43ea80db9be71372f"),
+    ("ui-k3 pbarprime", "86b4ae163bbd95b6cdb16cc47cb840bc8eb8864ca4a5ebb15a16cc8e193b36f0"),
+    ("ui-k3 pbarprime --omega", "f188b7417edaa08461c9b485b43f7654350b1364245688b5cae1de24ac6fd39c"),
+    ("ui-p3 p", "2c43e61f77a42985af2ec9a4d29b57f7697c02bc970991f2606937074f7a2b6e"),
+    ("ui-p3 p --omega", "9c2592d58419b218d2accbcd8bdf97d9eca31519edc0c5f38b1fca0aa0e980a3"),
+    ("ui-p3 pbar", "20247f1f01be6287da4556bf13443702d33fc2c4f11409233f3f194278d4e714"),
+    ("ui-p3 pbar --omega", "b0950ddfdb23f2e7ddf9178460e46f921c72fd34dd4a3cdb15f762c2ba3b38bc"),
+    ("ui-p3 pbarprime", "1425ede4fa912c36cd8e7a49ada4700bad8dba070543c74ada4d5e7ae7c11cfc"),
+    ("ui-p3 pbarprime --omega", "1b59c420d66b5ff253629543c8f70ef83b4c5cb9c140b95d4224a32e9e76001e"),
+    ("ui-p4 p", "251e99e9a83c5a55b05727e89f36822c8f3876c9bdf8cfed7444807ed54a70fc"),
+    ("ui-p4 p --omega", "8e67b3f98c1a85ca860d4f7034040b4a7fe5643d3436c0f393482e6250072ad1"),
+    ("ui-p4 pbar", "dfb63d90484757f81d0880b166db593cf0912a4d39d4883924f16c9408ed9e7a"),
+    ("ui-p4 pbar --omega", "1cf288f3c564e52b1461dba54802d222b7298c82cc4d2835c2c7608417741bb9"),
+    ("ui-p4 pbarprime", "ad238d0eb6b06f31fa0ca316aa7b778435066f97c4594022774cd7c969fc33b8"),
+    ("ui-p4 pbarprime --omega", "ed54fbd30471b926071ae60bbdd214f9116319141b651a4d16d3c6609f4e859d"),
+    ("ui-paw p", "034752cfb6e1996c984aac0a93530de596ccd5eab8686baf63391af4ce5cdade"),
+    ("ui-paw p --omega", "c9e84722fee4c25a8ff05d12e41c908bd4235be23ffce0f2c0cb4c69035db855"),
+    ("ui-paw pbar", "a1b68372626fa909c0b51a3e87a0e6dabaa43768dbd3722331337233f8481549"),
+    ("ui-paw pbar --omega", "98293bd251591fc7c3d46da4032c23d6ceab6076b3ddbe1c77ddd76bb9b96caf"),
+    ("ui-paw pbarprime", "9e3c3c461bdcc9eba79adb4eb3714cb17d9de228840bb8d2f611d42d5e86cd06"),
+    ("ui-paw pbarprime --omega", "9a51fbad75fb0b0807a72c218d930c8fa598c6a649fad98075305cffee268d12"),
+])
+
+QEXPAND_Q1_DIGEST = \
+    "b0d4b3f16c2bef17a7a7aa4a16550ec73e9a468ef52dc172122a3dba0fd8bccd"
+
+
+def _stdout_digest(capsys, argv):
+    assert main(argv) == 0, argv
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def _sweep(capsys, mode, flag, names, degree):
+    got = {}
+    for name in names:
+        for basis in ("p", "pbar", "pbarprime"):
+            for omega in ((), ("--omega",)):
+                key = " ".join((name, basis) + omega)
+                got[key] = _stdout_digest(
+                    capsys, [mode, flag, name, "--basis", basis, *omega,
+                             "--degree", str(degree)])
+    return got
+
+
+def test_expand_stdout_digests(capsys):
+    assert _sweep(capsys, "expand", "--graph", BUNDLED_GRAPHS, 8) == \
+        EXPAND_DIGESTS
+
+
+def test_qexpand_stdout_digests(capsys):
+    assert _sweep(capsys, "qexpand", "--model", BUNDLED_MODELS, 5) == \
+        QEXPAND_DIGESTS
+    assert _stdout_digest(capsys, [
+        "qexpand", "--model", "ui-p3", "--basis", "pbar", "--omega",
+        "--degree", "5", "--q", "1"]) == QEXPAND_Q1_DIGEST
 
 
 def test_independence_dump(capsys):
