@@ -99,7 +99,7 @@ def _emit(obj, out_path):
 def run_expand(args, parser):
     name, g = _load_graph(args.graph)
     N, M = args.degree, args.vars or args.degree
-    F = omega_kromatic(g, N, M) if args.omega else kromatic(g, N, M)
+    F = omega_kromatic(g, N) if args.omega else kromatic(g, N)
     exp = extract(F, args.basis)
     _emit(_expansion_json(exp, name, M, args.omega), args.out)
     return 0
@@ -195,7 +195,7 @@ def build_checks(named_graphs, N, suites):
 
     add("numbers", "dirichlet-inverse-64", dirichlet)
     add("numbers", "omega-basis-rules-k4",
-        lambda: all(verify_omega_basis_identities(k, 6, 6)
+        lambda: all(verify_omega_basis_identities(k, 6)
                     for k in range(1, 5)))
 
     # --- heaps -----------------------------------------------------------
@@ -222,7 +222,7 @@ def build_checks(named_graphs, N, suites):
     for name, g in named_graphs:
         for variant in "abcd":
             add("factorization", f"claim-{variant}-{name}-N{N}",
-                lambda g=g, v=variant: verify_factorization(g, v, N, N))
+                lambda g=g, v=variant: verify_factorization(g, v, N))
 
     def exponent_spots():
         return ([exponent_d(K2, k) for k in range(1, 6)] == [2, 1, 2, 3, 6]
@@ -238,8 +238,8 @@ def build_checks(named_graphs, N, suites):
 
     def theorem_targets(name, g):
         if name not in targets:
-            X = kromatic(g, N, N)
-            W = omega_kromatic(g, N, N)
+            X = kromatic(g, N)
+            W = omega_kromatic(g, N)
             targets[name] = {"1.2": extract(X, "pbar"),
                              "1.3": extract(W, "pbar"),
                              "1.4": extract(X, "pbarprime"),
@@ -268,7 +268,7 @@ def build_checks(named_graphs, N, suites):
     # --- classical -------------------------------------------------------
     def classical_reduction(g):
         n = g.n
-        E = extract(kromatic(g, n, n), "pbar")
+        E = extract(kromatic(g, n), "pbar")
         by_edges, by_orientations = chromatic_p_expansion_oracles(g)
         if by_edges.coeffs != by_orientations.coeffs:
             return False
@@ -287,19 +287,19 @@ def build_checks(named_graphs, N, suites):
     for name, g in named_graphs:
         def roundtrip(g=g):
             ms = independence_multiset(g)
-            return (kromatic_from_multiset(ms, 4, 4) == kromatic(g, 4, 4)
-                    and kromatic_from_multiset(ms, 4, 4, image="omega")
-                    == omega_kromatic(g, 4, 4))
+            return (kromatic_from_multiset(ms, 4) == kromatic(g, 4)
+                    and kromatic_from_multiset(ms, 4, image="omega")
+                    == omega_kromatic(g, 4))
 
         add("recovery", f"multiset-roundtrip-{name}", roundtrip)
 
     add("recovery", "recover-K2-honest",
         lambda: recover_signed_exponent_multiset(
-            omega_kromatic(K2, 8, 8), 2, (2, 3))
+            omega_kromatic(K2, 8), 2, (2, 3))
         == signed_exponent_family(K2, 2))
     add("recovery", "recover-P3-honest",
         lambda: recover_signed_exponent_multiset(
-            omega_kromatic(P3, 13, 13), 2, (3, 5))
+            omega_kromatic(P3, 13), 2, (3, 5))
         == signed_exponent_family(P3, 2))
 
     def recover_k4(g):
@@ -320,11 +320,11 @@ def build_checks(named_graphs, N, suites):
             == kromatic_q_vectors(g, 4, 3))
         if natural_unit_interval_model(g) is not None:
             add("q", f"pyramid-expansion-{name}",
-                lambda g=g: pyramid_p_expansion_q(g, g.n + 1, g.n + 1)
+                lambda g=g: pyramid_p_expansion_q(g, g.n + 1)
                 == omega(kromatic_q(g, g.n + 1, g.n + 1)))
             add("q", f"q1-collapse-{name}",
                 lambda g=g: specialize_q(kromatic_q(g, 4, 4), 1)
-                == kromatic(g, 4, 4))
+                == kromatic(g, 4))
 
     q_targets = {}
 
@@ -410,7 +410,9 @@ def make_parser():
             p.add_argument("--omega", action="store_true",
                            help="expand the omega image instead")
             p.add_argument("--vars", type=int, default=None,
-                           help="number of variables M (default: degree)")
+                           help="number of colors M that qexpand enumerates "
+                           "colorings over (default: degree); expand only "
+                           "reports it")
         if q:
             p.add_argument("--q", default=None,
                            help="evaluate q-polynomials at this rational")
@@ -454,8 +456,8 @@ def validate(args, parser):
         if args.degree < 1:
             parser.error("--degree must be at least 1")
     if getattr(args, "vars", None) is not None and args.vars < args.degree:
-        parser.error("--vars must be at least --degree for faithful "
-                     "extraction")
+        parser.error("--vars must be at least --degree for a faithful "
+                     "monomial conversion")
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be positive")
     if args.mode in ("expand", "lyndon", "independence") and not args.graph:

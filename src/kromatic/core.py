@@ -8,7 +8,8 @@ the alternating sum over vertex subsets W of prod_i I_W(x_i), where I_W is
 the independence polynomial of the induced subgraph on W; its omega image
 swaps I_W for H_W(t) = 1 / I_W(-t).
 
-Everything here is exact and truncated to total degree N in M variables.
+Everything here is exact and truncated to total degree N; only the
+brute-force oracles, which enumerate colorings, take a number M of colors.
 """
 from __future__ import annotations
 
@@ -18,35 +19,40 @@ from .graphs import independence_polynomial, mask_vertices, popcount
 from .heaps import enumerate_lyndon, lyndon_count
 from .numbers import binomial, multichoose, multiplicities
 from .symfunc import (
-    Expansion, SymPoly, basis_element, extract, omega, product_over_variables,
+    Expansion, SymPoly, basis_element, extract, product_over_variables,
     series_neg_sub, series_reciprocal, sympoly_from_vector_counts,
     sympoly_int_power,
 )
 
 
-def _subset_signed_products(g, N, M, series_of_mask):
-    acc = SymPoly(M, N, {})
+def _subset_signed_products(g, N, series_of_poly):
+    """Sum over vertex subsets W of (-1)^(n - |W|) prod_i f_W(x_i), where
+    f_W is series_of_poly of the independence polynomial of G[W].  Subsets
+    with the same polynomial are summed first: many share one."""
+    weight = {}
     for mask in range(g.full_mask + 1):
+        poly = independence_polynomial(g, mask)
         sign = -1 if (g.n - popcount(mask)) % 2 else 1
-        term = product_over_variables(series_of_mask(mask), M, N)
-        acc = acc + term.scale(sign)
+        weight[poly] = weight.get(poly, 0) + sign
+    acc = SymPoly(N, {})
+    for poly, w in weight.items():
+        if w:
+            term = product_over_variables(series_of_poly(poly), N)
+            acc = acc + term.scale(w)
     return acc
 
 
-def kromatic(g, N, M):
-    """The set-coloring generating function, truncated to degree N in M
-    variables, via the alternating subset expansion."""
-    return _subset_signed_products(
-        g, N, M, lambda mask: independence_polynomial(g, mask))
+def kromatic(g, N):
+    """The set-coloring generating function, truncated to degree N, via the
+    alternating subset expansion."""
+    return _subset_signed_products(g, N, lambda poly: poly)
 
 
-def omega_kromatic(g, N, M):
+def omega_kromatic(g, N):
     """omega of the set-coloring generating function, computed directly from
     the reciprocal independence series of each induced subgraph."""
     return _subset_signed_products(
-        g, N, M,
-        lambda mask: series_reciprocal(
-            series_neg_sub(independence_polynomial(g, mask)), N))
+        g, N, lambda poly: series_reciprocal(series_neg_sub(poly), N))
 
 
 # ---------------------------------------------------------------------------
@@ -172,43 +178,39 @@ def chromatic_p_expansion_oracles(g):
 # ---------------------------------------------------------------------------
 # exponent families from Lyndon heap counts
 
-def exponent_d(g, k, support=None):
-    """Lyndon heaps of size k supported inside the subset."""
-    return lyndon_count(g, k, support)
+def _menu_pool(g, k, support, which):
+    """Lyndon heaps (inside the support) of the sizes that rule `which`
+    allows for a part of value k, with that rule's selection mode."""
+    sizes, mode = _menu_sizes(k, which)
+    return sum(lyndon_count(g, s, support) for s in sizes), mode
 
 
-def exponent_b(g, k, support=None):
-    """Sum of Lyndon counts over sizes k / 2^j (all j with 2^j dividing k)."""
-    total = 0
-    m = k
-    while True:
-        total += lyndon_count(g, m, support)
-        if m % 2:
-            break
-        m //= 2
-    return total
-
-
-def exponent_c(g, k, support=None):
-    if k % 2 == 1:
-        return lyndon_count(g, k, support)
-    if k % 4 == 0:
-        return -lyndon_count(g, k, support)
-    return -(lyndon_count(g, k, support) + lyndon_count(g, k // 2, support))
+def _exponent(g, k, support, which):
+    pool, _ = _menu_pool(g, k, support, which)
+    return -pool if which in ("1.2", "1.4") and k % 2 == 0 else pool
 
 
 def exponent_a(g, k, support=None):
-    if k % 2 == 1:
-        return lyndon_count(g, k, support)
-    total = 0
-    m = k
-    while m % 2 == 0:
-        total += lyndon_count(g, m, support)
-        m //= 2
-    return -total
+    """Rule 1.2's menu size, negated for even k: L(k) for odd k, else
+    -(L(k) + L(k/2) + ...) over the even sizes k / 2^j."""
+    return _exponent(g, k, support, "1.2")
 
 
-_EXPONENTS = {"a": exponent_a, "b": exponent_b, "c": exponent_c, "d": exponent_d}
+def exponent_b(g, k, support=None):
+    """Rule 1.3's menu size: sum of L(k / 2^j) over all j with 2^j | k."""
+    return _exponent(g, k, support, "1.3")
+
+
+def exponent_c(g, k, support=None):
+    """Rule 1.4's menu size, negated for even k: L(k) for odd k, -L(k) for
+    4 | k, else -(L(k) + L(k/2))."""
+    return _exponent(g, k, support, "1.4")
+
+
+def exponent_d(g, k, support=None):
+    """Rule 1.5's menu size: Lyndon heaps of size k inside the support."""
+    return _exponent(g, k, support, "1.5")
+
 
 # which exponent family pairs with which product and basis
 _FACTORIZATION_VARIANTS = {
@@ -220,7 +222,7 @@ _FACTORIZATION_VARIANTS = {
 }
 
 
-def verify_factorization(g, variant, N, M, support=None):
+def verify_factorization(g, variant, N, support=None):
     """Check prod_i F(x_i) = prod_k (1 + basis_k)^(e(k)) at truncation N,
     where F is the independence series (variants a, c) or its signed
     reciprocal (variants b, d) of the induced subgraph, and e is the matching
@@ -230,13 +232,13 @@ def verify_factorization(g, variant, N, M, support=None):
     ind = independence_polynomial(g, support)
     series = ind if kind == "independence" else \
         series_reciprocal(series_neg_sub(ind), N)
-    lhs = product_over_variables(series, M, N)
-    one = SymPoly.const(M, N, 1)
+    lhs = product_over_variables(series, N)
+    one = SymPoly.const(N, 1)
     rhs = one
     for k in range(1, N + 1):
         e = efn(g, k, support)
         if e:
-            rhs = rhs * sympoly_int_power(one + basis_element(basis, (k,), N, M), e)
+            rhs = rhs * sympoly_int_power(one + basis_element(basis, (k,), N), e)
     assert lhs == rhs, (
         f"factorization variant {variant!r} fails on {g!r} "
         f"support={support!r} at N={N}")
@@ -309,8 +311,7 @@ def theorem_coefficient(g, lam, which):
 
 
 def _rule_count_on_subset(g, support, k, i_k, which):
-    sizes, mode = _menu_sizes(k, which)
-    pool = sum(lyndon_count(g, s, support) for s in sizes)
+    pool, mode = _menu_pool(g, k, support, which)
     return binomial(pool, i_k) if mode == "distinct" else multichoose(pool, i_k)
 
 
@@ -361,15 +362,15 @@ def independence_multiset(g):
     return IndependenceMultiset(g.n, entries)
 
 
-def kromatic_from_multiset(ms, N, M, image="direct"):
+def kromatic_from_multiset(ms, N, image="direct"):
     """Rebuild the (direct or omega) set-coloring generating function from an
     IndependenceMultiset alone."""
-    acc = SymPoly(M, N, {})
+    acc = SymPoly(N, {})
     for poly, size in ms.entries:
         series = poly if image == "direct" else \
             series_reciprocal(series_neg_sub(poly), N)
         sign = -1 if (ms.n - size) % 2 else 1
-        acc = acc + product_over_variables(series, M, N).scale(sign)
+        acc = acc + product_over_variables(series, N).scale(sign)
     return acc
 
 

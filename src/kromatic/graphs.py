@@ -34,7 +34,7 @@ def popcount(mask):
 class Graph:
     """Simple undirected graph; vertices 1..n carry a fixed total order."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "_hash")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -58,6 +58,8 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "adj", tuple(adj))
+        # graphs key the heap-layer caches, so hash once, not per lookup
+        object.__setattr__(self, "_hash", hash((n, self.edges)))
 
     def __setattr__(self, *a):
         raise AttributeError("Graph is immutable")
@@ -76,7 +78,7 @@ class Graph:
         return isinstance(other, Graph) and (self.n, self.edges) == (other.n, other.edges)
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges)})"

@@ -276,8 +276,16 @@ def enumerate_heaps(g, n):
     return result
 
 
+_pyramid_cache = {}
+
+
 def enumerate_pyramids(g, n):
-    return tuple(h for h in enumerate_heaps(g, n) if is_pyramid(h))
+    """Pyramids of size n, sorted by canonical word."""
+    key = (g, n)
+    if key not in _pyramid_cache:
+        _pyramid_cache[key] = tuple(h for h in enumerate_heaps(g, n)
+                                    if is_pyramid(h))
+    return _pyramid_cache[key]
 
 
 _lyndon_cache = {}
@@ -339,10 +347,10 @@ def lyndon_count(g, n, support=None):
 def clear_caches():
     """Empty every module-level cache of the heap layer and the symmetric
     function layer, so that the next call recomputes from scratch."""
-    for cache in (_dep_cache, _heap_cache, _lyndon_cache, _support_cache):
+    for cache in (_dep_cache, _heap_cache, _pyramid_cache, _lyndon_cache,
+                  _support_cache):
         cache.clear()
-    for fn in (symfunc._m_pair_product, symfunc.basis_element,
-               symfunc.p_in_monomials):
+    for fn in (symfunc.basis_element, symfunc._p_to_m):
         fn.cache_clear()
 
 

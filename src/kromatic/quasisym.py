@@ -24,7 +24,7 @@ from .graphs import clan_graph, popcount
 from .heaps import ascent_count, compose_all, enumerate_pyramids
 from .numbers import (QPoly, compositions_up_to, divisors, mobius, mu_hat,
                       partitions_up_to, q_factorial, z_lambda)
-from .symfunc import SymPoly, p_in_monomials, sympoly_from_vector_counts
+from .symfunc import SymPoly, sympoly_from_vector_counts
 
 
 def _pairs_below(a, b):
@@ -66,9 +66,9 @@ def kromatic_q_vectors(g, N, M):
 
 
 def kromatic_q(g, N, M):
-    """The q-refined series as a SymPoly with QPoly coefficients.  Raises
-    ValueError if the underlying vector coefficients are not symmetric
-    (graphs with no unit interval model)."""
+    """The q-refined series as a SymPoly with QPoly coefficients, from the
+    colorings with M >= N colors.  Raises ValueError if the underlying vector
+    coefficients are not symmetric (graphs with no unit interval model)."""
     return sympoly_from_vector_counts(kromatic_q_vectors(g, N, M), M, N)
 
 
@@ -149,19 +149,13 @@ def ascent_polynomial(g, sizes, cover_all=True, statistic=ascent_count):
     return QPoly(counts)
 
 
-def pyramid_p_expansion_q(g, N, M, statistic=ascent_count):
+def pyramid_p_expansion_q(g, N, statistic=ascent_count):
     """Sum over partitions of p_lambda / z_lambda times the covering ascent
     polynomial.  For unit-interval graphs this equals omega of kromatic_q."""
-    total = SymPoly(M, N, {})
-    for lam in partitions_up_to(N):
-        if not lam:
-            continue
-        A = ascent_polynomial(g, lam, cover_all=True, statistic=statistic)
-        if not A:
-            continue
-        total = total + p_in_monomials(lam, N, M).scale(
-            A * Fraction(1, z_lambda(lam)))
-    return total
+    return SymPoly(N, {
+        lam: ascent_polynomial(g, lam, cover_all=True, statistic=statistic)
+        * Fraction(1, z_lambda(lam))
+        for lam in partitions_up_to(N) if lam})
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Truncated symmetric polynomials in the monomial basis, exactly.
+"""Truncated symmetric functions in the power-sum basis, exactly.
 
-A SymPoly holds the coefficients of monomial symmetric polynomials m_lambda
-in M variables, truncated to total degree <= N.  Coefficients live in any
-exact commutative ring (int, Fraction, QPoly).  Operations that read off
-power-sum data (omega, p_decompose_homogeneous, extract) require M >= N so
-that distinct symmetric functions of degree <= N stay distinct.
+A SymPoly holds the coefficients of the power sums p_lambda, truncated to
+total degree <= N.  Coefficients live in any exact commutative ring (int,
+Fraction, QPoly).  The product is the union of partitions, omega is a sign
+on each p_lambda, and a product over variables prod_i f(x_i) is
+exp(sum_k c_k p_k) with sum_k c_k t^k = log f(t), so no number of variables
+enters.  Monomials appear only in sympoly_from_vector_counts, which reads
+the exponent-vector counts of the brute-force oracles.
 
 USeries values are plain tuples of coefficients, index = degree.
 """
@@ -12,9 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-import itertools
 
-from .numbers import QPoly, partition_sort_key, partitions_of, partitions_up_to
+from .numbers import QPoly, partition_sort_key, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -68,114 +69,51 @@ def series_neg_sub(f):
 
 
 # ---------------------------------------------------------------------------
-# monomial-pair products
-
-def _split_count(nu, lam, mu):
-    """Ways to write the fixed vector nu as a + b with the nonzero entries of
-    a forming the multiset lam and those of b the multiset mu."""
-    need_a = {}
-    for p in lam:
-        need_a[p] = need_a.get(p, 0) + 1
-    need_b = {}
-    for p in mu:
-        need_b[p] = need_b.get(p, 0) + 1
-
-    n = len(nu)
-
-    def rec(i, remaining_a, remaining_b):
-        if i == n:
-            return 1 if remaining_a == 0 and remaining_b == 0 else 0
-        v = nu[i]
-        total = 0
-        seen = set()
-        for x in itertools.chain((0,), (p for p in need_a if need_a[p])):
-            if x in seen or x > v:
-                continue
-            seen.add(x)
-            y = v - x
-            if y and not need_b.get(y):
-                continue
-            if x:
-                need_a[x] -= 1
-            if y:
-                need_b[y] -= 1
-            total += rec(i + 1, remaining_a - (1 if x else 0),
-                         remaining_b - (1 if y else 0))
-            if x:
-                need_a[x] += 1
-            if y:
-                need_b[y] += 1
-        return total
-
-    return rec(0, sum(need_a.values()), sum(need_b.values()))
-
-
-@lru_cache(maxsize=None)
-def _m_pair_product(lam, mu):
-    """Expansion of m_lam * m_mu as {nu: coefficient}, valid in any number of
-    variables >= len(nu) (callers filter lengths)."""
-    if not lam:
-        return {mu: 1}
-    if not mu:
-        return {lam: 1}
-    L = len(lam) + len(mu)
-    base = tuple(lam) + (0,) * len(mu)
-    values = sorted(set(mu), reverse=True)
-    counts = {v: mu.count(v) for v in values}
-    candidates = set()
-
-    def place(vi, taken, vec):
-        if vi == len(values):
-            shape = tuple(sorted((x for x in vec if x), reverse=True))
-            candidates.add(shape)
-            return
-        v = values[vi]
-        free = [i for i in range(L) if i not in taken]
-        for positions in itertools.combinations(free, counts[v]):
-            nv = list(vec)
-            for i in positions:
-                nv[i] += v
-            place(vi + 1, taken | set(positions), nv)
-
-    place(0, frozenset(), list(base))
-    out = {}
-    for nu in sorted(candidates):
-        c = _split_count(nu, lam, mu)
-        if c:
-            out[nu] = c
-    return out
-
-
-# ---------------------------------------------------------------------------
 # SymPoly
 
+def _add_term(out, lam, v):
+    w = out.get(lam, 0) + v
+    if w:
+        out[lam] = w
+    else:
+        out.pop(lam, None)
+
+
 class SymPoly:
-    """Symmetric polynomial in M variables, truncated to degree <= N, stored
-    as {partition: coefficient} over the monomial basis."""
+    """Symmetric function truncated to degree <= N, stored as
+    {partition: coefficient of p_partition}.  Two SymPolys are equal only
+    when N is equal too, and arithmetic between different N is refused."""
 
-    __slots__ = ("M", "N", "c")
+    __slots__ = ("N", "c")
 
-    def __init__(self, M, N, coeffs=None):
+    def __init__(self, N, coeffs=None):
         c = {}
         for lam, v in (coeffs or {}).items():
             lam = tuple(lam)
             if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or \
                     any(p <= 0 for p in lam):
                 raise ValueError(f"not a partition: {lam}")
-            if len(lam) > M or sum(lam) > N:
-                raise ValueError(f"partition {lam} exceeds M={M} or N={N}")
+            if sum(lam) > N:
+                raise ValueError(f"partition {lam} exceeds N={N}")
             if v:
                 c[lam] = v
-        object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def _of(cls, N, c):
+        """Wrap a dict of nonzero terms already known to be valid."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "c", c)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("SymPoly is immutable; build new instances")
 
     @classmethod
-    def const(cls, M, N, value=1):
-        return cls(M, N, {(): value} if value else {})
+    def const(cls, N, value=1):
+        return cls(N, {(): value} if value else {})
 
     def coeff(self, lam):
         return self.c.get(tuple(lam), 0)
@@ -191,141 +129,104 @@ class SymPoly:
 
     def __eq__(self, other):
         if isinstance(other, SymPoly):
-            if self.M != other.M:
-                return False
-            n = min(self.N, other.N)
-            mine = {l: v for l, v in self.c.items() if sum(l) <= n}
-            theirs = {l: v for l, v in other.c.items() if sum(l) <= n}
-            return mine == theirs
+            return self.N == other.N and self.c == other.c
         if other == 0:
             return not self.c
         return NotImplemented
 
-    def _check_compat(self, other):
-        if self.M != other.M:
-            raise ValueError("SymPoly variable counts differ")
-        return min(self.N, other.N)
+    def _same_N(self, other):
+        if self.N != other.N:
+            raise ValueError(
+                f"SymPoly truncations differ (N={self.N} and N={other.N})")
+        return self.N
 
     def __add__(self, other):
         if isinstance(other, SymPoly):
-            n = self._check_compat(other)
-            out = {l: v for l, v in self.c.items() if sum(l) <= n}
-            for l, v in other.c.items():
-                if sum(l) <= n:
-                    w = out.get(l, 0) + v
-                    if w:
-                        out[l] = w
-                    elif l in out:
-                        del out[l]
-            return SymPoly(self.M, n, out)
+            N = self._same_N(other)
+            out = dict(self.c)
+            for lam, v in other.c.items():
+                _add_term(out, lam, v)
+            return SymPoly._of(N, out)
         if isinstance(other, (int, Fraction, QPoly)):
-            return self + SymPoly.const(self.M, self.N, other)
+            return self + SymPoly.const(self.N, other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly(self.M, self.N, {l: -v for l, v in self.c.items()})
+        return SymPoly._of(self.N, {l: -v for l, v in self.c.items()})
 
     def __sub__(self, other):
-        if isinstance(other, SymPoly):
-            return self + (-other)
         return self + (-other)
 
     def scale(self, scalar):
         if scalar == 0:
-            return SymPoly(self.M, self.N, {})
-        return SymPoly(self.M, self.N,
-                       {l: scalar * v for l, v in self.c.items()})
+            return SymPoly._of(self.N, {})
+        return SymPoly._of(self.N,
+                           {l: scalar * v for l, v in self.c.items()})
 
     def __mul__(self, other):
+        """p_lam * p_mu = p_(lam union mu), dropping degrees above N."""
         if isinstance(other, (int, Fraction, QPoly)):
             return self.scale(other)
         if not isinstance(other, SymPoly):
             return NotImplemented
-        n = self._check_compat(other)
+        N = self._same_N(other)
+        right = [(mu, sum(mu), b) for mu, b in other.c.items()]
         out = {}
-        for lam, ca in self.c.items():
-            dl = sum(lam)
-            for mu, cb in other.c.items():
-                if dl + sum(mu) > n:
-                    continue
-                key = (lam, mu) if partition_sort_key(lam) >= partition_sort_key(mu) \
-                    else (mu, lam)
-                for nu, m in _m_pair_product(*key).items():
-                    if len(nu) <= self.M:
-                        w = out.get(nu, 0) + ca * cb * m
-                        if w:
-                            out[nu] = w
-                        elif nu in out:
-                            del out[nu]
-        return SymPoly(self.M, n, out)
+        for lam, a in self.c.items():
+            room = N - sum(lam)
+            for mu, d, b in right:
+                if d <= room:
+                    _add_term(out, tuple(sorted(lam + mu, reverse=True)),
+                              a * b)
+        return SymPoly._of(N, out)
 
     __rmul__ = __mul__
 
     def map_coeffs(self, fn):
-        return SymPoly(self.M, self.N,
-                       {l: fn(v) for l, v in self.c.items()})
+        return SymPoly(self.N, {l: fn(v) for l, v in self.c.items()})
 
     def __repr__(self):
         items = sorted(self.c.items(), key=lambda kv: partition_sort_key(kv[0]))
-        body = " + ".join(f"{v!r}*m{list(l)}" for l, v in items[:12])
+        body = " + ".join(f"{v!r}*p{list(l)}" for l, v in items[:12])
         more = "" if len(items) <= 12 else f" ... ({len(items)} terms)"
-        return f"SymPoly(M={self.M}, N={self.N}: {body}{more})"
+        return f"SymPoly(N={self.N}: {body}{more})"
 
 
-def product_over_variables(f, M, N):
-    """prod_{i=1..M} f(x_i) truncated to degree N, for a USeries f with
-    constant term 1.  The m_nu coefficient is the product of f[part] over the
-    parts of nu."""
-    f = series_truncate(f, N)
-    if f[0] != 1:
-        raise ValueError("product_over_variables needs constant term 1")
+def product_over_variables(f, N):
+    """prod_i f(x_i) truncated to degree N, for a USeries f with constant
+    term 1.  With c = log f, this is exp(sum_k c_k p_k), whose p_lambda
+    coefficient is prod_i c_(lambda_i) / prod_k m_k(lambda)!; only parts k
+    with c_k != 0 occur."""
+    c = series_log(f, N)
+    parts = [k for k in range(N, 0, -1) if c[k]]
     out = {}
-    for nu in partitions_up_to(N):
-        if len(nu) > M:
-            continue
-        coeff = 1
-        for p in nu:
-            coeff *= f[p]
-            if not coeff:
-                break
-        if coeff:
-            out[nu] = coeff
-    return SymPoly(M, N, out)
 
+    def rec(i, lam, room, coeff):
+        if i == len(parts):
+            out[lam] = coeff
+            return
+        k = parts[i]
+        m = 0
+        while True:
+            rec(i + 1, lam, room, coeff)
+            if k > room:
+                return
+            m += 1
+            lam, room, coeff = lam + (k,), room - k, coeff * c[k] / m
 
-def sympoly_from_vector_counts(counts, M, N, check_symmetric=True):
-    """Build a SymPoly from exponent-vector coefficients (tuples of length M).
-
-    The coefficient of m_lambda is read off the canonical vector (lambda
-    padded with zeros).  With check_symmetric, every vector's coefficient
-    must agree with its canonical representative's."""
-    out = {}
-    for vec, c in counts.items():
-        if len(vec) != M:
-            raise ValueError(f"vector {vec} is not over {M} variables")
-        lam = tuple(sorted((x for x in vec if x), reverse=True))
-        if sum(lam) > N:
-            continue
-        rep = lam + (0,) * (M - len(lam))
-        rep_val = counts.get(rep, 0)
-        if check_symmetric and c != rep_val:
-            raise ValueError(
-                f"not symmetric: coefficient at {vec} ({c!r}) differs from "
-                f"canonical {rep} ({rep_val!r})")
-        if rep_val:
-            out[lam] = rep_val
-    return SymPoly(M, N, out)
+    rec(0, (), N, Fraction(1))
+    return SymPoly._of(N, out)
 
 
 def sympoly_reciprocal(F):
     """1/F for F with constant term 1, exact at the truncation order."""
     if F.constant() != 1:
         raise ValueError("sympoly_reciprocal needs constant term 1")
-    S = F - SymPoly.const(F.M, F.N, 1)
-    acc = SymPoly.const(F.M, F.N, 1)
-    power = SymPoly.const(F.M, F.N, 1)
+    S = F - SymPoly.const(F.N, 1)
+    acc = SymPoly.const(F.N, 1)
+    power = SymPoly.const(F.N, 1)
     sign = 1
     for _ in range(F.N):
         power = power * S
@@ -340,7 +241,7 @@ def sympoly_int_power(F, e):
     """F**e for integer e (negative allowed when F has constant term 1)."""
     if e < 0:
         return sympoly_int_power(sympoly_reciprocal(F), -e)
-    acc = SymPoly.const(F.M, F.N, 1)
+    acc = SymPoly.const(F.N, 1)
     base = F
     k = e
     while k:
@@ -353,69 +254,41 @@ def sympoly_int_power(F, e):
 
 
 # ---------------------------------------------------------------------------
-# bases
-
-def basis_p(k, N, M):
-    """Power sum p_k."""
-    if k > N or M < 1:
-        return SymPoly(M, N, {})
-    return SymPoly(M, N, {(k,): 1})
-
-
-def basis_pbar(k, N, M):
-    """K-power-sum from prod_i (1 + x_i^k), constant dropped: sum over r>=1
-    of m_{(k^r)}."""
-    out = {}
-    r = 1
-    while r * k <= N and r <= M:
-        out[(k,) * r] = 1
-        r += 1
-    return SymPoly(M, N, out)
-
-
-def basis_pbarprime(k, N, M):
-    """K-power-sum from prod_i 1/(1 - x_i^k), constant dropped: sum of m_nu
-    over nonempty nu whose parts are all positive multiples of k."""
-    out = {}
-    for nu in partitions_up_to(N):
-        if nu and len(nu) <= M and all(p % k == 0 for p in nu):
-            out[nu] = 1
-    return SymPoly(M, N, out)
-
-
-_BASIS_SINGLE = {"p": basis_p, "pbar": basis_pbar, "pbarprime": basis_pbarprime}
-
+# the one conversion from monomials
 
 @lru_cache(maxsize=None)
-def basis_element(basis, lam, N, M):
-    """Multiplicative basis element: product over parts of the single-part
-    generator."""
-    if basis not in _BASIS_SINGLE:
-        raise ValueError(f"unknown basis {basis!r}")
-    if not lam:
-        return SymPoly.const(M, N, 1)
-    head = _BASIS_SINGLE[basis](lam[0], N, M)
-    return head * basis_element(basis, lam[1:], N, M)
+def _p_to_m(lam):
+    """p_lam in the monomial basis as {mu: count}: the number of ways to put
+    the parts of lam (told apart by position) into len(mu) boxes whose sums
+    are the parts of mu.  Only coarsenings of lam occur."""
+
+    @lru_cache(maxsize=None)
+    def fill(i, boxes):  # boxes: sorted remaining capacities
+        if i == len(lam):
+            return 1
+        total = 0
+        for b in set(boxes):
+            if b >= lam[i]:
+                rest = list(boxes)
+                rest.remove(b)
+                rest.append(b - lam[i])
+                total += boxes.count(b) * fill(i + 1, tuple(sorted(rest)))
+        return total
+
+    out = {}
+    for mu in partitions_of(sum(lam)):
+        if len(mu) <= len(lam):
+            count = fill(0, tuple(sorted(mu)))
+            if count:
+                out[mu] = count
+    return out
 
 
-@lru_cache(maxsize=None)
-def p_in_monomials(lam, N, M):
-    """p_lam in the monomial basis (coefficients are nonnegative ints)."""
-    return basis_element("p", lam, N, M)
-
-
-# ---------------------------------------------------------------------------
-# power-sum decomposition, omega, extraction
-
-def _require_faithful(F):
-    if F.M < F.N:
-        raise ValueError(
-            f"need at least as many variables as the degree (M={F.M} < N={F.N})")
-
-
-def p_decompose_homogeneous(slice_coeffs, n, N, M):
+def p_decompose_homogeneous(slice_coeffs, n):
     """Write a homogeneous degree-n monomial-basis dict as sum of c_lam
-    p_lam.  Solved triangularly by partition length, longest first."""
+    p_lam.  Solved triangularly by partition length, longest first: p_lam
+    holds m_lam with coefficient prod_k m_k(lam)! and otherwise only m_mu
+    for shorter mu."""
     residual = dict(slice_coeffs)
     out = {}
     order = sorted(partitions_of(n), key=lambda l: (-len(l), partition_sort_key(l)))
@@ -423,52 +296,95 @@ def p_decompose_homogeneous(slice_coeffs, n, N, M):
         v = residual.get(lam)
         if not v:
             continue
-        # leading coefficient of m_lam in p_lam: product of multiplicities!
-        lead = 1
-        mult = 1
-        for i in range(1, len(lam) + 1):
-            if i < len(lam) and lam[i] == lam[i - 1]:
-                mult += 1
-            else:
-                for j in range(2, mult + 1):
-                    lead *= j
-                mult = 1
+        row = _p_to_m(lam)
+        lead = row[lam]
         if isinstance(v, int) and v % lead == 0:
             c = v // lead
         else:
             c = v * Fraction(1, lead)
         out[lam] = c
-        for mu, m in p_in_monomials(lam, N, M).c.items():
-            w = residual.get(mu, 0) - c * m
-            if w:
-                residual[mu] = w
-            elif mu in residual:
-                del residual[mu]
+        for mu, m in row.items():
+            _add_term(residual, mu, -(c * m))
     if residual:
         raise ValueError(f"degree-{n} slice is not symmetric-consistent: "
                          f"residual {residual}")
     return out
 
 
+def sympoly_from_vector_counts(counts, M, N):
+    """Build a SymPoly from exponent-vector coefficients over M variables.
+
+    The coefficient of m_lambda is read off the canonical vector (lambda
+    padded with zeros); every vector's coefficient must agree with its
+    canonical representative's.  Each degree is then converted to power
+    sums, which is exact only when M >= N: with fewer variables the m_lambda
+    with more than M parts vanish and distinct functions coincide."""
+    if M < N:
+        raise ValueError(
+            f"need at least as many variables as the degree (M={M} < N={N})")
+    by_degree = {}
+    for vec, c in counts.items():
+        if len(vec) != M:
+            raise ValueError(f"vector {vec} is not over {M} variables")
+        lam = tuple(sorted((x for x in vec if x), reverse=True))
+        if sum(lam) > N:
+            continue
+        rep = lam + (0,) * (M - len(lam))
+        rep_val = counts.get(rep, 0)
+        if c != rep_val:
+            raise ValueError(
+                f"not symmetric: coefficient at {vec} ({c!r}) differs from "
+                f"canonical {rep} ({rep_val!r})")
+        if rep_val:
+            by_degree.setdefault(sum(lam), {})[lam] = rep_val
+    out = {}
+    for n, sl in by_degree.items():
+        out.update(p_decompose_homogeneous(sl, n))
+    return SymPoly(N, out)
+
+
+# ---------------------------------------------------------------------------
+# bases
+
+def basis_p(k, N):
+    """Power sum p_k."""
+    return SymPoly(N, {(k,): 1} if k <= N else {})
+
+
+def basis_pbar(k, N):
+    """K-power-sum prod_i (1 + x_i^k) - 1."""
+    return product_over_variables((1,) + (0,) * (k - 1) + (1,), N) - 1
+
+
+def basis_pbarprime(k, N):
+    """K-power-sum prod_i 1/(1 - x_i^k) - 1."""
+    f = tuple(1 if d % k == 0 else 0 for d in range(N + 1))
+    return product_over_variables(f, N) - 1
+
+
+_BASIS_SINGLE = {"p": basis_p, "pbar": basis_pbar, "pbarprime": basis_pbarprime}
+
+
+@lru_cache(maxsize=None)
+def basis_element(basis, lam, N):
+    """Multiplicative basis element: product over parts of the single-part
+    generator.  Its lowest-degree term is p_lam with coefficient 1."""
+    if basis not in _BASIS_SINGLE:
+        raise ValueError(f"unknown basis {basis!r}")
+    if not lam:
+        return SymPoly.const(N, 1)
+    if len(lam) == 1:
+        return _BASIS_SINGLE[basis](lam[0], N)
+    return basis_element(basis, lam[:1], N) * basis_element(basis, lam[1:], N)
+
+
+# ---------------------------------------------------------------------------
+# omega, extraction
+
 def omega(F):
     """The involution sending p_lam to (-1)^(|lam| - len(lam)) p_lam."""
-    _require_faithful(F)
-    out = {}
-    if F.constant():
-        out[()] = F.constant()
-    for n in range(1, F.N + 1):
-        sl = F.degree_slice(n)
-        if not sl:
-            continue
-        for lam, c in p_decompose_homogeneous(sl, n, F.N, F.M).items():
-            sign = -1 if (n - len(lam)) % 2 else 1
-            for mu, m in p_in_monomials(lam, F.N, F.M).c.items():
-                w = out.get(mu, 0) + sign * c * m
-                if w:
-                    out[mu] = w
-                elif mu in out:
-                    del out[mu]
-    return SymPoly(F.M, F.N, out)
+    return SymPoly._of(F.N, {lam: -v if (sum(lam) - len(lam)) % 2 else v
+                             for lam, v in F.c.items()})
 
 
 class Expansion:
@@ -504,26 +420,17 @@ class Expansion:
 
 def extract(F, basis):
     """Expand F over the multiplicative basis ('p', 'pbar', 'pbarprime') by
-    degreewise peeling; raises if the residual does not vanish."""
-    _require_faithful(F)
+    peeling degrees in ascending order: each basis element is p_lam plus
+    higher degrees, so the degree-n residual is the degree-n coefficients.
+    Raises if the residual does not vanish."""
     residual = dict(F.c)
     coeffs = {}
-    if () in residual:
-        coeffs[()] = residual.pop(())
-    for n in range(1, F.N + 1):
-        sl = {l: v for l, v in residual.items() if sum(l) == n}
-        if not sl:
-            continue
-        for lam, c in p_decompose_homogeneous(sl, n, F.N, F.M).items():
-            if not c:
-                continue
+    for n in range(F.N + 1):
+        for lam in [l for l in residual if sum(l) == n]:
+            c = residual[lam]
             coeffs[lam] = c
-            for mu, m in basis_element(basis, lam, F.N, F.M).c.items():
-                w = residual.get(mu, 0) - c * m
-                if w:
-                    residual[mu] = w
-                elif mu in residual:
-                    del residual[mu]
+            for mu, m in basis_element(basis, lam, F.N).c.items():
+                _add_term(residual, mu, -(c * m))
     if residual:
         raise ValueError(
             f"extraction in basis {basis!r} left a nonzero residual "
@@ -531,25 +438,25 @@ def extract(F, basis):
     return Expansion(basis, F.N, coeffs, certified=True)
 
 
-def assemble(expansion, N, M):
+def assemble(expansion, N):
     """Rebuild the SymPoly from an Expansion (inverse of extract)."""
-    acc = SymPoly(M, N, {})
+    acc = SymPoly(N, {})
     for lam, c in expansion.coeffs.items():
-        acc = acc + basis_element(expansion.basis, lam, N, M).scale(c)
+        acc = acc + basis_element(expansion.basis, lam, N).scale(c)
     return acc
 
 
-def verify_omega_basis_identities(k, N, M):
+def verify_omega_basis_identities(k, N):
     """Check both omega images: omega(1 + pbarprime_k) and omega(1 + pbar_k)
     equal the predicted closed forms (swap for odd k, reciprocal for even k).
     Returns True; raises AssertionError otherwise."""
-    one = SymPoly.const(M, N, 1)
-    lhs1 = omega(one + basis_pbarprime(k, N, M))
-    rhs1 = (one + basis_pbar(k, N, M)) if k % 2 else \
-        sympoly_reciprocal(one + basis_pbarprime(k, N, M))
+    one = SymPoly.const(N, 1)
+    lhs1 = omega(one + basis_pbarprime(k, N))
+    rhs1 = (one + basis_pbar(k, N)) if k % 2 else \
+        sympoly_reciprocal(one + basis_pbarprime(k, N))
     assert lhs1 == rhs1, f"omega(1+pbarprime_{k}) mismatch"
-    lhs2 = omega(one + basis_pbar(k, N, M))
-    rhs2 = (one + basis_pbarprime(k, N, M)) if k % 2 else \
-        sympoly_reciprocal(one + basis_pbar(k, N, M))
+    lhs2 = omega(one + basis_pbar(k, N))
+    rhs2 = (one + basis_pbarprime(k, N)) if k % 2 else \
+        sympoly_reciprocal(one + basis_pbar(k, N))
     assert lhs2 == rhs2, f"omega(1+pbar_{k}) mismatch"
     return True

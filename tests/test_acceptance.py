@@ -43,7 +43,7 @@ def test_criterion_01_k2_golden_table():
         (4,): -4, (3, 1): 4, (2, 2): 1, (2, 1, 1): -1,
         (5,): 6, (4, 1): -8, (3, 2): -2, (3, 1, 1): 2, (2, 2, 1): 2,
     }
-    exp = extract(kromatic(K2, 5, 5), "pbar")
+    exp = extract(kromatic(K2, 5), "pbar")
     assert exp.certified and exp.coeffs == golden
     verdict(1, "K2 table through degree 5 reproduced exactly")
 
@@ -71,7 +71,7 @@ def test_criterion_04_oracle_equivalence():
     for name, g in ALL_GRAPHS:
         if name == "paw":
             continue
-        assert kromatic(g, 4, 4) == brute_force_kromatic(g, 4, 4), name
+        assert kromatic(g, 4) == brute_force_kromatic(g, 4, 4), name
         assert kromatic_q_via_clans(g, 4, 4) == \
             kromatic_q_vectors(g, 4, 4), name
     verdict(4, "subset formula and clan assembly match brute enumeration")
@@ -79,8 +79,8 @@ def test_criterion_04_oracle_equivalence():
 
 def test_criterion_05_theorem_suite():
     for name, g in ALL_GRAPHS:
-        X = kromatic(g, 5, 5)
-        W = omega_kromatic(g, 5, 5)
+        X = kromatic(g, 5)
+        W = omega_kromatic(g, 5)
         by_rule = {"1.2": extract(X, "pbar"), "1.3": extract(W, "pbar"),
                    "1.4": extract(X, "pbarprime"),
                    "1.5": extract(W, "pbarprime")}
@@ -103,7 +103,7 @@ def test_criterion_05_theorem_suite():
 def test_criterion_06_factorization_claims():
     for name, g in ALL_GRAPHS:
         for variant in "abcd":
-            assert verify_factorization(g, variant, 5, 5), (name, variant)
+            assert verify_factorization(g, variant, 5), (name, variant)
     assert [exponent_d(K2, k) for k in range(1, 6)] == [2, 1, 2, 3, 6]
     assert [exponent_b(K2, k) for k in range(1, 6)] == [2, 3, 2, 6, 6]
     assert exponent_c(K2, 2) == -3
@@ -119,7 +119,7 @@ def test_criterion_07_classical_reduction():
         n = g.n
         by_edges, by_orientations = chromatic_p_expansion_oracles(g)
         assert by_edges.coeffs == by_orientations.coeffs, name
-        E = extract(kromatic(g, n, n), "pbar")
+        E = extract(kromatic(g, n), "pbar")
         for lam in partitions_up_to(n):
             if sum(lam) == n:
                 assert E.coeff(lam) == by_edges.coeff(lam), (name, lam)
@@ -129,12 +129,12 @@ def test_criterion_07_classical_reduction():
 def test_criterion_08_recovery_round_trip():
     for name, g in ALL_GRAPHS:
         ms = independence_multiset(g)
-        assert kromatic_from_multiset(ms, 4, 4) == kromatic(g, 4, 4), name
+        assert kromatic_from_multiset(ms, 4) == kromatic(g, 4), name
     # sizes up to 2, fully honest truncations
     assert recover_signed_exponent_multiset(
-        omega_kromatic(K2, 8, 8), 2, (2, 3)) == signed_exponent_family(K2, 2)
+        omega_kromatic(K2, 8), 2, (2, 3)) == signed_exponent_family(K2, 2)
     assert recover_signed_exponent_multiset(
-        omega_kromatic(P3, 13, 13), 2, (3, 5)) == signed_exponent_family(P3, 2)
+        omega_kromatic(P3, 13), 2, (3, 5)) == signed_exponent_family(P3, 2)
     # sizes up to 4, expansion generated by the subset formula (validated
     # against extraction degreewise in criterion 5's machinery)
     for g in (K2, P3):
@@ -150,7 +150,7 @@ def test_criterion_08_recovery_round_trip():
 def test_criterion_09_q_suite():
     # pyramid expansion (as the omega image; see the decisions ledger)
     for g in (K2, P3):
-        assert pyramid_p_expansion_q(g, 4, 4) == omega(kromatic_q(g, 4, 4))
+        assert pyramid_p_expansion_q(g, 4) == omega(kromatic_q(g, 4, 4))
     # closed coefficient formulas vs exact q-ring extraction
     for g in (K2, P3):
         X = kromatic_q(g, 4, 4)
@@ -165,7 +165,7 @@ def test_criterion_09_q_suite():
                     tgt[rule].coeff(lam), (lam, rule)
     # q = 1 collapses
     for g in (K2, P3):
-        assert specialize_q(kromatic_q(g, 4, 4), 1) == kromatic(g, 4, 4)
+        assert specialize_q(kromatic_q(g, 4, 4), 1) == kromatic(g, 4)
         for lam in partitions_up_to(4):
             if not lam:
                 continue
@@ -185,13 +185,13 @@ def test_criterion_10_property_suites():
     check_canonical_invariance(trials=200, seed=20260822)
     rng = random.Random(8)
     for _ in range(10):
-        M = N = 4
-        F = SymPoly(M, N, {lam: rng.randint(-3, 3)
-                           for lam in partitions_up_to(N) if lam})
+        N = 4
+        F = SymPoly(N, {lam: rng.randint(-3, 3)
+                        for lam in partitions_up_to(N) if lam})
         assert omega(omega(F)) == F
         for basis in ("p", "pbar", "pbarprime"):
             exp = extract(F, basis)
-            assert assemble(exp, N, M) == F
+            assert assemble(exp, N) == F
     for n in range(1, 65):
         total = sum(mu_hat(d) * (-1) ** (n // d + 1) for d in divisors(n))
         assert total == (1 if n == 1 else 0)

@@ -33,7 +33,7 @@ K2_GOLDEN_PBAR = {
 
 
 def test_k2_golden_pbar_table():
-    exp = extract(kromatic(K2, 5, 5), "pbar")
+    exp = extract(kromatic(K2, 5), "pbar")
     assert exp.certified
     assert exp.coeffs == K2_GOLDEN_PBAR
 
@@ -48,12 +48,12 @@ def test_proper_set_colorings_smallest():
 
 def test_kromatic_matches_brute_force():
     for g in (K1, K2, K3, P3, E2, P4, C4, PAW):
-        assert kromatic(g, 4, 4) == brute_force_kromatic(g, 4, 4)
+        assert kromatic(g, 4) == brute_force_kromatic(g, 4, 4)
 
 
 def test_omega_kromatic_consistent():
     for g in (K1, K2, P3, E2, C4):
-        assert omega_kromatic(g, 4, 4) == omega(kromatic(g, 4, 4))
+        assert omega_kromatic(g, 4) == omega(kromatic(g, 4))
 
 
 def test_kromatic_lowest_degree_is_chromatic():
@@ -61,7 +61,7 @@ def test_kromatic_lowest_degree_is_chromatic():
     # generating function
     for g in (K2, P3, K3):
         n = g.n
-        F = kromatic(g, n, n)
+        F = kromatic(g, n)
         assert F.degree_slice(n) == brute_force_chromatic(g, n).degree_slice(n)
 
 
@@ -79,15 +79,15 @@ def test_exponent_families_k2():
 def test_verify_factorization_full_support():
     for g in (K2, P3):
         for variant in "abcd":
-            assert verify_factorization(g, variant, 5, 5)
+            assert verify_factorization(g, variant, 5)
     for variant in "abcd":
-        assert verify_factorization(PAW, variant, 4, 4)
+        assert verify_factorization(PAW, variant, 4)
 
 
 def test_verify_factorization_subsets():
     for mask in range(1 << P3.n):
         for variant in ("a", "d"):
-            assert verify_factorization(P3, variant, 4, 4, support=mask)
+            assert verify_factorization(P3, variant, 4, support=mask)
 
 
 def test_theorem_coefficient_examples():
@@ -102,12 +102,11 @@ def test_theorem_coefficient_examples():
 RULES = ("1.2", "1.3", "1.4", "1.5")
 
 
-def run_theorem_suite(g, N=5, M=None):
+def run_theorem_suite(g, N=5):
     """All four coefficient rules against basis extraction, degrees <= N.
     Returns the number of (rule, partition) pairs checked."""
-    M = M or N
-    X = kromatic(g, N, M)
-    W = omega_kromatic(g, N, M)
+    X = kromatic(g, N)
+    W = omega_kromatic(g, N)
     by_rule = {
         "1.2": extract(X, "pbar"),
         "1.3": extract(W, "pbar"),
@@ -152,22 +151,22 @@ def test_independence_multiset():
     assert ms.entries == (((1,), 0), ((1, 1), 1), ((1, 1), 1), ((1, 2), 2))
     for g in (K2, P3, C4):
         ms = independence_multiset(g)
-        assert kromatic_from_multiset(ms, 4, 4) == kromatic(g, 4, 4)
-        assert kromatic_from_multiset(ms, 4, 4, image="omega") == \
-            omega_kromatic(g, 4, 4)
+        assert kromatic_from_multiset(ms, 4) == kromatic(g, 4)
+        assert kromatic_from_multiset(ms, 4, image="omega") == \
+            omega_kromatic(g, 4)
 
 
 def test_recover_signed_family_tiny():
     # one-vertex graph, sizes up to 1: subsets contribute -1 at (0,) and
     # +1 at (1,)
-    F = omega_kromatic(K1, 1, 1)
+    F = omega_kromatic(K1, 1)
     got = recover_signed_exponent_multiset(F, 1, (1,))
     assert got == {(0,): -1, (1,): 1}
 
 
 def test_recover_signed_family_k2_from_extraction():
     # fully honest: expansion comes from the truncated function itself
-    F = omega_kromatic(K2, 8, 8)
+    F = omega_kromatic(K2, 8)
     fam = signed_exponent_family(K2, 2)
     assert fam == {(0, 0): 1, (1, 1): -2, (2, 3): 1}
     got = recover_signed_exponent_multiset(F, 2, (2, 3))
@@ -176,14 +175,14 @@ def test_recover_signed_family_k2_from_extraction():
 
 def test_recover_signed_family_p3_from_extraction():
     # degree bound 1*3 + 2*5 = 13
-    F = omega_kromatic(P3, 13, 13)
+    F = omega_kromatic(P3, 13)
     fam = signed_exponent_family(P3, 2)
     assert fam == {(0, 0): -1, (1, 1): 3, (2, 2): -1, (2, 3): -2, (3, 5): 1}
     assert recover_signed_exponent_multiset(F, 2, (3, 5)) == fam
 
 
 def test_recover_requires_enough_degree():
-    F = omega_kromatic(K2, 6, 6)
+    F = omega_kromatic(K2, 6)
     with pytest.raises(ValueError):
         recover_signed_exponent_multiset(F, 2, (2, 3))  # needs degree 8
 
@@ -208,7 +207,7 @@ def test_forward_coefficients_match_extraction_low_degree():
     # the subset-formula coefficients agree with honest extraction wherever
     # both are defined
     for g in (K2, P3):
-        W = extract(omega_kromatic(g, 5, 5), "pbar")
+        W = extract(omega_kromatic(g, 5), "pbar")
         vectors = []
         for lam in partitions_up_to(5):
             if lam and all(p <= 4 for p in lam):

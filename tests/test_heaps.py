@@ -290,11 +290,12 @@ def test_lyndon_routes_bundled(g):
 
 
 def test_clear_caches_recomputes():
-    first = enumerate_lyndon(PAW, 4)
-    assert enumerate_lyndon(PAW, 4) is first
-    clear_caches()
-    again = enumerate_lyndon(PAW, 4)
-    assert again == first and again is not first
+    for enumerate_ in (enumerate_pyramids, enumerate_lyndon):
+        first = enumerate_(PAW, 4)
+        assert enumerate_(PAW, 4) is first
+        clear_caches()
+        again = enumerate_(PAW, 4)
+        assert again == first and again is not first
 
 
 @pytest.mark.parametrize("g", BUNDLED, ids=BUNDLED_GRAPHS)
