@@ -216,6 +216,15 @@ def test_qexpand_stdout_digests(capsys):
         "--degree", "5", "--q", "1"]) == QEXPAND_Q1_DIGEST
 
 
+def test_verify_stdout_digest(capsys):
+    # sha256 of the full stdout of `verify --suite all --degree 5` (683 PASS
+    # lines and the summary), recorded before the signed subset sums were
+    # merged into one helper
+    assert _stdout_digest(capsys, ["verify", "--suite", "all",
+                                   "--degree", "5"]) == \
+        "b5111498f92d33ed2817c5690eaa7d20cdf69a8a494f15ea8647b30491f37858"
+
+
 def test_independence_dump(capsys):
     rc, data = run_json(capsys, ["independence", "--graph", "k2"])
     assert rc == 0
