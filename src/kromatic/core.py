@@ -25,34 +25,26 @@ from .symfunc import (
 )
 
 
-def _subset_signed_products(g, N, series_of_poly):
-    """Sum over vertex subsets W of (-1)^(n - |W|) prod_i f_W(x_i), where
-    f_W is series_of_poly of the independence polynomial of G[W].  Subsets
-    with the same polynomial are summed first: many share one."""
-    weight = {}
+def signed_subset_sum(g, key):
+    """{key(W): sum of (-1)^(n - |W|)} over the vertex bitmasks W of g,
+    without the keys whose signs cancel."""
+    acc = {}
     for mask in range(g.full_mask + 1):
-        poly = independence_polynomial(g, mask)
-        sign = -1 if (g.n - popcount(mask)) % 2 else 1
-        weight[poly] = weight.get(poly, 0) + sign
-    acc = SymPoly(N, {})
-    for poly, w in weight.items():
-        if w:
-            term = product_over_variables(series_of_poly(poly), N)
-            acc = acc + term.scale(w)
-    return acc
+        k = key(mask)
+        acc[k] = acc.get(k, 0) + (-1 if (g.n - popcount(mask)) % 2 else 1)
+    return {k: w for k, w in acc.items() if w}
 
 
 def kromatic(g, N):
-    """The set-coloring generating function, truncated to degree N, via the
-    alternating subset expansion."""
-    return _subset_signed_products(g, N, lambda poly: poly)
+    """The set-coloring generating function, truncated to degree N, from the
+    independence multiset of g."""
+    return kromatic_from_multiset(independence_multiset(g), N)
 
 
 def omega_kromatic(g, N):
     """omega of the set-coloring generating function, computed directly from
     the reciprocal independence series of each induced subgraph."""
-    return _subset_signed_products(
-        g, N, lambda poly: series_reciprocal(series_neg_sub(poly), N))
+    return kromatic_from_multiset(independence_multiset(g), N, image="omega")
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +172,13 @@ def chromatic_p_expansion_oracles(g):
 
 def _menu_pool(g, k, support, which):
     """Lyndon heaps (inside the support) of the sizes that rule `which`
-    allows for a part of value k, with that rule's selection mode."""
-    sizes, mode = _menu_sizes(k, which)
-    return sum(lyndon_count(g, s, support) for s in sizes), mode
+    allows for a part of value k."""
+    sizes, _ = _menu_sizes(k, which)
+    return sum(lyndon_count(g, s, support) for s in sizes)
 
 
 def _exponent(g, k, support, which):
-    pool, _ = _menu_pool(g, k, support, which)
+    pool = _menu_pool(g, k, support, which)
     return -pool if which in ("1.2", "1.4") and k % 2 == 0 else pool
 
 
@@ -310,24 +302,21 @@ def theorem_coefficient(g, lam, which):
     return total
 
 
-def _rule_count_on_subset(g, support, k, i_k, which):
-    pool, mode = _menu_pool(g, k, support, which)
-    return binomial(pool, i_k) if mode == "distinct" else multichoose(pool, i_k)
-
-
 def theorem_coefficient_subsets(g, lam, which):
     """Same count as theorem_coefficient, by inclusion-exclusion over vertex
-    subsets with per-subset binomial/multichoose products."""
-    mult = multiplicities(lam)
+    subsets with per-subset binomial/multichoose products.  Subsets are
+    grouped by their tuple of menu pools first."""
+    mult = list(multiplicities(lam).items())
+
+    def pools(mask):
+        return tuple(_menu_pool(g, k, mask, which) for k, _ in mult)
+
     total = 0
-    for mask in range(g.full_mask + 1):
-        sign = -1 if (g.n - popcount(mask)) % 2 else 1
-        prod = 1
-        for k, i_k in mult.items():
-            prod *= _rule_count_on_subset(g, mask, k, i_k, which)
-            if not prod:
-                break
-        total += sign * prod
+    for pool_tuple, w in signed_subset_sum(g, pools).items():
+        for pool, (k, i_k) in zip(pool_tuple, mult):
+            distinct = _menu_sizes(k, which)[1] == "distinct"
+            w *= binomial(pool, i_k) if distinct else multichoose(pool, i_k)
+        total += w
     return total
 
 
@@ -363,14 +352,20 @@ def independence_multiset(g):
 
 
 def kromatic_from_multiset(ms, N, image="direct"):
-    """Rebuild the (direct or omega) set-coloring generating function from an
-    IndependenceMultiset alone."""
-    acc = SymPoly(N, {})
+    """The (direct or omega) set-coloring generating function from an
+    IndependenceMultiset alone: the alternating sum over its entries of
+    prod_i f(x_i), where f is the entry's independence polynomial I (direct)
+    or 1 / I(-t) (omega).  Equal polynomials have their signs summed first:
+    many subsets share one."""
+    weight = {}
     for poly, size in ms.entries:
-        series = poly if image == "direct" else \
-            series_reciprocal(series_neg_sub(poly), N)
-        sign = -1 if (ms.n - size) % 2 else 1
-        acc = acc + product_over_variables(series, N).scale(sign)
+        weight[poly] = weight.get(poly, 0) + (-1 if (ms.n - size) % 2 else 1)
+    acc = SymPoly(N, {})
+    for poly, w in weight.items():
+        if w:
+            series = poly if image == "direct" else \
+                series_reciprocal(series_neg_sub(poly), N)
+            acc = acc + product_over_variables(series, N).scale(w)
     return acc
 
 
@@ -385,25 +380,22 @@ def _lambda_of_vector(u):
 
 
 def omega_pbar_coefficients_via_subsets(g, vectors):
-    """[pbar_{lam(u)}] of the omega image for each exponent vector u, via the
-    signed subset sum of binomial products of the subset exponent family
-    (size-graded Lyndon counts).  Returns an Expansion over exactly the
-    partitions lam(u)."""
+    """[pbar_{lam(u)}] of the omega image for each exponent vector u: the sum
+    of w * prod_k C(v_k, u_k) over the signed exponent family {v: w} of the
+    vertex subsets (size-graded Lyndon counts).  Returns an Expansion over
+    exactly the partitions lam(u)."""
+    family = signed_exponent_family(
+        g, max((len(u) for u in vectors), default=0))
     coeffs = {}
     n_deg = 0
     for u in vectors:
         lam = _lambda_of_vector(u)
         n_deg = max(n_deg, sum(lam))
         total = 0
-        for mask in range(g.full_mask + 1):
-            sign = -1 if (g.n - popcount(mask)) % 2 else 1
-            prod = 1
-            for k, u_k in enumerate(u, start=1):
-                if u_k:
-                    prod *= binomial(exponent_b(g, k, mask), u_k)
-                    if not prod:
-                        break
-            total += sign * prod
+        for v, w in family.items():
+            for v_k, u_k in zip(v, u):
+                w *= binomial(v_k, u_k)
+            total += w
         if total:
             coeffs[lam] = total
     return Expansion("pbar", n_deg, coeffs)
@@ -453,9 +445,5 @@ def recover_signed_exponent_multiset(obj, K, caps):
 def signed_exponent_family(g, K):
     """The ground-truth signed family: for each vertex subset W, the vector
     (b_W(1), ..., b_W(K)) weighted by (-1)^(n - |W|), aggregated."""
-    fam = {}
-    for mask in range(g.full_mask + 1):
-        vec = tuple(exponent_b(g, k, mask) for k in range(1, K + 1))
-        sign = -1 if (g.n - popcount(mask)) % 2 else 1
-        fam[vec] = fam.get(vec, 0) + sign
-    return {v: w for v, w in fam.items() if w}
+    return signed_subset_sum(
+        g, lambda mask: tuple(exponent_b(g, k, mask) for k in range(1, K + 1)))

@@ -54,14 +54,6 @@ def z_lambda(lam):
     return z
 
 
-def scale_and_repeat(lam, d, n):
-    """Partition with part d[i]*lam[i] repeated n[i] times, sorted."""
-    parts = []
-    for p, di, ni in zip(lam, d, n):
-        parts.extend([di * p] * ni)
-    return tuple(sorted(parts, reverse=True))
-
-
 # ---------------------------------------------------------------------------
 # arithmetic functions
 

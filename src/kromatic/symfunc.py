@@ -24,16 +24,6 @@ from .numbers import QPoly, partition_sort_key, partitions_of
 def series_truncate(f, n):
     return tuple(f[: n + 1]) + (0,) * max(0, n + 1 - len(f))
 
-def series_mul(a, b, n):
-    out = [0] * (n + 1)
-    for i, x in enumerate(a[: n + 1]):
-        if x:
-            for j, y in enumerate(b[: n + 1 - i]):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
-
-
 def series_reciprocal(f, n):
     """1/f mod t^(n+1); constant term must be 1 or -1."""
     f = series_truncate(f, n)

@@ -1,8 +1,23 @@
-"""Shared randomized-property drivers, reused by the acceptance suite."""
+"""Shared randomized-property drivers, reused by the acceptance suite, and
+the random-graph strategy of the differential tests."""
+import itertools
 import random
 
+from hypothesis import strategies as st
+
 from kromatic import bundled_graph
+from kromatic.graphs import Graph
 from kromatic.heaps import canonical_word, heap_from_word
+
+
+@st.composite
+def small_graphs(draw, max_n=5):
+    """Random graphs on at most max_n vertices: the empty graph, isolated
+    vertices and disconnected graphs included."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
 
 
 def random_word_and_swaps(g, rng, max_len=8, swaps=30):

@@ -129,7 +129,9 @@ def test_criterion_07_classical_reduction():
 def test_criterion_08_recovery_round_trip():
     for name, g in ALL_GRAPHS:
         ms = independence_multiset(g)
-        assert kromatic_from_multiset(ms, 4) == kromatic(g, 4), name
+        F = brute_force_kromatic(g, 4, 4)
+        assert kromatic_from_multiset(ms, 4) == F, name
+        assert kromatic_from_multiset(ms, 4, image="omega") == omega(F), name
     # sizes up to 2, fully honest truncations
     assert recover_signed_exponent_multiset(
         omega_kromatic(K2, 8), 2, (2, 3)) == signed_exponent_family(K2, 2)

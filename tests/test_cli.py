@@ -324,6 +324,28 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     assert "1/3 checks passed" in out
 
 
+def test_verify_fail_lines_show_values(capsys, monkeypatch):
+    import kromatic.cli as cli
+
+    monkeypatch.setattr(cli, "theorem_coefficient", lambda g, lam, rule: 99)
+    rc = main(["verify", "--graph", "k2", "--suite", "theorems",
+               "--degree", "2"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert ("FAIL thm-1.2-K2-lambda-2 (AssertionError: counted 99, "
+            "subsets 1, extracted 1)") in out
+    assert "0/12 checks passed" in out
+
+    monkeypatch.setattr(cli, "power_sum_coefficient_q",
+                        lambda g, lam, rule: 7)
+    rc = main(["verify", "--graph", "k2", "--suite", "q", "--degree", "2"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL prop-5.1-K2-lambda-1 (AssertionError: counted 7, " \
+        "extracted " in out
+    assert "PASS clans-vs-brute-K2" in out
+
+
 def test_config_errors_exit_two():
     for argv in (["expand", "--degree", "3"],
                  ["expand", "--graph", "k2", "--degree", "0"],

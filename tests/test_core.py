@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from kromatic import bundled_graph
 from kromatic.core import (
@@ -12,6 +13,8 @@ from kromatic.core import (
 from kromatic.graphs import Graph, mask_of
 from kromatic.numbers import partitions_up_to
 from kromatic.symfunc import extract, omega
+
+from helpers import small_graphs
 
 K1 = bundled_graph("k1")
 K2 = bundled_graph("k2")
@@ -136,6 +139,26 @@ def test_theorem_suite_small_graphs():
         assert run_theorem_suite(g, N=5) == 4 * 18
 
 
+# differential tests on random graphs with at most 5 vertices (the empty
+# graph, isolated vertices and disconnected graphs included)
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=30,
+                        deadline=None)
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_kromatic_random_graphs(g):
+    F = kromatic(g, 5)
+    assert F == brute_force_kromatic(g, 5, 5)
+    assert omega_kromatic(g, 5) == omega(F)
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_theorem_suite_random_graphs(g):
+    assert run_theorem_suite(g, N=5) == 4 * 18
+
+
 def test_classical_p_oracles():
     for g in (K1, K2, K3, P3, P4, C4, PAW):
         edges_exp, ao_exp = chromatic_p_expansion_oracles(g)
@@ -151,9 +174,9 @@ def test_independence_multiset():
     assert ms.entries == (((1,), 0), ((1, 1), 1), ((1, 1), 1), ((1, 2), 2))
     for g in (K2, P3, C4):
         ms = independence_multiset(g)
-        assert kromatic_from_multiset(ms, 4) == kromatic(g, 4)
-        assert kromatic_from_multiset(ms, 4, image="omega") == \
-            omega_kromatic(g, 4)
+        F = brute_force_kromatic(g, 4, 4)
+        assert kromatic_from_multiset(ms, 4) == F
+        assert kromatic_from_multiset(ms, 4, image="omega") == omega(F)
 
 
 def test_recover_signed_family_tiny():

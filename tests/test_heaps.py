@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kromatic import BUNDLED_GRAPHS, bundled_graph
-from kromatic.graphs import Graph, independence_polynomial
+from kromatic.graphs import independence_polynomial
 from kromatic.heaps import (
     Heap, ascent_count, canonical_word, canonical_word_with_perm,
     clear_caches, compose, compose_all, enumerate_heaps, enumerate_lyndon,
@@ -16,7 +16,7 @@ from kromatic.heaps import (
 from kromatic.numbers import divisors, mobius
 from kromatic.symfunc import series_log, series_neg_sub, series_reciprocal
 
-from helpers import check_canonical_invariance
+from helpers import check_canonical_invariance, small_graphs
 
 K2 = bundled_graph("k2")
 P3 = bundled_graph("p3")
@@ -193,14 +193,6 @@ def test_canonical_invariance_randomized():
 DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=60,
                         deadline=None)
 BUNDLED = [bundled_graph(name) for name in BUNDLED_GRAPHS]
-
-
-@st.composite
-def small_graphs(draw, max_n=5):
-    n = draw(st.integers(0, max_n))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
 
 
 @st.composite

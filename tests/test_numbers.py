@@ -5,7 +5,7 @@ import pytest
 from kromatic.numbers import (
     QPoly, binomial, compositions, divisors, mobius, mu_hat, multichoose,
     multiplicities, partition_sort_key, partitions_of, partitions_up_to,
-    q_factorial, q_int, scale_and_repeat, z_lambda,
+    q_factorial, q_int, z_lambda,
 )
 
 
@@ -50,12 +50,6 @@ def test_partitions_up_to_graded():
 
 def test_multiplicities():
     assert multiplicities((4, 2, 2, 1)) == {4: 1, 2: 2, 1: 1}
-
-
-def test_scale_and_repeat():
-    assert scale_and_repeat((2, 1), (2, 1), (1, 3)) == (4, 1, 1, 1)
-    assert scale_and_repeat((3,), (1,), (2,)) == (3, 3)
-    assert scale_and_repeat((), (), ()) == ()
 
 
 def test_divisors():

@@ -11,7 +11,7 @@ from kromatic.numbers import partitions_of, partitions_up_to, QPoly
 from kromatic.symfunc import (
     Expansion, SymPoly, assemble, basis_element, basis_p, basis_pbar,
     basis_pbarprime, extract, omega, p_decompose_homogeneous,
-    product_over_variables, series_log, series_mul, series_neg_sub,
+    product_over_variables, series_log, series_neg_sub,
     series_reciprocal, series_truncate, sympoly_from_vector_counts,
     sympoly_int_power, sympoly_reciprocal, verify_omega_basis_identities,
 )
@@ -19,7 +19,6 @@ from kromatic.symfunc import (
 
 def test_series_ops():
     assert series_truncate((1, 2), 4) == (1, 2, 0, 0, 0)
-    assert series_mul((1, 1), (1, 1), 3) == (1, 2, 1, 0)
     assert series_reciprocal((1, -2), 4) == (1, 2, 4, 8, 16)
     assert series_reciprocal((1, 2), 3) == (1, -2, 4, -8)
     log = series_log(series_reciprocal((1, -1), 4), 4)
