@@ -20,13 +20,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, bundled_model
-from .core import (brute_force_kromatic, chromatic_p_expansion_oracles,
-                   exponent_a, exponent_b, exponent_c, exponent_d,
-                   independence_multiset, kromatic, kromatic_from_multiset,
-                   omega_kromatic, omega_pbar_coefficients_via_subsets,
-                   recover_signed_exponent_multiset, signed_exponent_family,
-                   theorem_coefficient, theorem_coefficient_subsets,
-                   verify_factorization)
+from .core import (CLAIMS, RULES, brute_force_kromatic,
+                   chromatic_p_expansion_oracles, exponent_a, exponent_b,
+                   exponent_c, exponent_d, independence_multiset, kromatic,
+                   kromatic_from_multiset, omega_kromatic,
+                   omega_pbar_coefficients_via_subsets,
+                   recover_signed_exponent_multiset, rule_sign,
+                   signed_exponent_family, theorem_coefficient,
+                   theorem_coefficient_subsets, verify_factorization)
 from .graphs import (acyclic_orientations, chromatic_polynomial,
                      graph_from_json, model_from_json,
                      natural_unit_interval_model, unit_interval_graph)
@@ -34,9 +35,9 @@ from .heaps import (enumerate_lyndon, heap_from_word, is_lyndon,
                     lyndon_count, lyndon_mobius_check, rotation_class,
                     word_str)
 from .numbers import QPoly, divisors, mu_hat, partitions_up_to
-from .quasisym import (kromatic_q, kromatic_q_vectors, kromatic_q_via_clans,
-                       power_sum_coefficient_q, pyramid_p_expansion_q,
-                       specialize_q)
+from .quasisym import (RULES_Q, kromatic_q, kromatic_q_vectors,
+                       kromatic_q_via_clans, power_sum_coefficient_q,
+                       pyramid_p_expansion_q, specialize_q)
 from .symfunc import extract, omega, verify_omega_basis_identities
 
 DISPLAY = {"k1": "K1", "k2": "K2", "k3": "K3", "p3": "P3", "p4": "P4",
@@ -220,7 +221,7 @@ def build_checks(named_graphs, N, suites):
 
     # --- factorization ---------------------------------------------------
     for name, g in named_graphs:
-        for variant in "abcd":
+        for variant in CLAIMS:
             add("factorization", f"claim-{variant}-{name}-N{N}",
                 lambda g=g, v=variant: verify_factorization(g, v, N))
 
@@ -234,24 +235,24 @@ def build_checks(named_graphs, N, suites):
     add("factorization", "exponents-K2", exponent_spots)
 
     # --- theorems --------------------------------------------------------
+    def extractions(images, rules):
+        """{rule: extraction of the rule's image on the rule's basis}."""
+        return {rule: extract(images[RULES[rule][0]], RULES[rule][1])
+                for rule in rules}
+
     targets = {}
 
     def theorem_targets(name, g):
         if name not in targets:
-            X = kromatic(g, N)
-            W = omega_kromatic(g, N)
-            targets[name] = {"1.2": extract(X, "pbar"),
-                             "1.3": extract(W, "pbar"),
-                             "1.4": extract(X, "pbarprime"),
-                             "1.5": extract(W, "pbarprime")}
+            targets[name] = extractions(
+                {"direct": kromatic(g, N), "omega": omega_kromatic(g, N)},
+                CLAIMS.values())
         return targets[name]
 
     def theorem_check(name, g, lam, rule):
         count = theorem_coefficient(g, lam, rule)
         subsets = theorem_coefficient_subsets(g, lam, rule)
-        got = theorem_targets(name, g)[rule].coeff(lam)
-        if rule in ("1.2", "1.4") and (sum(lam) - len(lam)) % 2:
-            got = -got
+        got = rule_sign(rule, lam) * theorem_targets(name, g)[rule].coeff(lam)
         if not 0 <= count == subsets == got:
             raise AssertionError(
                 f"counted {count}, subsets {subsets}, extracted {got}")
@@ -261,7 +262,7 @@ def build_checks(named_graphs, N, suites):
         for lam in partitions_up_to(N):
             if not lam:
                 continue
-            for rule in ("1.2", "1.3", "1.4", "1.5"):
+            for rule in CLAIMS.values():
                 add("theorems",
                     f"thm-{rule}-{name}-lambda-{_lambda_tag(lam)}",
                     lambda name=name, g=g, lam=lam, rule=rule:
@@ -334,11 +335,8 @@ def build_checks(named_graphs, N, suites):
     def q_extraction(name, g):
         if name not in q_targets:
             X = kromatic_q(g, 4, 4)
-            W = omega(X)
-            q_targets[name] = {"5.1": extract(W, "pbarprime"),
-                               "5.2": extract(X, "pbarprime"),
-                               "5.3": extract(W, "pbar"),
-                               "5.4": extract(X, "pbar")}
+            q_targets[name] = extractions(
+                {"direct": X, "omega": omega(X)}, RULES_Q)
         return q_targets[name]
 
     def prop_check(name, g, lam, rule):
@@ -352,7 +350,7 @@ def build_checks(named_graphs, N, suites):
         for lam in partitions_up_to(4):
             if not lam:
                 continue
-            for rule in ("5.1", "5.2", "5.3", "5.4"):
+            for rule in RULES_Q:
                 add("q", f"prop-{rule}-{name}-lambda-{_lambda_tag(lam)}",
                     lambda name=name, g=g, lam=lam, rule=rule:
                     prop_check(name, g, lam, rule))

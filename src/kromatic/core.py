@@ -19,10 +19,44 @@ from .graphs import independence_polynomial, mask_vertices, popcount
 from .heaps import enumerate_lyndon, lyndon_count
 from .numbers import binomial, multichoose, multiplicities
 from .symfunc import (
-    Expansion, SymPoly, basis_element, extract, product_over_variables,
-    series_neg_sub, series_reciprocal, sympoly_from_vector_counts,
-    sympoly_int_power,
+    Expansion, SymPoly, extract, generator_series, product_over_variables,
+    series_log, series_neg_sub, series_reciprocal, sympoly_from_vector_counts,
 )
+
+
+# Every coefficient rule reads the coefficients of one basis in F(G) or in
+# its omega image: rule -> (image, basis).  Rules 1.x count them for F(G),
+# rules 5.x give them for the q-refined series.
+RULES = {
+    "1.2": ("direct", "pbar"),
+    "1.3": ("omega", "pbar"),
+    "1.4": ("direct", "pbarprime"),
+    "1.5": ("omega", "pbarprime"),
+    "5.1": ("omega", "pbarprime"),
+    "5.2": ("direct", "pbarprime"),
+    "5.3": ("omega", "pbar"),
+    "5.4": ("direct", "pbar"),
+}
+
+# claim letter -> the rule whose image, basis and exponents its product
+# factorization uses
+CLAIMS = {"a": "1.2", "b": "1.3", "c": "1.4", "d": "1.5"}
+
+
+def rule_sign(rule, lam):
+    """The sign that turns the coefficient of basis_lam into the rule's
+    count: (-1)^(|lam| - len(lam)) for the direct image, else 1."""
+    direct = RULES[rule][0] == "direct"
+    return -1 if direct and (sum(lam) - len(lam)) % 2 else 1
+
+
+def image_series(poly, N, image):
+    """The series f with prod_i f(x_i) the image of the independence
+    polynomial poly of an induced subgraph: poly itself (direct) or
+    1 / poly(-t) to degree N (omega)."""
+    if image == "direct":
+        return poly
+    return series_reciprocal(series_neg_sub(poly), N)
 
 
 def signed_subset_sum(g, key):
@@ -178,8 +212,7 @@ def _menu_pool(g, k, support, which):
 
 
 def _exponent(g, k, support, which):
-    pool = _menu_pool(g, k, support, which)
-    return -pool if which in ("1.2", "1.4") and k % 2 == 0 else pool
+    return rule_sign(which, (k,)) * _menu_pool(g, k, support, which)
 
 
 def exponent_a(g, k, support=None):
@@ -204,34 +237,28 @@ def exponent_d(g, k, support=None):
     return _exponent(g, k, support, "1.5")
 
 
-# which exponent family pairs with which product and basis
-_FACTORIZATION_VARIANTS = {
-    # variant: (series kind, basis, exponent function)
-    "a": ("independence", "pbar", exponent_a),
-    "b": ("reciprocal", "pbar", exponent_b),
-    "c": ("independence", "pbarprime", exponent_c),
-    "d": ("reciprocal", "pbarprime", exponent_d),
-}
-
-
 def verify_factorization(g, variant, N, support=None):
     """Check prod_i F(x_i) = prod_k (1 + basis_k)^(e(k)) at truncation N,
-    where F is the independence series (variants a, c) or its signed
-    reciprocal (variants b, d) of the induced subgraph, and e is the matching
-    Lyndon-count exponent family.  Returns True; raises AssertionError with
-    context on failure."""
-    kind, basis, efn = _FACTORIZATION_VARIANTS[variant]
-    ind = independence_polynomial(g, support)
-    series = ind if kind == "independence" else \
-        series_reciprocal(series_neg_sub(ind), N)
-    lhs = product_over_variables(series, N)
-    one = SymPoly.const(N, 1)
-    rhs = one
+    where F is the image series of the induced subgraph and basis and e
+    are those of the claim's rule.
+
+    With 1 + basis_k = prod_i g_k(x_i) and prod_i f(x_i) =
+    exp(sum_j c_j p_j) for c = log f, both sides are exponentials of
+    power sums, and the p_(j) coefficient of exp(sum_j c_j p_j) is c_j.
+    So the two sides agree through degree N exactly when log F and
+    sum_k e(k) log g_k agree through t^N, which is what is compared.
+    Returns True; raises AssertionError with context on failure."""
+    rule = CLAIMS[variant]
+    image, basis = RULES[rule]
+    lhs = series_log(
+        image_series(independence_polynomial(g, support), N, image), N)
+    rhs = [0] * (N + 1)
     for k in range(1, N + 1):
-        e = efn(g, k, support)
+        e = _exponent(g, k, support, rule)
         if e:
-            rhs = rhs * sympoly_int_power(one + basis_element(basis, (k,), N), e)
-    assert lhs == rhs, (
+            for j, c in enumerate(series_log(generator_series(basis, k, N), N)):
+                rhs[j] += e * c
+    assert lhs == tuple(rhs), (
         f"factorization variant {variant!r} fails on {g!r} "
         f"support={support!r} at N={N}")
     return True
@@ -276,10 +303,9 @@ def theorem_coefficient(g, lam, which):
     Lyndon heaps from the allowed sizes (with or without repetition per the
     rule), subject to the chosen heaps jointly covering every vertex.
 
-    Extraction dictionaries: '1.2' gives (-1)^(|lam|-len(lam)) [pbar_lam] of
-    the set-coloring function, '1.3' gives [pbar_lam] of its omega image,
-    '1.4' gives (-1)^(|lam|-len(lam)) [pbarprime_lam], '1.5' gives
-    [pbarprime_lam] of the omega image."""
+    The count is rule_sign(which, lam) times the coefficient of basis_lam
+    in the image of the set-coloring function, both named by
+    RULES[which]."""
     full = g.full_mask
     per_value = []
     for k, i_k in sorted(multiplicities(lam).items()):
@@ -363,8 +389,7 @@ def kromatic_from_multiset(ms, N, image="direct"):
     acc = SymPoly(N, {})
     for poly, w in weight.items():
         if w:
-            series = poly if image == "direct" else \
-                series_reciprocal(series_neg_sub(poly), N)
+            series = image_series(poly, N, image)
             acc = acc + product_over_variables(series, N).scale(w)
     return acc
 

@@ -174,25 +174,6 @@ def independence_polynomial(g, mask=None):
     return tuple(coeffs[:top + 1])
 
 
-def independent_sets(g, mask=None):
-    """All independent vertex subsets (as bitmasks) inside mask."""
-    if mask is None:
-        mask = g.full_mask
-    out = []
-
-    def walk(avail, chosen):
-        out.append(chosen)
-        m = avail
-        while m:
-            low = m & -m
-            v = low.bit_length()
-            m ^= low
-            walk(avail & ~((low << 1) - 1) & ~g.adj[v], chosen | low)
-
-    walk(mask, 0)
-    return out
-
-
 def acyclic_orientations(g):
     """All acyclic orientations, each a tuple of directed edges (u, v)=u->v."""
     m = len(g.edges)

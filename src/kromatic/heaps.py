@@ -10,22 +10,18 @@ Pieces are referred to by their index (0-based) in the canonical word.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from . import symfunc
 from .graphs import mask_of
 from .numbers import divisors, mobius
 
-_dep_cache = {}
 
-
+@cache
 def _deps(g):
     """Closed-neighbourhood masks: bit u-1 of dep[v] is set iff pieces u and
     v do not commute (u == v or u ~ v).  Index 0 is unused."""
-    dep = _dep_cache.get(g)
-    if dep is None:
-        dep = _dep_cache[g] = tuple(
-            a | (1 << (v - 1)) if v else 0 for v, a in enumerate(g.adj))
-    return dep
+    return tuple(a | (1 << (v - 1)) if v else 0 for v, a in enumerate(g.adj))
 
 
 def canonical_word_with_perm(g, word):
@@ -114,14 +110,8 @@ def heap_from_word(g, word):
     return Heap(g, canonical_word(g, word))
 
 
-def compose(h1, h2):
-    """Stack h2 above h1 (pieces of h2 come after all pieces of h1)."""
-    if h1.graph != h2.graph:
-        raise ValueError("heaps live on different graphs")
-    return Heap(h1.graph, canonical_word(h1.graph, h1.word + h2.word))
-
-
 def compose_all(heaps):
+    """Stack the heaps in order, each above the ones before it."""
     it = iter(heaps)
     first = next(it)
     word = first.word
@@ -249,9 +239,7 @@ def _extends_canonically(dep, w, v):
     return True
 
 
-_heap_cache = {}
-
-
+@cache
 def enumerate_heaps(g, n):
     """All heaps of size n on g, sorted by canonical word.
 
@@ -261,36 +249,22 @@ def enumerate_heaps(g, n):
     v is larger than v: a smaller one could be overtaken by v.  Extending
     the sorted words of size n - 1 by ascending letters keeps them sorted.
     """
-    key = (g, n)
-    if key in _heap_cache:
-        return _heap_cache[key]
     if n == 0:
-        result = (Heap(g, ()),)
-    else:
-        dep = _deps(g)
-        result = tuple(Heap(g, h.word + (v,))
-                       for h in enumerate_heaps(g, n - 1)
-                       for v in g.vertices()
-                       if _extends_canonically(dep, h.word, v))
-    _heap_cache[key] = result
-    return result
+        return (Heap(g, ()),)
+    dep = _deps(g)
+    return tuple(Heap(g, h.word + (v,))
+                 for h in enumerate_heaps(g, n - 1)
+                 for v in g.vertices()
+                 if _extends_canonically(dep, h.word, v))
 
 
-_pyramid_cache = {}
-
-
+@cache
 def enumerate_pyramids(g, n):
     """Pyramids of size n, sorted by canonical word."""
-    key = (g, n)
-    if key not in _pyramid_cache:
-        _pyramid_cache[key] = tuple(h for h in enumerate_heaps(g, n)
-                                    if is_pyramid(h))
-    return _pyramid_cache[key]
+    return tuple(h for h in enumerate_heaps(g, n) if is_pyramid(h))
 
 
-_lyndon_cache = {}
-
-
+@cache
 def enumerate_lyndon(g, n):
     """Lyndon heaps of size n, sorted by canonical word.
 
@@ -299,40 +273,31 @@ def enumerate_lyndon(g, n):
     size n holds exactly one Lyndon heap, its least member, and a smaller
     (periodic) class holds none.
     """
-    key = (g, n)
-    if key not in _lyndon_cache:
-        seen = set()
-        out = []
-        for h in enumerate_pyramids(g, n):
-            if h.word in seen:
-                continue
-            cls = rotation_class(h)
-            seen.update(c.word for c in cls)
-            if len(cls) == n:
-                out.append(h)
-        _lyndon_cache[key] = tuple(out)
-    return _lyndon_cache[key]
+    seen = set()
+    out = []
+    for h in enumerate_pyramids(g, n):
+        if h.word in seen:
+            continue
+        cls = rotation_class(h)
+        seen.update(c.word for c in cls)
+        if len(cls) == n:
+            out.append(h)
+    return tuple(out)
 
 
-_support_cache = {}
-
-
+@cache
 def _lyndon_counts_by_support(g, n):
     """table[S] = number of Lyndon heaps of size n whose support lies inside
     the vertex bitmask S: exact-support counts, summed over subsets (zeta
     transform)."""
-    key = (g, n)
-    table = _support_cache.get(key)
-    if table is None:
-        table = [0] * (1 << g.n)
-        for h in enumerate_lyndon(g, n):
-            table[h.support_mask] += 1
-        for b in range(g.n):
-            bit = 1 << b
-            for s in range(1 << g.n):
-                if s & bit:
-                    table[s] += table[s ^ bit]
-        _support_cache[key] = table
+    table = [0] * (1 << g.n)
+    for h in enumerate_lyndon(g, n):
+        table[h.support_mask] += 1
+    for b in range(g.n):
+        bit = 1 << b
+        for s in range(1 << g.n):
+            if s & bit:
+                table[s] += table[s ^ bit]
     return table
 
 
@@ -344,13 +309,14 @@ def lyndon_count(g, n, support=None):
     return _lyndon_counts_by_support(g, n)[support & g.full_mask]
 
 
+_CACHED = (_deps, enumerate_heaps, enumerate_pyramids, enumerate_lyndon,
+           _lyndon_counts_by_support, symfunc.basis_element, symfunc._p_to_m)
+
+
 def clear_caches():
     """Empty every module-level cache of the heap layer and the symmetric
     function layer, so that the next call recomputes from scratch."""
-    for cache in (_dep_cache, _heap_cache, _pyramid_cache, _lyndon_cache,
-                  _support_cache):
-        cache.clear()
-    for fn in (symfunc.basis_element, symfunc._p_to_m):
+    for fn in _CACHED:
         fn.cache_clear()
 
 

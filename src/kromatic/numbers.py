@@ -251,9 +251,6 @@ class QPoly:
             return self.c[power]
         return 0
 
-    def to_list(self):
-        return list(self.c)
-
     def __repr__(self):
         if not self.c:
             return "QPoly(0)"

@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .core import _coloring_exponent_vector, proper_set_colorings
+from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
+                   rule_sign)
 from .graphs import clan_graph, popcount
 from .heaps import ascent_count, compose_all, enumerate_pyramids
 from .numbers import (QPoly, compositions_up_to, divisors, mobius, mu_hat,
@@ -161,7 +162,7 @@ def pyramid_p_expansion_q(g, N, statistic=ascent_count):
 # ---------------------------------------------------------------------------
 # closed coefficient formulas
 
-RULES_Q = ("5.1", "5.2", "5.3", "5.4")
+RULES_Q = tuple(rule for rule in RULES if rule.startswith("5."))
 
 
 def _triple_decompositions(lam):
@@ -211,17 +212,16 @@ def power_sum_coefficient_q(g, lam, rule, cover="all"):
     q-refined series or its omega image, as a polynomial in q (entries may
     be fractions).
 
-    rule "5.1": coefficient on the multiplicative-over-all-multiples basis
-        in the omega image; "5.2": same basis in the series itself;
-    rule "5.3": coefficient on the single-column basis in the omega image;
-        "5.4": same basis in the series itself.
+    The rule's entry in core.RULES names the image (the series itself or
+    its omega image) and the basis (pbarprime, built over all multiples of
+    each part, or pbar, a single column).  mobius enters for pbarprime and
+    mu_hat for pbar.
     cover="all" restricts pyramid lists to those covering every vertex,
     which is the variant that matches extraction; "plain" drops the filter.
     """
     if rule not in RULES_Q:
         raise ValueError(f"unknown rule {rule!r}")
-    f = mobius if rule in ("5.1", "5.2") else mu_hat
-    signed = rule in ("5.2", "5.4")
+    f = mobius if RULES[rule][1] == "pbarprime" else mu_hat
     total = QPoly()
     for triples in _triple_decompositions(lam):
         lamp = tuple(sorted((a for a, d, n in triples), reverse=True))
@@ -238,9 +238,7 @@ def power_sum_coefficient_q(g, lam, rule, cover="all"):
         A = ascent_polynomial(g, lamp, cover_all=(cover == "all"))
         if not A:
             continue
-        if signed and (sum(lamp) - len(lamp)) % 2:
-            coef = -coef
-        total = total + A * coef
+        total = total + A * (rule_sign(rule, lamp) * coef)
     return total
 
 

@@ -210,39 +210,6 @@ def product_over_variables(f, N):
     return SymPoly._of(N, out)
 
 
-def sympoly_reciprocal(F):
-    """1/F for F with constant term 1, exact at the truncation order."""
-    if F.constant() != 1:
-        raise ValueError("sympoly_reciprocal needs constant term 1")
-    S = F - SymPoly.const(F.N, 1)
-    acc = SymPoly.const(F.N, 1)
-    power = SymPoly.const(F.N, 1)
-    sign = 1
-    for _ in range(F.N):
-        power = power * S
-        sign = -sign
-        if not power:
-            break
-        acc = acc + power.scale(sign)
-    return acc
-
-
-def sympoly_int_power(F, e):
-    """F**e for integer e (negative allowed when F has constant term 1)."""
-    if e < 0:
-        return sympoly_int_power(sympoly_reciprocal(F), -e)
-    acc = SymPoly.const(F.N, 1)
-    base = F
-    k = e
-    while k:
-        if k & 1:
-            acc = acc * base
-        k >>= 1
-        if k:
-            base = base * base
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # the one conversion from monomials
 
@@ -341,15 +308,24 @@ def basis_p(k, N):
     return SymPoly(N, {(k,): 1} if k <= N else {})
 
 
+def generator_series(basis, k, N):
+    """The series g_k, to degree N, with prod_i g_k(x_i) = 1 + basis_k:
+    1 + t^k for pbar, 1/(1 - t^k) for pbarprime."""
+    if basis == "pbar":
+        return tuple(1 if d in (0, k) else 0 for d in range(N + 1))
+    if basis == "pbarprime":
+        return tuple(1 if d % k == 0 else 0 for d in range(N + 1))
+    raise ValueError(f"no generator series for basis {basis!r}")
+
+
 def basis_pbar(k, N):
     """K-power-sum prod_i (1 + x_i^k) - 1."""
-    return product_over_variables((1,) + (0,) * (k - 1) + (1,), N) - 1
+    return product_over_variables(generator_series("pbar", k, N), N) - 1
 
 
 def basis_pbarprime(k, N):
     """K-power-sum prod_i 1/(1 - x_i^k) - 1."""
-    f = tuple(1 if d % k == 0 else 0 for d in range(N + 1))
-    return product_over_variables(f, N) - 1
+    return product_over_variables(generator_series("pbarprime", k, N), N) - 1
 
 
 _BASIS_SINGLE = {"p": basis_p, "pbar": basis_pbar, "pbarprime": basis_pbarprime}
@@ -378,16 +354,14 @@ def omega(F):
 
 
 class Expansion:
-    """Coefficients of a symmetric function over a multiplicative basis,
-    with the residual-zero certificate from the extraction."""
+    """Coefficients of a symmetric function over a multiplicative basis."""
 
-    __slots__ = ("basis", "N", "coeffs", "certified")
+    __slots__ = ("basis", "N", "coeffs")
 
-    def __init__(self, basis, N, coeffs, certified=True):
+    def __init__(self, basis, N, coeffs):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "coeffs", dict(coeffs))
-        object.__setattr__(self, "certified", certified)
 
     def __setattr__(self, *a):
         raise AttributeError("Expansion is immutable")
@@ -425,7 +399,7 @@ def extract(F, basis):
         raise ValueError(
             f"extraction in basis {basis!r} left a nonzero residual "
             f"({len(residual)} terms); input not in the truncated span")
-    return Expansion(basis, F.N, coeffs, certified=True)
+    return Expansion(basis, F.N, coeffs)
 
 
 def assemble(expansion, N):
@@ -437,16 +411,16 @@ def assemble(expansion, N):
 
 
 def verify_omega_basis_identities(k, N):
-    """Check both omega images: omega(1 + pbarprime_k) and omega(1 + pbar_k)
-    equal the predicted closed forms (swap for odd k, reciprocal for even k).
+    """Check both omega images: for odd k, omega swaps 1 + pbarprime_k and
+    1 + pbar_k; for even k, omega(1 + b_k) is the reciprocal of 1 + b_k for
+    both bases b, checked as omega(1 + b_k) * (1 + b_k) == 1.
     Returns True; raises AssertionError otherwise."""
     one = SymPoly.const(N, 1)
-    lhs1 = omega(one + basis_pbarprime(k, N))
-    rhs1 = (one + basis_pbar(k, N)) if k % 2 else \
-        sympoly_reciprocal(one + basis_pbarprime(k, N))
-    assert lhs1 == rhs1, f"omega(1+pbarprime_{k}) mismatch"
-    lhs2 = omega(one + basis_pbar(k, N))
-    rhs2 = (one + basis_pbarprime(k, N)) if k % 2 else \
-        sympoly_reciprocal(one + basis_pbar(k, N))
-    assert lhs2 == rhs2, f"omega(1+pbar_{k}) mismatch"
+    prime, bar = one + basis_pbarprime(k, N), one + basis_pbar(k, N)
+    if k % 2:
+        assert omega(prime) == bar, f"omega(1+pbarprime_{k}) mismatch"
+        assert omega(bar) == prime, f"omega(1+pbar_{k}) mismatch"
+    else:
+        assert omega(prime) * prime == one, f"omega(1+pbarprime_{k}) mismatch"
+        assert omega(bar) * bar == one, f"omega(1+pbar_{k}) mismatch"
     return True

@@ -3,14 +3,14 @@ from hypothesis import given, settings
 
 from kromatic import bundled_graph
 from kromatic.core import (
-    IndependenceMultiset, brute_force_chromatic, brute_force_kromatic,
+    brute_force_chromatic, brute_force_kromatic,
     chromatic_p_expansion_oracles, exponent_a, exponent_b, exponent_c,
     exponent_d, independence_multiset, kromatic, kromatic_from_multiset,
     omega_kromatic, omega_pbar_coefficients_via_subsets, proper_set_colorings,
     recover_signed_exponent_multiset, signed_exponent_family,
     theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
 )
-from kromatic.graphs import Graph, mask_of
+from kromatic.graphs import Graph
 from kromatic.numbers import partitions_up_to
 from kromatic.symfunc import extract, omega
 
@@ -37,7 +37,6 @@ K2_GOLDEN_PBAR = {
 
 def test_k2_golden_pbar_table():
     exp = extract(kromatic(K2, 5), "pbar")
-    assert exp.certified
     assert exp.coeffs == K2_GOLDEN_PBAR
 
 
@@ -91,6 +90,19 @@ def test_verify_factorization_subsets():
     for mask in range(1 << P3.n):
         for variant in ("a", "d"):
             assert verify_factorization(P3, variant, 4, support=mask)
+
+
+def test_verify_factorization_rejects_wrong_exponent(monkeypatch):
+    # one exponent off by one, at any k <= N, must break every claim
+    import kromatic.core as core
+    exponent = core._exponent
+    for bad_k in range(1, 5):
+        monkeypatch.setattr(
+            core, "_exponent", lambda g, k, support, rule, bad_k=bad_k:
+            exponent(g, k, support, rule) + (k == bad_k))
+        for variant in "abcd":
+            with pytest.raises(AssertionError):
+                verify_factorization(P3, variant, 4)
 
 
 def test_theorem_coefficient_examples():

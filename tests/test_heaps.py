@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from kromatic import BUNDLED_GRAPHS, bundled_graph
 from kromatic.graphs import independence_polynomial
 from kromatic.heaps import (
-    Heap, ascent_count, canonical_word, canonical_word_with_perm,
-    clear_caches, compose, compose_all, enumerate_heaps, enumerate_lyndon,
+    ascent_count, canonical_word, canonical_word_with_perm,
+    clear_caches, compose_all, enumerate_heaps, enumerate_lyndon,
     enumerate_pyramids, heap_count_identity_defect, heap_from_word,
     is_aperiodic, is_lyndon, is_pyramid, left_divide, lyndon_count,
     lyndon_factorize, lyndon_mobius_check, rotate, rotate_to_source,
@@ -45,12 +45,13 @@ def test_type_and_support():
 def test_compose():
     a = heap_from_word(P3, (1,))
     b = heap_from_word(P3, (3,))
-    assert compose(a, b).word == (3, 1)
-    assert compose(b, a).word == (3, 1)
+    assert compose_all([a, b]).word == (3, 1)
+    assert compose_all([b, a]).word == (3, 1)
     assert compose_all([a, a, b]).word == (3, 1, 1)
     # composition is associative
     c = heap_from_word(P3, (2,))
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert (compose_all([compose_all([a, b]), c])
+            == compose_all([a, compose_all([b, c])]))
 
 
 def test_sources_and_pyramids():

@@ -13,7 +13,7 @@ from kromatic.symfunc import (
     basis_pbarprime, extract, omega, p_decompose_homogeneous,
     product_over_variables, series_log, series_neg_sub,
     series_reciprocal, series_truncate, sympoly_from_vector_counts,
-    sympoly_int_power, sympoly_reciprocal, verify_omega_basis_identities,
+    verify_omega_basis_identities,
 )
 
 
@@ -188,7 +188,6 @@ def test_extract_round_trip():
             for lam, c in chosen.items():
                 F = F + basis_element(basis, lam, N).scale(c)
             exp = extract(F, basis)
-            assert exp.certified
             assert exp.coeffs == {l: c for l, c in chosen.items() if c}
             assert assemble(exp, N) == F
 
@@ -204,20 +203,25 @@ def test_extract_fractional_coefficients():
         sympoly_from_vector_counts(_monomials({(1,): 1}, 3), 3, 5)
 
 
-def test_sympoly_reciprocal_and_power():
-    N = 5
-    one = SymPoly.const(N, 1)
-    F = one + SymPoly(N, {(1,): 1})
-    G = sympoly_reciprocal(F)
-    assert F * G == one
-    assert sympoly_int_power(F, 3) == F * F * F
-    assert sympoly_int_power(F, -2) * F * F == one
-    assert sympoly_int_power(F, 0) == one
-
-
 def test_omega_basis_identities():
     for k in (1, 2, 3, 4):
         assert verify_omega_basis_identities(k, 6)
+
+
+def test_omega_basis_identities_reject_identity_omega(monkeypatch):
+    import kromatic.symfunc as symfunc
+    monkeypatch.setattr(symfunc, "omega", lambda F: F)
+    for k in (1, 2, 3, 4):
+        with pytest.raises(AssertionError):
+            verify_omega_basis_identities(k, 6)
+    # a wrong pbar alone must fail too: at even k only the pbar half of the
+    # reciprocal rule sees it, from degree 2k on
+    monkeypatch.undo()
+    monkeypatch.setattr(symfunc, "basis_pbar",
+                        lambda k, N, pbar=basis_pbar: pbar(k, N).scale(2))
+    for k in (2, 4):
+        with pytest.raises(AssertionError, match=r"omega\(1\+pbar_"):
+            verify_omega_basis_identities(k, 2 * k)
 
 
 def test_qpoly_coefficients_supported():
