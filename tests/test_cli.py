@@ -73,6 +73,17 @@ def test_qexpand_q_specialization(capsys):
     assert got == {(2,): "1", (1, 1): "1", (3,): "2", (2, 1): "4"}
 
 
+def test_qexpand_vars_is_report_only(capsys):
+    rc, base = run_json(capsys, ["qexpand", "--model", "ui-k3",
+                                 "--degree", "5"])
+    assert rc == 0
+    rc, wide = run_json(capsys, ["qexpand", "--model", "ui-k3",
+                                 "--degree", "5", "--vars", "7"])
+    assert rc == 0
+    assert base["M"] == 5 and wide["M"] == 7
+    assert {**wide, "M": 5} == base
+
+
 def test_qexpand_rejects_non_unit_interval():
     with pytest.raises(SystemExit) as e:
         main(["qexpand", "--graph", "c4", "--degree", "4"])
@@ -223,6 +234,14 @@ def test_verify_stdout_digest(capsys):
     assert _stdout_digest(capsys, ["verify", "--suite", "all",
                                    "--degree", "5"]) == \
         "b5111498f92d33ed2817c5690eaa7d20cdf69a8a494f15ea8647b30491f37858"
+
+
+def test_verify_stdout_digest_degree_6(capsys):
+    # the same at degree 6 (991 PASS lines), recorded before the q layer was
+    # cut down to one coloring walker
+    assert _stdout_digest(capsys, ["verify", "--suite", "all",
+                                   "--degree", "6"]) == \
+        "fdcf0a97a6d7ade4dcb2d5d7ee7a687d1dce9d5a30b5f61734c981c76a5173b7"
 
 
 def test_independence_dump(capsys):

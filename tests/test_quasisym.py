@@ -5,6 +5,7 @@ import pytest
 from kromatic import bundled_graph
 from kromatic.core import kromatic, theorem_coefficient
 from kromatic.graphs import Graph
+from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import QPoly, partitions_up_to
 from kromatic.quasisym import (
     ascent_polynomial, coloring_ascents, kromatic_q, kromatic_q_vectors,
@@ -100,7 +101,7 @@ def test_ascent_polynomial_frozen_values():
 
 def test_ascent_polynomial_empty_sizes():
     assert ascent_polynomial(K2, ()) == QPoly()     # cannot cover
-    assert ascent_polynomial(K2, (), cover_all=False) == QPoly(1)
+    assert ascent_polynomial(Graph(0, []), ()) == QPoly(1)  # empty list covers
 
 
 def test_pyramid_expansion_is_omega_image():
@@ -158,12 +159,12 @@ def test_rule_coefficients_collapse_at_q_one():
 
 
 def test_cover_filter_matters():
-    # without the covering restriction the formulas overcount: a single
-    # vertex cannot cover K2, so the true coefficient at (1,) is zero
+    # K2 has two one-vertex pyramids, but a single vertex cannot cover K2,
+    # so the covering polynomial and every coefficient at (1,) are zero
+    assert len(enumerate_pyramids(K2, 1)) == 2
+    assert ascent_polynomial(K2, (1,)) == QPoly()
     for rule in ("5.1", "5.2", "5.3", "5.4"):
         assert power_sum_coefficient_q(K2, (1,), rule) == QPoly()
-        assert power_sum_coefficient_q(K2, (1,), rule, cover="plain") != \
-            QPoly()
 
 
 def test_rule_validation():
