@@ -116,7 +116,7 @@ def run_qexpand(args, parser):
             parser.error(f"graph {name} has no natural unit-interval model; "
                          "its q-refined series is not symmetric")
     N, M = args.degree, args.vars or args.degree
-    F = kromatic_q(g, N, M)
+    F = kromatic_q(g, N)
     if args.omega:
         F = omega(F)
     exp = extract(F, args.basis)
@@ -196,7 +196,7 @@ def build_checks(named_graphs, N, suites):
 
     add("numbers", "dirichlet-inverse-64", dirichlet)
     add("numbers", "omega-basis-rules-k4",
-        lambda: all(verify_omega_basis_identities(k, 6)
+        lambda: all(verify_omega_basis_identities(k, 8)
                     for k in range(1, 5)))
 
     # --- heaps -----------------------------------------------------------
@@ -325,16 +325,16 @@ def build_checks(named_graphs, N, suites):
         if natural_unit_interval_model(g) is not None:
             add("q", f"pyramid-expansion-{name}",
                 lambda g=g: pyramid_p_expansion_q(g, g.n + 1)
-                == omega(kromatic_q(g, g.n + 1, g.n + 1)))
+                == omega(kromatic_q(g, g.n + 1)))
             add("q", f"q1-collapse-{name}",
-                lambda g=g: specialize_q(kromatic_q(g, 4, 4), 1)
+                lambda g=g: specialize_q(kromatic_q(g, 4), 1)
                 == kromatic(g, 4))
 
     q_targets = {}
 
     def q_extraction(name, g):
         if name not in q_targets:
-            X = kromatic_q(g, 4, 4)
+            X = kromatic_q(g, 4)
             q_targets[name] = extractions(
                 {"direct": X, "omega": omega(X)}, RULES_Q)
         return q_targets[name]
@@ -417,9 +417,9 @@ def make_parser():
             p.add_argument("--omega", action="store_true",
                            help="expand the omega image instead")
             p.add_argument("--vars", type=int, default=None,
-                           help="number of colors M that qexpand enumerates "
-                           "colorings over (default: degree); expand only "
-                           "reports it")
+                           help="number of variables M, reported in the JSON "
+                           "(default: degree); the result does not depend "
+                           "on it")
         if q:
             p.add_argument("--q", default=None,
                            help="evaluate q-polynomials at this rational")

@@ -207,8 +207,7 @@ def chromatic_p_expansion_oracles(g):
 def _menu_pool(g, k, support, which):
     """Lyndon heaps (inside the support) of the sizes that rule `which`
     allows for a part of value k."""
-    sizes, _ = _menu_sizes(k, which)
-    return sum(lyndon_count(g, s, support) for s in sizes)
+    return sum(lyndon_count(g, s, support) for s in _menu_sizes(k, which))
 
 
 def _exponent(g, k, support, which):
@@ -237,10 +236,10 @@ def exponent_d(g, k, support=None):
     return _exponent(g, k, support, "1.5")
 
 
-def verify_factorization(g, variant, N, support=None):
+def verify_factorization(g, variant, N):
     """Check prod_i F(x_i) = prod_k (1 + basis_k)^(e(k)) at truncation N,
-    where F is the image series of the induced subgraph and basis and e
-    are those of the claim's rule.
+    where F is the image series of g and basis and e are those of the
+    claim's rule.
 
     With 1 + basis_k = prod_i g_k(x_i) and prod_i f(x_i) =
     exp(sum_j c_j p_j) for c = log f, both sides are exponentials of
@@ -251,16 +250,15 @@ def verify_factorization(g, variant, N, support=None):
     rule = CLAIMS[variant]
     image, basis = RULES[rule]
     lhs = series_log(
-        image_series(independence_polynomial(g, support), N, image), N)
+        image_series(independence_polynomial(g), N, image), N)
     rhs = [0] * (N + 1)
     for k in range(1, N + 1):
-        e = _exponent(g, k, support, rule)
+        e = _exponent(g, k, None, rule)
         if e:
             for j, c in enumerate(series_log(generator_series(basis, k, N), N)):
                 rhs[j] += e * c
     assert lhs == tuple(rhs), (
-        f"factorization variant {variant!r} fails on {g!r} "
-        f"support={support!r} at N={N}")
+        f"factorization variant {variant!r} fails on {g!r} at N={N}")
     return True
 
 
@@ -268,32 +266,26 @@ def verify_factorization(g, variant, N, support=None):
 # coefficient rules ("which" tags follow the build contract)
 
 def _menu_sizes(k, which):
-    """Allowed Lyndon-heap sizes for a part of value k, plus selection mode
-    ('distinct' = plain subsets, 'multiset' = repetition allowed)."""
+    """Allowed Lyndon-heap sizes for a part of value k.
+
+    Heaps may repeat exactly when rule_sign(which, (k,)) < 0: the factor
+    (1 + basis_k)^e of the rule's factorization then has e = -m with m the
+    menu size, and (1 + x)^(-m) = sum_i multichoose(m, i) (-x)^i, where
+    (1 + x)^m = sum_i binomial(m, i) x^i picks distinct heaps."""
     if which == "1.2":
-        if k % 2 == 1:
-            return [k], "distinct"
-        sizes = []
-        m = k
-        while m % 2 == 0:
-            sizes.append(m)
-            m //= 2
-        return sizes, "multiset"
+        sizes = [k]
+        while sizes[-1] % 4 == 0:
+            sizes.append(sizes[-1] // 2)
+        return sizes
     if which == "1.3":
         sizes = [k]
-        m = k
-        while m % 2 == 0:
-            m //= 2
-            sizes.append(m)
-        return sizes, "distinct"
+        while sizes[-1] % 2 == 0:
+            sizes.append(sizes[-1] // 2)
+        return sizes
     if which == "1.4":
-        if k % 2 == 1:
-            return [k], "distinct"
-        if k % 4 == 0:
-            return [k], "multiset"
-        return [k, k // 2], "multiset"
+        return [k, k // 2] if k % 4 == 2 else [k]
     if which == "1.5":
-        return [k], "distinct"
+        return [k]
     raise ValueError(f"unknown coefficient rule {which!r}")
 
 
@@ -309,12 +301,11 @@ def theorem_coefficient(g, lam, which):
     full = g.full_mask
     per_value = []
     for k, i_k in sorted(multiplicities(lam).items()):
-        sizes, mode = _menu_sizes(k, which)
         menu = []
-        for s in sizes:
+        for s in _menu_sizes(k, which):
             menu.extend(enumerate_lyndon(g, s))
-        chooser = itertools.combinations if mode == "distinct" \
-            else itertools.combinations_with_replacement
+        chooser = itertools.combinations_with_replacement \
+            if rule_sign(which, (k,)) < 0 else itertools.combinations
         selections = [sel for sel in chooser(range(len(menu)), i_k)]
         per_value.append((menu, selections))
     total = 0
@@ -340,8 +331,8 @@ def theorem_coefficient_subsets(g, lam, which):
     total = 0
     for pool_tuple, w in signed_subset_sum(g, pools).items():
         for pool, (k, i_k) in zip(pool_tuple, mult):
-            distinct = _menu_sizes(k, which)[1] == "distinct"
-            w *= binomial(pool, i_k) if distinct else multichoose(pool, i_k)
+            repeat = rule_sign(which, (k,)) < 0
+            w *= multichoose(pool, i_k) if repeat else binomial(pool, i_k)
         total += w
     return total
 
@@ -432,14 +423,12 @@ def recover_signed_exponent_multiset(obj, K, caps):
     componentwise-largest vectors downward inside the cap box.
 
     obj may be an Expansion over 'pbar' or a SymPoly (extracted first).
-    caps is a scalar bound or a length-K tuple of per-size bounds; the true
-    family must lie inside the box for the inversion to be exact."""
+    caps is a length-K tuple of per-size bounds; the true family must lie
+    inside the box for the inversion to be exact."""
     if isinstance(obj, SymPoly):
         obj = extract(obj, "pbar")
     if obj.basis != "pbar":
         raise ValueError("recovery needs a pbar expansion")
-    if isinstance(caps, int):
-        caps = (caps,) * K
     if len(caps) != K:
         raise ValueError("caps length must equal K")
     need = sum((k + 1) * c for k, c in enumerate(caps))

@@ -84,10 +84,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-def graph_to_json(g):
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
-
-
 def _require_int(x, what):
     if not isinstance(x, int) or isinstance(x, bool):
         raise ValueError(f"{what} must be an integer, got {x!r}")

@@ -150,16 +150,24 @@ def _upper_closure(dep, w, p):
 
 
 def rotate(h, p):
-    """One rotation step at piece p: split off the upward closure V of p and
-    put it below the rest.  Returns (rotated heap, new index of p)."""
+    """One rotation step at piece p: split off the upward closure C of p and
+    put it below the rest R.  Returns (rotated heap, new index of p).
+
+    The new index is the first occurrence of p's letter.  Pieces with one
+    letter do not commute, so every word of a heap lists them in the same
+    order, from the bottom up.  In C o R every other piece of C lies above
+    p, since the order inside C is kept, and every piece of R with p's
+    letter lies above C's pieces with that letter, since R is stacked on C.
+    So p is the lowest piece with its letter.
+    """
     g, w = h.graph, h.word
     if not (0 <= p < len(w)):
         raise IndexError("piece index out of range")
     reach = _upper_closure(_deps(g), w, p)
     new_word = (tuple(v for i, v in enumerate(w) if reach >> i & 1)
                 + tuple(v for i, v in enumerate(w) if not reach >> i & 1))
-    canon, perm = canonical_word_with_perm(g, new_word)
-    return Heap(g, canon), perm.index(0)
+    canon = canonical_word(g, new_word)
+    return Heap(g, canon), canon.index(w[p])
 
 
 def rotate_to_source(h, p):

@@ -7,8 +7,8 @@ general and symmetric when the graph comes from a unit interval model.
 
 Routes implemented here:
   * direct enumeration over set colorings (exponent-vector level);
-  * the clan-graph route: blow vertices into cliques, enumerate ordinary
-    proper colorings, divide out the q-factorial of the clique sizes;
+  * the clan-graph route: blow vertices into cliques, give each piece one
+    color, divide out the q-factorial of the clique sizes;
   * pyramid expansions: coefficients of p_lambda / z_lambda are ascent
     generating functions over lists of pyramids covering the vertex set;
   * closed coefficient formulas for the four K-power-sum expansions.
@@ -49,10 +49,10 @@ def coloring_ascents(g, coloring):
     return total
 
 
-def _q_power_add(lst, exponent, amount=1):
+def _q_power_add(lst, exponent):
     while len(lst) <= exponent:
         lst.append(0)
-    lst[exponent] += amount
+    lst[exponent] += 1
 
 
 def kromatic_q_vectors(g, N, M):
@@ -66,96 +66,60 @@ def kromatic_q_vectors(g, N, M):
     return {vec: QPoly(lst) for vec, lst in acc.items() if any(lst)}
 
 
-def kromatic_q(g, N, M):
+def kromatic_q(g, N):
     """The q-refined series as a SymPoly with QPoly coefficients, from the
-    colorings with M >= N colors.  Raises ValueError if the underlying vector
-    coefficients are not symmetric (graphs with no unit interval model)."""
-    return sympoly_from_vector_counts(kromatic_q_vectors(g, N, M), M, N)
-
-
-def _proper_colorings(g, M):
-    """Ordinary proper colorings with colors 1..M, as tuples."""
-
-    def rec(v, acc):
-        if v > g.n:
-            yield tuple(acc)
-            return
-        banned = set()
-        for u in range(1, v):
-            if g.adjacent(u, v):
-                banned.add(acc[u - 1])
-        for c in range(1, M + 1):
-            if c not in banned:
-                acc.append(c)
-                yield from rec(v + 1, acc)
-                acc.pop()
-
-    yield from rec(1, [])
-
-
-def _single_coloring_ascents(g, kappa):
-    total = 0
-    for u, v in g.edges:
-        if kappa[u - 1] < kappa[v - 1]:
-            total += 1
-    return total
+    colorings with N colors: the monomial conversion needs at least N, and
+    more colors do not change the result.  Raises ValueError if the
+    underlying vector coefficients are not symmetric (graphs with no unit
+    interval model)."""
+    return sympoly_from_vector_counts(kromatic_q_vectors(g, N, N), N, N)
 
 
 def kromatic_q_via_clans(g, N, M):
     """Exponent-vector coefficients assembled from clique blowups: for each
-    positive composition alpha (one part per vertex, total at most N), color
-    the alpha-clan graph properly, record ascents, and divide the vector
-    coefficient by the q-factorial of alpha.  The division must be exact;
-    divexact raises otherwise."""
+    positive composition alpha (one part per vertex, total at most N), take
+    the vector coefficients of the alpha-clan graph with a budget equal to
+    its number of pieces, and divide them by the q-factorial of alpha.
+
+    With that budget every piece gets exactly one color, so these set
+    colorings are the ordinary proper colorings of the clan graph and their
+    ascents are the edges that increase in color.  The division must be
+    exact; divexact raises otherwise."""
     acc = {}
     for alpha in compositions_up_to(g.n, N):
-        cg, piece_vertex = clan_graph(g, alpha)
+        cg, _ = clan_graph(g, alpha)
         fac = q_factorial(alpha)
-        per = {}
-        for kappa in _proper_colorings(cg, M):
-            vec = [0] * M
-            for c in kappa:
-                vec[c - 1] += 1
-            _q_power_add(per.setdefault(tuple(vec), []),
-                         _single_coloring_ascents(cg, kappa))
-        for vec, lst in per.items():
-            quot = QPoly(lst).divexact(fac)
-            prev = acc.get(vec)
-            acc[vec] = quot if prev is None else prev + quot
+        for vec, poly in kromatic_q_vectors(cg, cg.n, M).items():
+            acc[vec] = acc.get(vec, QPoly()) + poly.divexact(fac)
     return {vec: p for vec, p in acc.items() if p}
 
 
 # ---------------------------------------------------------------------------
 # pyramid expansions
 
-def ascent_polynomial(g, sizes, cover_all=True, statistic=ascent_count):
-    """Generating function sum q^statistic over ordered lists of pyramids
-    with the given sizes, composed into one heap; with cover_all, only lists
-    whose supports jointly cover every vertex count."""
+def ascent_polynomial(g, sizes):
+    """Generating function sum q^ascents over ordered lists of pyramids with
+    the given sizes whose supports jointly cover every vertex, each list
+    composed into one heap."""
     if not sizes:
-        if g.n == 0 or not cover_all:
-            return QPoly(1)
-        return QPoly()
+        return QPoly(1) if g.n == 0 else QPoly()
     lists = [enumerate_pyramids(g, s) for s in sizes]
     full = g.full_mask
     counts = []
     for combo in product(*lists):
-        if cover_all:
-            m = 0
-            for h in combo:
-                m |= h.support_mask
-            if m != full:
-                continue
-        _q_power_add(counts, statistic(compose_all(combo)))
+        m = 0
+        for h in combo:
+            m |= h.support_mask
+        if m == full:
+            _q_power_add(counts, ascent_count(compose_all(combo)))
     return QPoly(counts)
 
 
-def pyramid_p_expansion_q(g, N, statistic=ascent_count):
+def pyramid_p_expansion_q(g, N):
     """Sum over partitions of p_lambda / z_lambda times the covering ascent
     polynomial.  For unit-interval graphs this equals omega of kromatic_q."""
     return SymPoly(N, {
-        lam: ascent_polynomial(g, lam, cover_all=True, statistic=statistic)
-        * Fraction(1, z_lambda(lam))
+        lam: ascent_polynomial(g, lam) * Fraction(1, z_lambda(lam))
         for lam in partitions_up_to(N) if lam})
 
 
@@ -207,7 +171,7 @@ def _arrangements(triples):
     return num
 
 
-def power_sum_coefficient_q(g, lam, rule, cover="all"):
+def power_sum_coefficient_q(g, lam, rule):
     """Closed-formula coefficient of one K-power-sum basis element in the
     q-refined series or its omega image, as a polynomial in q (entries may
     be fractions).
@@ -215,9 +179,8 @@ def power_sum_coefficient_q(g, lam, rule, cover="all"):
     The rule's entry in core.RULES names the image (the series itself or
     its omega image) and the basis (pbarprime, built over all multiples of
     each part, or pbar, a single column).  mobius enters for pbarprime and
-    mu_hat for pbar.
-    cover="all" restricts pyramid lists to those covering every vertex,
-    which is the variant that matches extraction; "plain" drops the filter.
+    mu_hat for pbar.  Pyramid lists count only when they cover every
+    vertex, as in ascent_polynomial.
     """
     if rule not in RULES_Q:
         raise ValueError(f"unknown rule {rule!r}")
@@ -226,16 +189,11 @@ def power_sum_coefficient_q(g, lam, rule, cover="all"):
     for triples in _triple_decompositions(lam):
         lamp = tuple(sorted((a for a, d, n in triples), reverse=True))
         coef = Fraction(_arrangements(triples), z_lambda(lamp))
-        ok = True
         for a, d, n in triples:
-            num = f(d) * (-1) ** (n + 1)
-            if num == 0:
-                ok = False
-                break
-            coef *= Fraction(num, d * n)
-        if not ok:
+            coef *= Fraction(f(d) * (-1) ** (n + 1), d * n)
+        if not coef:
             continue
-        A = ascent_polynomial(g, lamp, cover_all=(cover == "all"))
+        A = ascent_polynomial(g, lamp)
         if not A:
             continue
         total = total + A * (rule_sign(rule, lamp) * coef)

@@ -111,9 +111,6 @@ class SymPoly:
     def constant(self):
         return self.c.get((), 0)
 
-    def degree_slice(self, n):
-        return {lam: v for lam, v in self.c.items() if sum(lam) == n}
-
     def __bool__(self):
         return bool(self.c)
 

@@ -149,10 +149,10 @@ def test_criterion_08_recovery_round_trip():
 def test_criterion_09_q_suite():
     # pyramid expansion (as the omega image; see the decisions ledger)
     for g in (K2, P3):
-        assert pyramid_p_expansion_q(g, 4) == omega(kromatic_q(g, 4, 4))
+        assert pyramid_p_expansion_q(g, 4) == omega(kromatic_q(g, 4))
     # closed coefficient formulas vs exact q-ring extraction
     for g in (K2, P3):
-        X = kromatic_q(g, 4, 4)
+        X = kromatic_q(g, 4)
         W = omega(X)
         tgt = {"5.1": extract(W, "pbarprime"), "5.2": extract(X, "pbarprime"),
                "5.3": extract(W, "pbar"), "5.4": extract(X, "pbar")}
@@ -164,7 +164,7 @@ def test_criterion_09_q_suite():
                     tgt[rule].coeff(lam), (lam, rule)
     # q = 1 collapses
     for g in (K2, P3):
-        assert specialize_q(kromatic_q(g, 4, 4), 1) == kromatic(g, 4)
+        assert specialize_q(kromatic_q(g, 4), 1) == kromatic(g, 4)
         for lam in partitions_up_to(4):
             if not lam:
                 continue

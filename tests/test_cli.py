@@ -297,6 +297,18 @@ def test_verify_numbers_suite(capsys):
     assert out.strip().endswith("2/2 checks passed")
 
 
+def test_omega_basis_check_sees_doubled_pbar_4(capsys, monkeypatch):
+    # b_4^2 starts at degree 8, so a doubled pbar_4 is only seen there
+    import kromatic.symfunc as symfunc
+    pbar = symfunc.basis_pbar
+    monkeypatch.setattr(symfunc, "basis_pbar", lambda k, N: pbar(k, N).scale(
+        2 if k == 4 else 1))
+    assert main(["verify", "--suite", "numbers"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL omega-basis-rules-k4" in out
+    assert "PASS dirichlet-inverse-64" in out
+
+
 def test_verify_single_graph_heaps(capsys):
     rc = main(["verify", "--graph", "k2", "--suite", "heaps", "--degree", "4"])
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ import pytest
 from kromatic import bundled_graph, bundled_model
 from kromatic.graphs import (
     Graph, acyclic_orientations, chromatic_polynomial, clan_graph,
-    graph_from_json, graph_to_json, has_induced_c4_or_claw, independence_polynomial,
+    graph_from_json, has_induced_c4_or_claw, independence_polynomial,
     induced_subgraph, mask_of, mask_vertices,
     natural_unit_interval_model, model_from_json, popcount, source_components,
     unit_interval_graph, UnitIntervalModel,
@@ -38,7 +38,8 @@ def test_graph_validation():
 
 def test_json_round_trip():
     for g in ALL:
-        assert graph_from_json(json.loads(json.dumps(graph_to_json(g)))) == g
+        obj = {"n": g.n, "edges": [list(e) for e in g.edges]}
+        assert graph_from_json(json.loads(json.dumps(obj))) == g
     with pytest.raises(ValueError):
         graph_from_json({"edges": []})
 
