@@ -273,7 +273,7 @@ def _menu_sizes(k, which):
     menu size, and (1 + x)^(-m) = sum_i multichoose(m, i) (-x)^i, where
     (1 + x)^m = sum_i binomial(m, i) x^i picks distinct heaps."""
     if which == "1.2":
-        sizes = [k]
+        sizes = [k]  # then its halvings while they stay even
         while sizes[-1] % 4 == 0:
             sizes.append(sizes[-1] // 2)
         return sizes

@@ -128,8 +128,8 @@ def test_bases():
             if not lam:
                 continue
             B = basis_element(basis, lam, 6)
-            top = {mu: c for mu, c in B.c.items() if sum(mu) == sum(lam)}
-            assert top == {lam: 1}
+            low = {mu: c for mu, c in B.c.items() if sum(mu) == sum(lam)}
+            assert low == {lam: 1}
 
 
 def test_p_decompose_examples():
