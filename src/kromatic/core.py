@@ -86,7 +86,11 @@ def omega_kromatic(g, N):
 
 def proper_set_colorings(g, budget, M):
     """Yield proper set colorings as tuples of color bitmasks (bit c-1 for
-    color c), one per vertex, with total size <= budget."""
+    color c), one per vertex, with total size <= budget.
+
+    Oracle: the enumeration behind brute_force_kromatic (the
+    multiset-roundtrip-* checks) and quasisym.kromatic_q_vectors (the
+    clans-vs-brute-* checks), and the tests that compare against them."""
     nonempty = [m for m in range(1, 1 << M)]
     nonempty.sort(key=popcount)
 

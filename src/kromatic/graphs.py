@@ -145,29 +145,37 @@ def clan_graph(g, alpha):
     return Graph(m, edges), tuple(piece_vertex)
 
 
-def independence_polynomial(g, mask=None):
-    """Coefficients (i_0, i_1, ...) of the independence polynomial of g
-    restricted to the vertices in mask (default: all)."""
+def independent_sets(g, mask=None):
+    """Every independent subset of the vertices in mask (default: all), as
+    a bitmask, the empty set first.  Vertices are added in increasing order,
+    so each set is visited exactly once."""
     if mask is None:
         mask = g.full_mask
-    coeffs = [0] * (popcount(mask) + 1)
+    out = []
 
-    def walk(avail, size):
-        coeffs[size] += 1
+    def walk(avail, chosen):
+        out.append(chosen)
         m = avail
         while m:
             low = m & -m
-            v = low.bit_length()
             m ^= low
-            # only extend with vertices above the last choice: enforced by
-            # masking below, so each independent set is counted once
-            walk(avail & ~((low << 1) - 1) & ~g.adj[v], size + 1)
+            # later choices lie above low and avoid its neighbours
+            walk(avail & ~((low << 1) - 1) & ~g.adj[low.bit_length()],
+                 chosen | low)
 
     walk(mask, 0)
-    # walk double counts nothing but visits each independent set once because
-    # vertices are added in increasing order
-    top = max(i for i, c in enumerate(coeffs) if c) if any(coeffs) else 0
-    return tuple(coeffs[:top + 1])
+    return out
+
+
+def independence_polynomial(g, mask=None):
+    """Coefficients (i_0, i_1, ...) of the independence polynomial of g
+    restricted to the vertices in mask (default: all)."""
+    coeffs = [0] * (g.n + 1)
+    for s in independent_sets(g, mask):
+        coeffs[popcount(s)] += 1
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def acyclic_orientations(g):

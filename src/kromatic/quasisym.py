@@ -6,7 +6,9 @@ j a color on v, and i < j.  The resulting series is quasisymmetric in
 general and symmetric when the graph comes from a unit interval model.
 
 Routes implemented here:
-  * direct enumeration over set colorings (exponent-vector level);
+  * the transfer matrix over colors (composition level), behind kromatic_q;
+  * direct enumeration over set colorings (exponent-vector level), kept as
+    the oracle;
   * the clan-graph route: blow vertices into cliques, give each piece one
     color, divide out the q-factorial of the clique sizes;
   * pyramid expansions: coefficients of p_lambda / z_lambda are ascent
@@ -18,10 +20,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from operator import add, mul
 
 from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
                    rule_sign)
-from .graphs import clan_graph, popcount
+from .graphs import clan_graph, independent_sets, popcount
 from .heaps import ascent_count, compose_all, enumerate_pyramids
 from .numbers import (QPoly, compositions_up_to, divisors, mobius, mu_hat,
                       partitions_up_to, q_factorial, z_lambda)
@@ -49,30 +52,88 @@ def coloring_ascents(g, coloring):
     return total
 
 
-def _q_power_add(lst, exponent):
-    while len(lst) <= exponent:
-        lst.append(0)
-    lst[exponent] += 1
+def _q_shift_add(acc, coeffs, shift):
+    """acc += q^shift * coeffs, on coefficient lists."""
+    if len(acc) < shift + len(coeffs):
+        acc.extend([0] * (shift + len(coeffs) - len(acc)))
+    for i, c in enumerate(coeffs, shift):
+        acc[i] += c
 
 
 def kromatic_q_vectors(g, N, M):
     """Exponent-vector coefficients of the q-refined series: a dict mapping
-    each length-M exponent vector to a polynomial in q.  This is the honest
-    quasisymmetric object; see kromatic_q for the symmetric repackaging."""
+    each length-M exponent vector to a polynomial in q, by enumerating every
+    proper set coloring.
+
+    Oracle: its cost grows with M, and no production route goes through it.
+    The clans-vs-brute-* checks call it on both sides, directly and through
+    kromatic_q_via_clans on each clan graph; the tests hold
+    composition_coefficients and kromatic_q to it."""
     acc = {}
     for coloring in proper_set_colorings(g, N, M):
         vec = _coloring_exponent_vector(coloring, M)
-        _q_power_add(acc.setdefault(vec, []), coloring_ascents(g, coloring))
+        _q_shift_add(acc.setdefault(vec, []), (1,),
+                     coloring_ascents(g, coloring))
     return {vec: QPoly(lst) for vec, lst in acc.items() if any(lst)}
 
 
+def composition_coefficients(g, N):
+    """Coefficient of x_1^a_1 ... x_l^a_l in the q-refined series for every
+    composition alpha = (a_1, ..., a_l) with |alpha| <= N, as a dict from
+    alpha to a nonzero QPoly: the transfer-matrix route (Stanley, EC1 4.7).
+
+    Colors are placed one at a time: color j goes on an independent set S
+    of size a_j.  Every earlier color is below j, so S adds, for each v in
+    S and each neighbour u < v, one ascent per color u already has.  The
+    state after j colors is the vector of per-vertex color counts, carrying
+    the q-polynomial of the ways to reach it; alpha's coefficient sums the
+    states in which every vertex has a color.  Compositions are walked
+    depth first, each extending its prefix's states, and a state is dropped
+    once its uncolored vertices outnumber the colors left to place."""
+    steps = {}
+    for s in independent_sets(g)[1:]:
+        # weight[u]: neighbours of u in s above u, each of which gains
+        # cnt(u) ascents when s takes the next color
+        steps.setdefault(popcount(s), []).append((
+            tuple(s >> u & 1 for u in range(g.n)),
+            tuple(popcount(g.adj[u] & s & ~((1 << u) - 1))
+                  for u in range(1, g.n + 1))))
+    out = {}
+
+    def walk(alpha, states, room):
+        total = []
+        for cnt, coeffs in states.items():
+            if 0 not in cnt:
+                _q_shift_add(total, coeffs, 0)
+        if total:
+            out[alpha] = QPoly(total)
+        for a in range(1, room + 1):
+            nxt = {}
+            for cnt, coeffs in states.items():
+                for inc, weight in steps.get(a, ()):
+                    new = tuple(map(add, cnt, inc))
+                    if new.count(0) <= room - a:
+                        _q_shift_add(nxt.setdefault(new, []), coeffs,
+                                     sum(map(mul, cnt, weight)))
+            if nxt:
+                walk(alpha + (a,), nxt, room - a)
+
+    walk((), {(0,) * g.n: [1]}, N)
+    return out
+
+
 def kromatic_q(g, N):
-    """The q-refined series as a SymPoly with QPoly coefficients, from the
-    colorings with N colors: the monomial conversion needs at least N, and
-    more colors do not change the result.  Raises ValueError if the
-    underlying vector coefficients are not symmetric (graphs with no unit
-    interval model)."""
-    return sympoly_from_vector_counts(kromatic_q_vectors(g, N, N), N, N)
+    """The q-refined series as a SymPoly with QPoly coefficients, to degree
+    N, from composition_coefficients.  An order-preserving relabelling of
+    the colors keeps every ascent, so an exponent vector's coefficient is
+    that of its composition (the vector with its zeros removed).  The
+    compositions padded with zeros to length N thus carry every coefficient
+    that the conversion over N variables reads, the rearrangements that its
+    symmetry check compares included.  Raises ValueError if the
+    coefficients are not symmetric (graphs with no unit interval model)."""
+    vectors = {alpha + (0,) * (N - len(alpha)): poly
+               for alpha, poly in composition_coefficients(g, N).items()}
+    return sympoly_from_vector_counts(vectors, N, N)
 
 
 def kromatic_q_via_clans(g, N, M):
@@ -111,7 +172,7 @@ def ascent_polynomial(g, sizes):
         for h in combo:
             m |= h.support_mask
         if m == full:
-            _q_power_add(counts, ascent_count(compose_all(combo)))
+            _q_shift_add(counts, (1,), ascent_count(compose_all(combo)))
     return QPoly(counts)
 
 

@@ -1,18 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kromatic import bundled_graph
+import kromatic.core as core
+import kromatic.quasisym as quasisym
+from helpers import small_graphs
+from kromatic import BUNDLED_MODELS, bundled_graph, bundled_model
 from kromatic.core import kromatic, theorem_coefficient
-from kromatic.graphs import Graph
+from kromatic.graphs import Graph, unit_interval_graph
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import QPoly, partitions_up_to
 from kromatic.quasisym import (
-    ascent_polynomial, coloring_ascents, kromatic_q, kromatic_q_vectors,
-    kromatic_q_via_clans, power_sum_coefficient_q, pyramid_p_expansion_q,
-    specialize_q,
+    ascent_polynomial, coloring_ascents, composition_coefficients, kromatic_q,
+    kromatic_q_vectors, kromatic_q_via_clans, power_sum_coefficient_q,
+    pyramid_p_expansion_q, specialize_q,
 )
-from kromatic.symfunc import extract, omega
+from kromatic.symfunc import extract, omega, sympoly_from_vector_counts
 
 K1 = bundled_graph("k1")
 K2 = bundled_graph("k2")
@@ -62,6 +66,39 @@ def test_via_clans_matches_direct_enumeration():
              (P4, 5, 3), (C4, 5, 3), (PAW, 5, 3)]
     for g, N, M in cases:
         assert kromatic_q_via_clans(g, N, M) == kromatic_q_vectors(g, N, M)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_graphs(), st.integers(0, 5))
+def test_transfer_matrix_matches_set_colorings(g, N):
+    # graphs with no unit interval model and N < n included; ascents and
+    # descents give different vectors here, so this tells them apart
+    vectors = kromatic_q_vectors(g, N, N)
+    comps = composition_coefficients(g, N)
+    for vec, poly in vectors.items():
+        assert comps.get(tuple(a for a in vec if a)) == poly, vec
+    for alpha, poly in comps.items():
+        assert vectors.get(alpha + (0,) * (N - len(alpha))) == poly, alpha
+
+
+MODELS = [unit_interval_graph(bundled_model(name)) for name in BUNDLED_MODELS]
+
+
+def test_kromatic_q_enumerates_no_set_colorings(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kromatic_q enumerated set colorings")
+
+    monkeypatch.setattr(core, "proper_set_colorings", refuse)
+    monkeypatch.setattr(quasisym, "proper_set_colorings", refuse)
+    monkeypatch.setattr(quasisym, "kromatic_q_vectors", refuse)
+    for g in MODELS:
+        kromatic_q(g, 6)
+
+
+def test_kromatic_q_matches_set_colorings_on_models():
+    for g in MODELS:
+        assert kromatic_q(g, 6) == sympoly_from_vector_counts(
+            kromatic_q_vectors(g, 6, 6), 6, 6), g
 
 
 def test_edgeless_graph_has_constant_coefficients():
@@ -116,8 +153,6 @@ def test_pyramid_expansion_is_omega_image():
 def test_unrestricted_pair_statistic_fails(monkeypatch):
     # counting all vertex-order ascents, not just adjacent ones, breaks the
     # expansion on any graph with a non-edge
-    import kromatic.quasisym as quasisym
-
     def all_pairs(h):
         w = h.word
         return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
