@@ -103,6 +103,8 @@ def test_lyndon_words(capsys):
      "55816d8041ca505de0b93d0b8754d408c23600b1c712b3e0a2627ea1a2848ec0"),
     ("c4", 6,
      "55448474d43108855cc1d7d072927c8925c265cd45d076579b4b6cfc5842d739"),
+    ("paw", 8,
+     "8330ecc20866b4f865e315b4b774ae85f86779471d19ba49670c5f9128fabea4"),
 ])
 def test_lyndon_stdout_digest(capsys, graph, degree, digest):
     # sha256 of the full stdout (counts and every canonical word) as
@@ -242,6 +244,14 @@ def test_verify_stdout_digest_degree_6(capsys):
     assert _stdout_digest(capsys, ["verify", "--suite", "all",
                                    "--degree", "6"]) == \
         "fdcf0a97a6d7ade4dcb2d5d7ee7a687d1dce9d5a30b5f61734c981c76a5173b7"
+
+
+def test_verify_stdout_digest_degree_8(capsys):
+    # the same at degree 8 (2027 PASS lines), recorded while Lyndon heaps
+    # were still found by sweeping rotation classes
+    assert _stdout_digest(capsys, ["verify", "--suite", "all",
+                                   "--degree", "8"]) == \
+        "4a7b69df622e702af10f093933505a8870d48fed3febb58abe2af5df523cfcfb"
 
 
 def test_independence_dump(capsys):
