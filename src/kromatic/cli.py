@@ -459,9 +459,8 @@ RUNNERS = {"expand": run_expand, "qexpand": run_qexpand,
 
 
 def validate(args, parser):
-    if args.mode in ("expand", "qexpand", "lyndon", "independence"):
-        if args.degree < 1:
-            parser.error("--degree must be at least 1")
+    if args.degree < 1:
+        parser.error("--degree must be at least 1")
     if getattr(args, "vars", None) is not None and args.vars < args.degree:
         parser.error("--vars must be at least --degree for a faithful "
                      "monomial conversion")

@@ -152,6 +152,7 @@ def _upper_closure(dep, w, p):
 def rotate(h, p):
     """One rotation step at piece p: split off the upward closure C of p and
     put it below the rest R.  Returns (rotated heap, new index of p).
+    Oracle step, reached from rotation-example-P3-2311 and _lyndon_by_filter.
 
     The new index is the first occurrence of p's letter.  Pieces with one
     letter do not commute, so every word of a heap lists them in the same
@@ -172,7 +173,7 @@ def rotate(h, p):
 
 def rotate_to_source(h, p):
     """Iterate rotation at p until p is the unique bottom piece; returns the
-    resulting pyramid.
+    resulting pyramid.  Oracle step, as for rotate.
 
     Precondition: h is a pyramid.  Then at most size - 1 rotations are
     needed.  Let C be the upward closure of p in the current heap H, so that
@@ -198,7 +199,9 @@ def rotate_to_source(h, p):
 
 def rotation_class(h):
     """The set of pyramids reachable by rotating each piece of h to the
-    bottom, sorted by canonical word (precondition: h is a pyramid)."""
+    bottom, sorted by canonical word (precondition: h is a pyramid).  The
+    oracle of enumerate_lyndon, for the verify check rotation-example-P3-2311
+    and the tests' _lyndon_by_filter."""
     if not is_pyramid(h):
         raise ValueError("rotation class is defined for pyramids")
     seen = {}
@@ -210,25 +213,14 @@ def rotation_class(h):
 
 def is_aperiodic(h):
     """True iff h is not a d-fold power of a smaller heap for any d >= 2."""
-    n = h.size
-    for d in divisors(n):
-        if d == 1 or n % d:
-            continue
-        base = n // d
-        alpha = h.type
-        if any(a % d for a in alpha):
-            continue
-        target_type = tuple(a // d for a in alpha)
-        for k in enumerate_heaps(h.graph, base):
-            if k.type != target_type:
-                continue
-            if canonical_word(h.graph, k.word * d) == h.word:
-                return False
-    return True
+    return not any(canonical_word(h.graph, k.word * d) == h.word
+                   for d in divisors(h.size)[1:]
+                   for k in enumerate_heaps(h.graph, h.size // d))
 
 
 def is_lyndon(h):
-    """Aperiodic pyramid that is the lex-least member of its rotation class."""
+    """Aperiodic pyramid that is the lex-least member of its rotation class.
+    The definition, kept as the oracle for the callers rotation_class names."""
     if not is_pyramid(h):
         return False
     cls = rotation_class(h)
@@ -276,21 +268,28 @@ def enumerate_pyramids(g, n):
 def enumerate_lyndon(g, n):
     """Lyndon heaps of size n, sorted by canonical word.
 
-    One sweep over the pyramids in ascending order builds each rotation
-    class once, from its least member.  By Lalonde's dichotomy a class of
-    size n holds exactly one Lyndon heap, its least member, and a smaller
-    (periodic) class holds none.
+    A pyramid h is a Lyndon heap iff its canonical word w is a Lyndon word:
+    smaller than each proper suffix, or each proper rotation.  Suppose the
+    bottom letter a = w[0] is least in w.  (1) Then every power of w is
+    canonical.  A violation is a letter after a run of letters it commutes
+    with, back to a smaller letter.  The run holds no copy of the letter, so
+    it is shorter than w, and w is canonical, so it reaches into the copy
+    before: the letter commutes with all letters before it in its own copy,
+    so it is the bottom piece a, which is least.
+    (2) For w[i] == a, rotate_to_source(h, i) has the word w[i:] + w[:i].
+    A first later piece j not above i would commute with w[i:j] and so
+    exceed a, breaking canonicity.  So one rotation gives w[i:] + w[:i],
+    canonical by (1) as a factor of w + w, and for the same reason with i
+    alone at the bottom.  Any piece p rotates to a pyramid whose word starts
+    with w[p].  So if h is a Lyndon heap, a is least; rotations of w at
+    other letters start higher, and those at a-pieces are words of other
+    members by (2), so w is below each.  If w is a Lyndon word, a is least
+    and h is the least member.  h is aperiodic, as h = k o ... o k would
+    make w a power of k's word by (1); by Lalonde's dichotomy (checked by
+    test_lalonde_dichotomy) the class of an aperiodic pyramid has n members.
     """
-    seen = set()
-    out = []
-    for h in enumerate_pyramids(g, n):
-        if h.word in seen:
-            continue
-        cls = rotation_class(h)
-        seen.update(c.word for c in cls)
-        if len(cls) == n:
-            out.append(h)
-    return tuple(out)
+    return tuple(h for h in enumerate_pyramids(g, n)
+                 if all(h.word < h.word[i:] for i in range(1, n)))
 
 
 @cache

@@ -394,6 +394,8 @@ def test_config_errors_exit_two():
                  ["expand", "--graph", "nosuch"],
                  ["qexpand", "--model", "ui-k2", "--q", "1/0"],
                  ["verify", "--suite", "nosuchsuite"],
+                 ["verify", "--degree", "0"],
+                 ["verify", "--graph", "k2", "--degree", "-1"],
                  ["expand", "--graph", "k2", "--jobs", "0"]):
         with pytest.raises(SystemExit) as e:
             main(argv)

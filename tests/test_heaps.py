@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kromatic import BUNDLED_GRAPHS, bundled_graph
-from kromatic.graphs import independence_polynomial
+from kromatic import BUNDLED_GRAPHS, bundled_graph, heaps
+from kromatic.graphs import Graph, independence_polynomial
 from kromatic.heaps import (
     ascent_count, canonical_word, canonical_word_with_perm,
     clear_caches, compose_all, enumerate_heaps, enumerate_lyndon,
@@ -280,6 +280,43 @@ def test_lyndon_routes_random_graphs(g):
 def test_lyndon_routes_bundled(g):
     for k in range(1, 7):
         _check_lyndon_routes(g, k)
+
+
+def _labelled_graphs(max_n):
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+def test_lyndon_routes_all_labelled_graphs():
+    # the word test of enumerate_lyndon against the rotation classes on every
+    # labelled graph with at most 4 vertices (76 graphs): the vertex order
+    # decides which words are canonical, so isomorphic copies all count
+    graphs = list(_labelled_graphs(4))
+    assert len(graphs) == 76
+    for g in graphs:
+        for k in range(1, 6):
+            clear_caches()
+            assert list(enumerate_lyndon(g, k)) == _lyndon_by_filter(g, k), \
+                (g.n, g.edges, k)
+
+
+def test_enumerate_lyndon_does_not_rotate(monkeypatch):
+    # the rotation functions are the oracle only: enumeration and counts by
+    # support must not fall back to them
+    def refuse(*args):
+        raise AssertionError("rotation oracle called")
+
+    for name in ("rotation_class", "rotate", "rotate_to_source", "is_lyndon"):
+        monkeypatch.setattr(heaps, name, refuse)
+    clear_caches()
+    for g in BUNDLED:
+        for k in range(1, 7):
+            found = enumerate_lyndon(g, k)
+            for support in range(1 << g.n):
+                lyndon_count(g, k, support)
+            assert lyndon_count(g, k, g.full_mask) == len(found)
 
 
 def test_clear_caches_recomputes():
