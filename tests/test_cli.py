@@ -262,6 +262,25 @@ def test_independence_dump(capsys):
     assert [e["size"] for e in data["entries"]] == [0, 1, 1, 2]
 
 
+INDEPENDENCE_DIGESTS = {
+    "k1": "754f96ef868febe91c5de74f4ab0b98070e583846e5844589019fde3cfacdccb",
+    "k2": "8e6d322b1281acbd29b5e3539048ab11d12b902c20f82b3deb6d519035cc028a",
+    "k3": "9ec717dd56055e0b0b1867f932aaaec501273be1cb5642089292dbfcf78b7ff0",
+    "p3": "ed48856f5475295316e441f45b2c877f1099cd2e8aacd665d0fe30703277d66f",
+    "p4": "8ac990e4b90cec6962c7327a36946cb295c640d941d1ae3a34b854a7e2c1e942",
+    "c4": "0993a35bdc4a2c9fb1c066d3fc3770c8ea310dd54f44706d38ee7e54d31ce5d9",
+    "paw": "5e26b2aa9c86269ea5f8297d01ea9c110743d279f191d0be8e699fd2461f4e4f",
+}
+
+
+def test_independence_stdout_digests(capsys):
+    # sha256 of the full stdout of `independence --graph <g>` for every
+    # bundled graph, recorded while the multiset was a class with its own n
+    got = {g: _stdout_digest(capsys, ["independence", "--graph", g])
+           for g in BUNDLED_GRAPHS}
+    assert got == INDEPENDENCE_DIGESTS
+
+
 def test_out_flag(tmp_path, capsys):
     target = tmp_path / "exp.json"
     rc = main(["expand", "--graph", "k2", "--degree", "3",
