@@ -13,6 +13,7 @@ Exit status: 0 success, 1 failed verification (or failed computation),
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -21,8 +22,8 @@ from pathlib import Path
 
 from . import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, bundled_model
 from .core import (CLAIMS, RULES, brute_force_kromatic,
-                   chromatic_p_expansion_oracles, exponent_a, exponent_b,
-                   exponent_c, exponent_d, independence_multiset, kromatic,
+                   chromatic_p_expansion_oracles, exponent,
+                   independence_multiset, kromatic,
                    kromatic_from_multiset, omega_kromatic,
                    omega_pbar_coefficients_via_subsets,
                    recover_signed_exponent_multiset, rule_sign,
@@ -72,13 +73,8 @@ def _coeff_json(c):
 
 
 def _expansion_json(exp, name, M, omega_applied, q_value=None):
-    terms = []
-    for lam, c in exp.items_sorted():
-        if q_value is not None and isinstance(c, QPoly):
-            c = c(q_value)
-            if not c:
-                continue
-        terms.append({"partition": list(lam), "coeff": _coeff_json(c)})
+    terms = [{"partition": list(lam), "coeff": _coeff_json(c)}
+             for lam, c in exp.items_sorted()]
     out = {"graph": name, "basis": exp.basis, "N": exp.N, "M": M,
            "omega": omega_applied, "terms": terms}
     if q_value is not None:
@@ -117,10 +113,12 @@ def run_qexpand(args, parser):
                          "its q-refined series is not symmetric")
     N, M = args.degree, args.vars or args.degree
     F = kromatic_q(g, N)
+    q_value = Fraction(args.q) if args.q is not None else None
+    if q_value is not None:
+        F = specialize_q(F, q_value)
     if args.omega:
         F = omega(F)
     exp = extract(F, args.basis)
-    q_value = Fraction(args.q) if args.q is not None else None
     _emit(_expansion_json(exp, name, M, args.omega, q_value), args.out)
     return 0
 
@@ -140,9 +138,8 @@ def run_lyndon(args, parser):
 
 def run_independence(args, parser):
     name, g = _load_graph(args.graph)
-    ms = independence_multiset(g)
     entries = [{"independence": list(poly), "size": size}
-               for poly, size in ms.entries]
+               for poly, size in independence_multiset(g)]
     _emit({"graph": name, "n": g.n, "entries": entries}, args.out)
     return 0
 
@@ -226,11 +223,13 @@ def build_checks(named_graphs, N, suites):
                 lambda g=g, v=variant: verify_factorization(g, v, N))
 
     def exponent_spots():
-        return ([exponent_d(K2, k) for k in range(1, 6)] == [2, 1, 2, 3, 6]
-                and [exponent_b(K2, k) for k in range(1, 6)] == [2, 3, 2, 6, 6]
-                and exponent_c(K2, 2) == -3
-                and [exponent_a(K2, k) for k in range(1, 6)]
-                == [2, -1, 2, -4, 6])
+        def row(rule):
+            return [exponent(K2, k, rule) for k in range(1, 6)]
+
+        return (row("1.5") == [2, 1, 2, 3, 6]
+                and row("1.3") == [2, 3, 2, 6, 6]
+                and exponent(K2, 2, "1.4") == -3
+                and row("1.2") == [2, -1, 2, -4, 6])
 
     add("factorization", "exponents-K2", exponent_spots)
 
@@ -240,19 +239,16 @@ def build_checks(named_graphs, N, suites):
         return {rule: extract(images[RULES[rule][0]], RULES[rule][1])
                 for rule in rules}
 
-    targets = {}
+    @functools.cache
+    def theorem_targets(g):
+        return extractions(
+            {"direct": kromatic(g, N), "omega": omega_kromatic(g, N)},
+            CLAIMS.values())
 
-    def theorem_targets(name, g):
-        if name not in targets:
-            targets[name] = extractions(
-                {"direct": kromatic(g, N), "omega": omega_kromatic(g, N)},
-                CLAIMS.values())
-        return targets[name]
-
-    def theorem_check(name, g, lam, rule):
+    def theorem_check(g, lam, rule):
         count = theorem_coefficient(g, lam, rule)
         subsets = theorem_coefficient_subsets(g, lam, rule)
-        got = rule_sign(rule, lam) * theorem_targets(name, g)[rule].coeff(lam)
+        got = rule_sign(rule, lam) * theorem_targets(g)[rule].coeff(lam)
         if not 0 <= count == subsets == got:
             raise AssertionError(
                 f"counted {count}, subsets {subsets}, extracted {got}")
@@ -265,8 +261,8 @@ def build_checks(named_graphs, N, suites):
             for rule in CLAIMS.values():
                 add("theorems",
                     f"thm-{rule}-{name}-lambda-{_lambda_tag(lam)}",
-                    lambda name=name, g=g, lam=lam, rule=rule:
-                    theorem_check(name, g, lam, rule))
+                    lambda g=g, lam=lam, rule=rule:
+                    theorem_check(g, lam, rule))
 
     # --- classical -------------------------------------------------------
     def classical_reduction(g):
@@ -299,19 +295,19 @@ def build_checks(named_graphs, N, suites):
 
     add("recovery", "recover-K2-honest",
         lambda: recover_signed_exponent_multiset(
-            omega_kromatic(K2, 8), 2, (2, 3))
+            extract(omega_kromatic(K2, 8), "pbar"), (2, 3))
         == signed_exponent_family(K2, 2))
     add("recovery", "recover-P3-honest",
         lambda: recover_signed_exponent_multiset(
-            omega_kromatic(P3, 13), 2, (3, 5))
+            extract(omega_kromatic(P3, 13), "pbar"), (3, 5))
         == signed_exponent_family(P3, 2))
 
     def recover_k4(g):
         import itertools
-        caps = tuple(exponent_b(g, k) for k in range(1, 5))
+        caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
         box = list(itertools.product(*(range(c + 1) for c in caps)))
         exp = omega_pbar_coefficients_via_subsets(g, box)
-        return (recover_signed_exponent_multiset(exp, 4, caps)
+        return (recover_signed_exponent_multiset(exp, caps)
                 == signed_exponent_family(g, 4))
 
     add("recovery", "recover-K2-k4", lambda: recover_k4(K2))
@@ -330,18 +326,14 @@ def build_checks(named_graphs, N, suites):
                 lambda g=g: specialize_q(kromatic_q(g, 4), 1)
                 == kromatic(g, 4))
 
-    q_targets = {}
+    @functools.cache
+    def q_extraction(g):
+        X = kromatic_q(g, 4)
+        return extractions({"direct": X, "omega": omega(X)}, RULES_Q)
 
-    def q_extraction(name, g):
-        if name not in q_targets:
-            X = kromatic_q(g, 4)
-            q_targets[name] = extractions(
-                {"direct": X, "omega": omega(X)}, RULES_Q)
-        return q_targets[name]
-
-    def prop_check(name, g, lam, rule):
+    def prop_check(g, lam, rule):
         count = power_sum_coefficient_q(g, lam, rule)
-        got = q_extraction(name, g)[rule].coeff(lam)
+        got = q_extraction(g)[rule].coeff(lam)
         if count != got:
             raise AssertionError(f"counted {count}, extracted {got}")
         return True
@@ -352,8 +344,8 @@ def build_checks(named_graphs, N, suites):
                 continue
             for rule in RULES_Q:
                 add("q", f"prop-{rule}-{name}-lambda-{_lambda_tag(lam)}",
-                    lambda name=name, g=g, lam=lam, rule=rule:
-                    prop_check(name, g, lam, rule))
+                    lambda g=g, lam=lam, rule=rule:
+                    prop_check(g, lam, rule))
 
     return checks
 

@@ -19,7 +19,7 @@ from .graphs import independence_polynomial, mask_vertices, popcount
 from .heaps import enumerate_lyndon, lyndon_count
 from .numbers import binomial, multichoose, multiplicities
 from .symfunc import (
-    Expansion, SymPoly, extract, generator_series, product_over_variables,
+    Expansion, SymPoly, generator_series, product_over_variables,
     series_log, series_neg_sub, series_reciprocal, sympoly_from_vector_counts,
 )
 
@@ -214,30 +214,17 @@ def _menu_pool(g, k, support, which):
     return sum(lyndon_count(g, s, support) for s in _menu_sizes(k, which))
 
 
-def _exponent(g, k, support, which):
-    return rule_sign(which, (k,)) * _menu_pool(g, k, support, which)
-
-
-def exponent_a(g, k, support=None):
-    """Rule 1.2's menu size, negated for even k: L(k) for odd k, else
-    -(L(k) + L(k/2) + ...) over the even sizes k / 2^j."""
-    return _exponent(g, k, support, "1.2")
-
-
-def exponent_b(g, k, support=None):
-    """Rule 1.3's menu size: sum of L(k / 2^j) over all j with 2^j | k."""
-    return _exponent(g, k, support, "1.3")
-
-
-def exponent_c(g, k, support=None):
-    """Rule 1.4's menu size, negated for even k: L(k) for odd k, -L(k) for
-    4 | k, else -(L(k) + L(k/2))."""
-    return _exponent(g, k, support, "1.4")
-
-
-def exponent_d(g, k, support=None):
-    """Rule 1.5's menu size: Lyndon heaps of size k inside the support."""
-    return _exponent(g, k, support, "1.5")
+def exponent(g, k, rule, support=None):
+    """The exponent e(k) of 1 + basis_k in the factorization of rule 1.2,
+    1.3, 1.4 or 1.5: rule_sign(rule, (k,)) times the Lyndon heaps (inside
+    the support) of the sizes _menu_sizes allows.  With L(s) the Lyndon
+    heaps of size s, that is
+      1.2: L(k) for odd k, else -(L(k) + L(k/2) + ...) over the even sizes
+           k / 2^j;
+      1.3: the sum of L(k / 2^j) over all j with 2^j | k;
+      1.4: L(k) for odd k, -L(k) for 4 | k, else -(L(k) + L(k/2));
+      1.5: L(k)."""
+    return rule_sign(rule, (k,)) * _menu_pool(g, k, support, rule)
 
 
 def verify_factorization(g, variant, N):
@@ -257,7 +244,7 @@ def verify_factorization(g, variant, N):
         image_series(independence_polynomial(g), N, image), N)
     rhs = [0] * (N + 1)
     for k in range(1, N + 1):
-        e = _exponent(g, k, None, rule)
+        e = exponent(g, k, rule)
         if e:
             for j, c in enumerate(series_log(generator_series(basis, k, N), N)):
                 rhs[j] += e * c
@@ -344,43 +331,25 @@ def theorem_coefficient_subsets(g, lam, which):
 # ---------------------------------------------------------------------------
 # independence multiset
 
-class IndependenceMultiset:
-    """The multiset of induced-subgraph independence polynomials, with the
-    subset sizes kept alongside (enough to rebuild the alternating sums)."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n, entries):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", tuple(sorted(entries)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("IndependenceMultiset is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, IndependenceMultiset)
-                and (self.n, self.entries) == (other.n, other.entries))
-
-    def __repr__(self):
-        return f"IndependenceMultiset(n={self.n}, entries={list(self.entries)})"
-
-
 def independence_multiset(g):
-    entries = []
-    for mask in range(g.full_mask + 1):
-        entries.append((independence_polynomial(g, mask), popcount(mask)))
-    return IndependenceMultiset(g.n, entries)
+    """The multiset of induced-subgraph independence polynomials, as the
+    sorted tuple of (polynomial, |W|) over the vertex subsets W of g: the
+    sizes are enough to rebuild the alternating sums."""
+    return tuple(sorted((independence_polynomial(g, mask), popcount(mask))
+                        for mask in range(g.full_mask + 1)))
 
 
 def kromatic_from_multiset(ms, N, image="direct"):
     """The (direct or omega) set-coloring generating function from an
-    IndependenceMultiset alone: the alternating sum over its entries of
+    independence multiset alone: the alternating sum over its entries of
     prod_i f(x_i), where f is the entry's independence polynomial I (direct)
-    or 1 / I(-t) (omega).  Equal polynomials have their signs summed first:
-    many subsets share one."""
+    or 1 / I(-t) (omega).  The number of vertices is the largest size, that
+    of W = V.  Equal polynomials have their signs summed first: many subsets
+    share one."""
+    n = max(size for _, size in ms)
     weight = {}
-    for poly, size in ms.entries:
-        weight[poly] = weight.get(poly, 0) + (-1 if (ms.n - size) % 2 else 1)
+    for poly, size in ms:
+        weight[poly] = weight.get(poly, 0) + (-1 if (n - size) % 2 else 1)
     acc = SymPoly(N, {})
     for poly, w in weight.items():
         if w:
@@ -421,31 +390,25 @@ def omega_pbar_coefficients_via_subsets(g, vectors):
     return Expansion("pbar", n_deg, coeffs)
 
 
-def recover_signed_exponent_multiset(obj, K, caps):
+def recover_signed_exponent_multiset(expansion, caps):
     """Invert a pbar expansion into the signed family {vector: weight} with
     coefficient(lam(u)) = sum_v weight(v) * prod_k C(v_k, u_k), peeling from
     componentwise-largest vectors downward inside the cap box.
 
-    obj may be an Expansion over 'pbar' or a SymPoly (extracted first).
-    caps is a length-K tuple of per-size bounds; the true family must lie
-    inside the box for the inversion to be exact."""
-    if isinstance(obj, SymPoly):
-        obj = extract(obj, "pbar")
-    if obj.basis != "pbar":
+    caps bounds the entries of the vectors, one per size 1..len(caps); the
+    true family must lie inside the box for the inversion to be exact."""
+    if expansion.basis != "pbar":
         raise ValueError("recovery needs a pbar expansion")
-    if len(caps) != K:
-        raise ValueError("caps length must equal K")
     need = sum((k + 1) * c for k, c in enumerate(caps))
-    if need > obj.N:
+    if need > expansion.N:
         raise ValueError(
             f"truncation too small: recovering up to caps={caps} needs "
-            f"degree {need} > N={obj.N}")
+            f"degree {need} > N={expansion.N}")
     box = sorted(itertools.product(*(range(c + 1) for c in caps)),
                  key=lambda u: (-sum(u), u))
     support = {}
     for u in box:
-        coeff = obj.coeff(_lambda_of_vector(u))
-        acc = coeff
+        acc = expansion.coeff(_lambda_of_vector(u))
         for v, w in support.items():
             if v == u or any(vk < uk for vk, uk in zip(v, u)):
                 continue
@@ -462,6 +425,8 @@ def recover_signed_exponent_multiset(obj, K, caps):
 
 def signed_exponent_family(g, K):
     """The ground-truth signed family: for each vertex subset W, the vector
-    (b_W(1), ..., b_W(K)) weighted by (-1)^(n - |W|), aggregated."""
+    of rule 1.3 exponents (e_W(1), ..., e_W(K)) weighted by (-1)^(n - |W|),
+    aggregated."""
     return signed_subset_sum(
-        g, lambda mask: tuple(exponent_b(g, k, mask) for k in range(1, K + 1)))
+        g, lambda mask: tuple(exponent(g, k, "1.3", mask)
+                           for k in range(1, K + 1)))

@@ -89,9 +89,6 @@ class Heap:
     def __hash__(self):
         return hash((self.graph.n, self.graph.edges, self.word))
 
-    def __lt__(self, other):
-        return self.word < other.word
-
     def __repr__(self):
         return f"Heap[{word_str(self.word)}]"
 

@@ -300,11 +300,6 @@ def sympoly_from_vector_counts(counts, M, N):
 # ---------------------------------------------------------------------------
 # bases
 
-def basis_p(k, N):
-    """Power sum p_k."""
-    return SymPoly(N, {(k,): 1} if k <= N else {})
-
-
 def generator_series(basis, k, N):
     """The series g_k, to degree N, with prod_i g_k(x_i) = 1 + basis_k:
     1 + t^k for pbar, 1/(1 - t^k) for pbarprime."""
@@ -315,29 +310,21 @@ def generator_series(basis, k, N):
     raise ValueError(f"no generator series for basis {basis!r}")
 
 
-def basis_pbar(k, N):
-    """K-power-sum prod_i (1 + x_i^k) - 1."""
-    return product_over_variables(generator_series("pbar", k, N), N) - 1
-
-
-def basis_pbarprime(k, N):
-    """K-power-sum prod_i 1/(1 - x_i^k) - 1."""
-    return product_over_variables(generator_series("pbarprime", k, N), N) - 1
-
-
-_BASIS_SINGLE = {"p": basis_p, "pbar": basis_pbar, "pbarprime": basis_pbarprime}
-
-
 @lru_cache(maxsize=None)
 def basis_element(basis, lam, N):
-    """Multiplicative basis element: product over parts of the single-part
-    generator.  Its lowest-degree term is p_lam with coefficient 1."""
-    if basis not in _BASIS_SINGLE:
+    """Multiplicative basis element: p_lam for 'p'; for 'pbar' and
+    'pbarprime' the product, over the parts k of lam, of
+    prod_i g_k(x_i) - 1 with g_k the generator series.  Its lowest-degree
+    term is p_lam with coefficient 1."""
+    if basis == "p":
+        return SymPoly(N, {lam: 1} if sum(lam) <= N else {})
+    if basis not in ("pbar", "pbarprime"):
         raise ValueError(f"unknown basis {basis!r}")
     if not lam:
         return SymPoly.const(N, 1)
     if len(lam) == 1:
-        return _BASIS_SINGLE[basis](lam[0], N)
+        return product_over_variables(generator_series(basis, lam[0], N),
+                                      N) - 1
     return basis_element(basis, lam[:1], N) * basis_element(basis, lam[1:], N)
 
 
@@ -413,7 +400,8 @@ def verify_omega_basis_identities(k, N):
     both bases b, checked as omega(1 + b_k) * (1 + b_k) == 1.
     Returns True; raises AssertionError otherwise."""
     one = SymPoly.const(N, 1)
-    prime, bar = one + basis_pbarprime(k, N), one + basis_pbar(k, N)
+    prime = one + basis_element("pbarprime", (k,), N)
+    bar = one + basis_element("pbar", (k,), N)
     if k % 2:
         assert omega(prime) == bar, f"omega(1+pbarprime_{k}) mismatch"
         assert omega(bar) == prime, f"omega(1+pbar_{k}) mismatch"

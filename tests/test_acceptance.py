@@ -8,8 +8,7 @@ from helpers import check_canonical_invariance
 
 from kromatic import bundled_graph
 from kromatic.core import (brute_force_kromatic, chromatic_p_expansion_oracles,
-                           exponent_a, exponent_b, exponent_c, exponent_d,
-                           independence_multiset, kromatic,
+                           exponent, independence_multiset, kromatic,
                            kromatic_from_multiset, omega_kromatic,
                            omega_pbar_coefficients_via_subsets,
                            recover_signed_exponent_multiset,
@@ -101,12 +100,12 @@ def test_criterion_06_factorization_claims():
     for name, g in ALL_GRAPHS:
         for variant in "abcd":
             assert verify_factorization(g, variant, 5), (name, variant)
-    assert [exponent_d(K2, k) for k in range(1, 6)] == [2, 1, 2, 3, 6]
-    assert [exponent_b(K2, k) for k in range(1, 6)] == [2, 3, 2, 6, 6]
-    assert exponent_c(K2, 2) == -3
-    assert [exponent_a(K2, k) for k in range(1, 6)] == [2, -1, 2, -4, 6]
+    assert [exponent(K2, k, "1.5") for k in range(1, 6)] == [2, 1, 2, 3, 6]
+    assert [exponent(K2, k, "1.3") for k in range(1, 6)] == [2, 3, 2, 6, 6]
+    assert exponent(K2, 2, "1.4") == -3
+    assert [exponent(K2, k, "1.2") for k in range(1, 6)] == [2, -1, 2, -4, 6]
     for k in range(1, 5):
-        assert exponent_d(P3, k) == lyndon_count(P3, k)
+        assert exponent(P3, k, "1.5") == lyndon_count(P3, k)
     verdict(6, "all four product factorizations hold at degree 5 with "
                "Lyndon-count exponents")
 
@@ -131,16 +130,18 @@ def test_criterion_08_recovery_round_trip():
         assert kromatic_from_multiset(ms, 4, image="omega") == omega(F), name
     # sizes up to 2, fully honest truncations
     assert recover_signed_exponent_multiset(
-        omega_kromatic(K2, 8), 2, (2, 3)) == signed_exponent_family(K2, 2)
+        extract(omega_kromatic(K2, 8), "pbar"), (2, 3)) == \
+        signed_exponent_family(K2, 2)
     assert recover_signed_exponent_multiset(
-        omega_kromatic(P3, 13), 2, (3, 5)) == signed_exponent_family(P3, 2)
+        extract(omega_kromatic(P3, 13), "pbar"), (3, 5)) == \
+        signed_exponent_family(P3, 2)
     # sizes up to 4, expansion generated by the subset formula (validated
     # against extraction degreewise in criterion 5's machinery)
     for g in (K2, P3):
-        caps = tuple(exponent_b(g, k) for k in range(1, 5))
+        caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
         box = list(itertools.product(*(range(c + 1) for c in caps)))
         exp = omega_pbar_coefficients_via_subsets(g, box)
-        assert recover_signed_exponent_multiset(exp, 4, caps) == \
+        assert recover_signed_exponent_multiset(exp, caps) == \
             signed_exponent_family(g, 4)
     verdict(8, "independence multiset rebuilds the series and is recovered "
                "back from it, sizes <= 4")

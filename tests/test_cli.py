@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS
-from kromatic.cli import main
+from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph
+from kromatic.cli import build_checks, main
 
 GOLDEN_K2 = {
     (2,): "-1", (1, 1): "1",
@@ -329,9 +329,10 @@ def test_verify_numbers_suite(capsys):
 def test_omega_basis_check_sees_doubled_pbar_4(capsys, monkeypatch):
     # b_4^2 starts at degree 8, so a doubled pbar_4 is only seen there
     import kromatic.symfunc as symfunc
-    pbar = symfunc.basis_pbar
-    monkeypatch.setattr(symfunc, "basis_pbar", lambda k, N: pbar(k, N).scale(
-        2 if k == 4 else 1))
+    element = symfunc.basis_element
+    monkeypatch.setattr(
+        symfunc, "basis_element", lambda basis, lam, N: element(
+            basis, lam, N).scale(2 if (basis, lam) == ("pbar", (4,)) else 1))
     assert main(["verify", "--suite", "numbers"]) == 1
     out = capsys.readouterr().out
     assert "FAIL omega-basis-rules-k4" in out
@@ -354,6 +355,13 @@ def test_verify_check_names_mirror_anchors(capsys):
     assert rc == 0
     assert "PASS thm-1.2-K2-lambda-41" in out
     assert "FAIL" not in out
+
+
+def test_check_names_split_parts_of_ten_and_more():
+    names = {name for _, name, _ in build_checks(
+        [("K1", bundled_graph("k1"))], 11, {"theorems"})}
+    assert "thm-1.2-K1-lambda-11" in names
+    assert "thm-1.2-K1-lambda-10-1" in names
 
 
 def test_verify_report_out(tmp_path, capsys):
@@ -412,6 +420,7 @@ def test_config_errors_exit_two():
                  ["expand", "--graph", "k2", "--degree", "5", "--vars", "3"],
                  ["expand", "--graph", "nosuch"],
                  ["qexpand", "--model", "ui-k2", "--q", "1/0"],
+                 ["qexpand", "--degree", "3"],
                  ["verify", "--suite", "nosuchsuite"],
                  ["verify", "--degree", "0"],
                  ["verify", "--graph", "k2", "--degree", "-1"],

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from kromatic import bundled_graph
 from kromatic.core import (
     brute_force_chromatic, brute_force_kromatic,
-    chromatic_p_expansion_oracles, exponent_a, exponent_b, exponent_c,
-    exponent_d, independence_multiset, kromatic, kromatic_from_multiset,
+    chromatic_p_expansion_oracles, exponent, independence_multiset,
+    kromatic, kromatic_from_multiset,
     omega_kromatic, omega_pbar_coefficients_via_subsets, proper_set_colorings,
     recover_signed_exponent_multiset, signed_exponent_family,
     theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
@@ -69,14 +69,15 @@ def test_kromatic_lowest_degree_is_chromatic():
 
 
 def test_exponent_families_k2():
-    assert [exponent_d(K2, k) for k in range(1, 6)] == [2, 1, 2, 3, 6]
-    assert exponent_d(K2, 4) == 3
-    assert [exponent_b(K2, k) for k in range(1, 6)] == [2, 3, 2, 6, 6]
-    assert exponent_c(K2, 2) == -3
-    assert [exponent_a(K2, k) for k in range(1, 6)] == [2, -1, 2, -4, 6]
+    assert [exponent(K2, k, "1.5") for k in range(1, 6)] == [2, 1, 2, 3, 6]
+    assert exponent(K2, 4, "1.5") == 3
+    assert [exponent(K2, k, "1.3") for k in range(1, 6)] == [2, 3, 2, 6, 6]
+    assert exponent(K2, 2, "1.4") == -3
+    assert [exponent(K2, k, "1.2") for k in range(1, 6)] == [2, -1, 2, -4, 6]
     # subset supports restrict the Lyndon counts
-    assert exponent_d(K2, 1, support=0b01) == 1
-    assert exponent_b(K2, 2, support=0b01) == 1  # sizes 2, 1 on one vertex
+    assert exponent(K2, 1, "1.5", support=0b01) == 1
+    # sizes 2, 1 on one vertex
+    assert exponent(K2, 2, "1.3", support=0b01) == 1
 
 
 def test_verify_factorization_full_support():
@@ -97,11 +98,10 @@ def test_verify_factorization_subsets():
 def test_verify_factorization_rejects_wrong_exponent(monkeypatch):
     # one exponent off by one, at any k <= N, must break every claim
     import kromatic.core as core
-    exponent = core._exponent
     for bad_k in range(1, 5):
         monkeypatch.setattr(
-            core, "_exponent", lambda g, k, support, rule, bad_k=bad_k:
-            exponent(g, k, support, rule) + (k == bad_k))
+            core, "exponent", lambda g, k, rule, support=None, bad_k=bad_k:
+            exponent(g, k, rule, support) + (k == bad_k))
         for variant in "abcd":
             with pytest.raises(AssertionError):
                 verify_factorization(P3, variant, 4)
@@ -185,7 +185,7 @@ def test_classical_p_oracles():
 
 def test_independence_multiset():
     ms = independence_multiset(K2)
-    assert ms.entries == (((1,), 0), ((1, 1), 1), ((1, 1), 1), ((1, 2), 2))
+    assert ms == (((1,), 0), ((1, 1), 1), ((1, 1), 1), ((1, 2), 2))
     for g in (K2, P3, C4):
         ms = independence_multiset(g)
         F = brute_force_kromatic(g, 4, 4)
@@ -197,7 +197,7 @@ def test_recover_signed_family_tiny():
     # one-vertex graph, sizes up to 1: subsets contribute -1 at (0,) and
     # +1 at (1,)
     F = omega_kromatic(K1, 1)
-    got = recover_signed_exponent_multiset(F, 1, (1,))
+    got = recover_signed_exponent_multiset(extract(F, "pbar"), (1,))
     assert got == {(0,): -1, (1,): 1}
 
 
@@ -206,7 +206,7 @@ def test_recover_signed_family_k2_from_extraction():
     F = omega_kromatic(K2, 8)
     fam = signed_exponent_family(K2, 2)
     assert fam == {(0, 0): 1, (1, 1): -2, (2, 3): 1}
-    got = recover_signed_exponent_multiset(F, 2, (2, 3))
+    got = recover_signed_exponent_multiset(extract(F, "pbar"), (2, 3))
     assert got == fam
 
 
@@ -215,13 +215,14 @@ def test_recover_signed_family_p3_from_extraction():
     F = omega_kromatic(P3, 13)
     fam = signed_exponent_family(P3, 2)
     assert fam == {(0, 0): -1, (1, 1): 3, (2, 2): -1, (2, 3): -2, (3, 5): 1}
-    assert recover_signed_exponent_multiset(F, 2, (3, 5)) == fam
+    assert recover_signed_exponent_multiset(extract(F, "pbar"), (3, 5)) == fam
 
 
 def test_recover_requires_enough_degree():
     F = omega_kromatic(K2, 6)
     with pytest.raises(ValueError):
-        recover_signed_exponent_multiset(F, 2, (2, 3))  # needs degree 8
+        # needs degree 8
+        recover_signed_exponent_multiset(extract(F, "pbar"), (2, 3))
 
 
 def test_recover_signed_family_k4_forward():
@@ -231,12 +232,12 @@ def test_recover_signed_family_k4_forward():
     # that the coefficients determine the signed family
     import itertools
     for g in (K2, P3):
-        caps = tuple(exponent_b(g, k) for k in range(1, 5))
+        caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
         fam = signed_exponent_family(g, 4)
         assert set(fam) <= set(itertools.product(*(range(c + 1) for c in caps)))
         box = list(itertools.product(*(range(c + 1) for c in caps)))
         exp = omega_pbar_coefficients_via_subsets(g, box)
-        got = recover_signed_exponent_multiset(exp, 4, caps)
+        got = recover_signed_exponent_multiset(exp, caps)
         assert got == fam
 
 

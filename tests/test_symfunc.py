@@ -9,8 +9,8 @@ from kromatic.graphs import independence_polynomial
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import partitions_of, partitions_up_to, QPoly
 from kromatic.symfunc import (
-    Expansion, SymPoly, assemble, basis_element, basis_p, basis_pbar,
-    basis_pbarprime, extract, omega, p_decompose_homogeneous,
+    Expansion, SymPoly, assemble, basis_element, extract, omega,
+    p_decompose_homogeneous,
     product_over_variables, series_log, series_neg_sub,
     series_reciprocal, series_truncate, sympoly_from_vector_counts,
     verify_omega_basis_identities,
@@ -116,9 +116,13 @@ def test_product_over_variables():
 
 def test_bases():
     N = 5
-    assert basis_pbar(2, N) == _m({(2,): 1, (2, 2): 1}, N)
-    assert basis_pbarprime(2, N) == _m({(2,): 1, (4,): 1, (2, 2): 1}, N)
-    assert basis_p(2, N).c == {(2,): 1}
+    assert basis_element("pbar", (2,), N) == _m({(2,): 1, (2, 2): 1}, N)
+    assert basis_element("pbarprime", (2,), N) == _m(
+        {(2,): 1, (4,): 1, (2, 2): 1}, N)
+    assert basis_element("p", (2,), N).c == {(2,): 1}
+    # every basis truncates to degree N alike
+    for basis in ("p", "pbar", "pbarprime"):
+        assert basis_element(basis, (3, 3), N) == 0
     assert basis_element("pbar", (1,), N) == _m(
         {(1,): 1, (1, 1): 1, (1, 1, 1): 1, (1, 1, 1, 1): 1,
          (1, 1, 1, 1, 1): 1}, N)
@@ -218,8 +222,10 @@ def test_omega_basis_identities_reject_identity_omega(monkeypatch):
     # a wrong pbar alone must fail too: at even k only the pbar half of the
     # reciprocal rule sees it, from degree 2k on
     monkeypatch.undo()
-    monkeypatch.setattr(symfunc, "basis_pbar",
-                        lambda k, N, pbar=basis_pbar: pbar(k, N).scale(2))
+    monkeypatch.setattr(
+        symfunc, "basis_element",
+        lambda basis, lam, N, element=basis_element: element(
+            basis, lam, N).scale(2 if basis == "pbar" else 1))
     for k in (2, 4):
         with pytest.raises(AssertionError, match=r"omega\(1\+pbar_"):
             verify_omega_basis_identities(k, 2 * k)
