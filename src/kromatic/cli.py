@@ -14,6 +14,7 @@ Exit status: 0 success, 1 failed verification (or failed computation),
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -303,7 +304,6 @@ def build_checks(named_graphs, N, suites):
         == signed_exponent_family(P3, 2))
 
     def recover_k4(g):
-        import itertools
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
         box = list(itertools.product(*(range(c + 1) for c in caps)))
         exp = omega_pbar_coefficients_via_subsets(g, box)
@@ -454,8 +454,8 @@ def validate(args, parser):
     if args.degree < 1:
         parser.error("--degree must be at least 1")
     if getattr(args, "vars", None) is not None and args.vars < args.degree:
-        parser.error("--vars must be at least --degree for a faithful "
-                     "monomial conversion")
+        parser.error("--vars, the variable count reported in the JSON, "
+                     "must be at least --degree")
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be positive")
     if args.mode in ("expand", "lyndon", "independence") and not args.graph:

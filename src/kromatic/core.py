@@ -17,7 +17,7 @@ import itertools
 
 from .graphs import independence_polynomial, mask_vertices, popcount
 from .heaps import enumerate_lyndon, lyndon_count
-from .numbers import binomial, multichoose, multiplicities
+from .numbers import binomial, multiplicities
 from .symfunc import (
     Expansion, SymPoly, generator_series, product_over_variables,
     series_log, series_neg_sub, series_reciprocal, sympoly_from_vector_counts,
@@ -208,12 +208,6 @@ def chromatic_p_expansion_oracles(g):
 # ---------------------------------------------------------------------------
 # exponent families from Lyndon heap counts
 
-def _menu_pool(g, k, support, which):
-    """Lyndon heaps (inside the support) of the sizes that rule `which`
-    allows for a part of value k."""
-    return sum(lyndon_count(g, s, support) for s in _menu_sizes(k, which))
-
-
 def exponent(g, k, rule, support=None):
     """The exponent e(k) of 1 + basis_k in the factorization of rule 1.2,
     1.3, 1.4 or 1.5: rule_sign(rule, (k,)) times the Lyndon heaps (inside
@@ -224,7 +218,8 @@ def exponent(g, k, rule, support=None):
       1.3: the sum of L(k / 2^j) over all j with 2^j | k;
       1.4: L(k) for odd k, -L(k) for 4 | k, else -(L(k) + L(k/2));
       1.5: L(k)."""
-    return rule_sign(rule, (k,)) * _menu_pool(g, k, support, rule)
+    pool = sum(lyndon_count(g, s, support) for s in _menu_sizes(k, rule))
+    return rule_sign(rule, (k,)) * pool
 
 
 def verify_factorization(g, variant, N):
@@ -261,8 +256,9 @@ def _menu_sizes(k, which):
 
     Heaps may repeat exactly when rule_sign(which, (k,)) < 0: the factor
     (1 + basis_k)^e of the rule's factorization then has e = -m with m the
-    menu size, and (1 + x)^(-m) = sum_i multichoose(m, i) (-x)^i, where
-    (1 + x)^m = sum_i binomial(m, i) x^i picks distinct heaps."""
+    menu size, and the coefficient binomial(-m, i) = (-1)^i C(m + i - 1, i)
+    of x^i in (1 + x)^(-m) counts, up to sign, the multisets of i heaps,
+    where binomial(m, i) for e = m counts the sets."""
     if which == "1.2":
         sizes = [k]  # then its halvings while they stay even
         while sizes[-1] % 4 == 0:
@@ -310,22 +306,27 @@ def theorem_coefficient(g, lam, which):
     return total
 
 
-def theorem_coefficient_subsets(g, lam, which):
-    """Same count as theorem_coefficient, by inclusion-exclusion over vertex
-    subsets with per-subset binomial/multichoose products.  Subsets are
-    grouped by their tuple of menu pools first."""
-    mult = list(multiplicities(lam).items())
-
-    def pools(mask):
-        return tuple(_menu_pool(g, k, mask, which) for k, _ in mult)
-
+def _binomial_sum(family, u):
+    """sum of w * prod_k C(v_k, u_k) over a signed family {v: w}."""
     total = 0
-    for pool_tuple, w in signed_subset_sum(g, pools).items():
-        for pool, (k, i_k) in zip(pool_tuple, mult):
-            repeat = rule_sign(which, (k,)) < 0
-            w *= multichoose(pool, i_k) if repeat else binomial(pool, i_k)
+    for v, w in family.items():
+        for v_k, u_k in zip(v, u):
+            w *= binomial(v_k, u_k)
         total += w
     return total
+
+
+def theorem_coefficient_subsets(g, lam, which):
+    """Same count as theorem_coefficient, by inclusion-exclusion over vertex
+    subsets W: rule_sign(which, lam) times the sum of (-1)^(n - |W|)
+    prod_k C(e_W(k), m_k) over the distinct parts k of lam, with m_k their
+    multiplicities and e_W the rule's exponents inside W.  Where e_W(k) < 0,
+    C(e_W(k), m_k) counts multisets of heaps up to the sign (-1)^m_k, and
+    those signs multiply to rule_sign(which, lam)."""
+    mult = multiplicities(lam)
+    family = signed_subset_sum(
+        g, lambda mask: tuple(exponent(g, k, which, mask) for k in mult))
+    return rule_sign(which, lam) * _binomial_sum(family, tuple(mult.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +381,7 @@ def omega_pbar_coefficients_via_subsets(g, vectors):
     for u in vectors:
         lam = _lambda_of_vector(u)
         n_deg = max(n_deg, sum(lam))
-        total = 0
-        for v, w in family.items():
-            for v_k, u_k in zip(v, u):
-                w *= binomial(v_k, u_k)
-            total += w
+        total = _binomial_sum(family, u)
         if total:
             coeffs[lam] = total
     return Expansion("pbar", n_deg, coeffs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-from . import symfunc
 from .graphs import mask_of
 from .numbers import divisors, mobius
 
@@ -73,14 +72,6 @@ class Heap:
     @property
     def size(self):
         return len(self.word)
-
-    @property
-    def type(self):
-        """Multiplicity vector alpha: alpha[v-1] = copies of vertex v."""
-        alpha = [0] * self.graph.n
-        for v in self.word:
-            alpha[v - 1] += 1
-        return tuple(alpha)
 
     def __eq__(self, other):
         return (isinstance(other, Heap)
@@ -314,12 +305,12 @@ def lyndon_count(g, n, support=None):
 
 
 _CACHED = (_deps, enumerate_heaps, enumerate_pyramids, enumerate_lyndon,
-           _lyndon_counts_by_support, symfunc.basis_element, symfunc._p_to_m)
+           _lyndon_counts_by_support)
 
 
 def clear_caches():
-    """Empty every module-level cache of the heap layer and the symmetric
-    function layer, so that the next call recomputes from scratch."""
+    """Empty every module-level cache of the heap layer, so that the next
+    call recomputes from scratch."""
     for fn in _CACHED:
         fn.cache_clear()
 
@@ -385,10 +376,11 @@ def lyndon_factorize(h):
     return results[0]
 
 
-def ascent_count(h):
-    """Pairs of pieces (a, b) with a before b in the canonical word, vertices
-    adjacent in the host graph, and vertex(a) < vertex(b)."""
-    g, w = h.graph, h.word
+def ascent_count(g, w):
+    """Pairs of pieces (a, b) of the heap with word w on g, with a before b
+    in w, vertices adjacent in g, and vertex(a) < vertex(b).  Adjacent
+    pieces never commute, so every word of the heap lists each such pair in
+    the same order and gives the same count."""
     total = 0
     for i in range(len(w)):
         for j in range(i + 1, len(w)):

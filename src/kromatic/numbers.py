@@ -104,20 +104,13 @@ def mu_hat(n):
 
 
 def binomial(n, k):
+    """C(n, k) for any integer n: for n = -m < 0 it is the coefficient of
+    x^k in (1 + x)^(-m), (-1)^k C(m + k - 1, k)."""
     if k < 0:
         return 0
+    if n < 0:
+        return (-1) ** k * comb(k - n - 1, k)
     return comb(n, k)
-
-
-def multichoose(n, k):
-    """Multisets of size k from n kinds: C(n+k-1, k)."""
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
-    if n <= 0:
-        return 0
-    return comb(n + k - 1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +146,6 @@ class QPoly:
     @staticmethod
     def q(power=1):
         return QPoly((0,) * power + (1,))
-
-    @property
-    def degree(self):
-        return len(self.c) - 1  # -1 for the zero polynomial
 
     def __bool__(self):
         return bool(self.c)

@@ -25,7 +25,7 @@ from operator import add, mul
 from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
                    rule_sign)
 from .graphs import clan_graph, independent_sets, popcount
-from .heaps import ascent_count, compose_all, enumerate_pyramids
+from .heaps import ascent_count, enumerate_pyramids
 from .numbers import (QPoly, compositions_up_to, divisors, mobius, mu_hat,
                       partitions_up_to, q_factorial, z_lambda)
 from .symfunc import SymPoly, sympoly_from_vector_counts
@@ -161,7 +161,7 @@ def kromatic_q_via_clans(g, N, M):
 def ascent_polynomial(g, sizes):
     """Generating function sum q^ascents over ordered lists of pyramids with
     the given sizes whose supports jointly cover every vertex, each list
-    composed into one heap."""
+    composed into one heap and read off the concatenation of its words."""
     if not sizes:
         return QPoly(1) if g.n == 0 else QPoly()
     lists = [enumerate_pyramids(g, s) for s in sizes]
@@ -172,7 +172,8 @@ def ascent_polynomial(g, sizes):
         for h in combo:
             m |= h.support_mask
         if m == full:
-            _q_shift_add(counts, (1,), ascent_count(compose_all(combo)))
+            word = sum((h.word for h in combo), ())
+            _q_shift_add(counts, (1,), ascent_count(g, word))
     return QPoly(counts)
 
 

@@ -25,17 +25,16 @@ def series_truncate(f, n):
     return tuple(f[: n + 1]) + (0,) * max(0, n + 1 - len(f))
 
 def series_reciprocal(f, n):
-    """1/f mod t^(n+1); constant term must be 1 or -1."""
+    """1/f mod t^(n+1); constant term must be 1."""
     f = series_truncate(f, n)
-    if f[0] not in (1, -1):
-        raise ValueError("series_reciprocal needs constant term +-1")
-    inv0 = f[0]
-    out = [inv0] + [0] * n
+    if f[0] != 1:
+        raise ValueError("series_reciprocal needs constant term 1")
+    out = [1] + [0] * n
     for m in range(1, n + 1):
         acc = 0
         for k in range(1, m + 1):
             acc += f[k] * out[m - k]
-        out[m] = -inv0 * acc
+        out[m] = -acc
     return tuple(out)
 
 
@@ -107,9 +106,6 @@ class SymPoly:
 
     def coeff(self, lam):
         return self.c.get(tuple(lam), 0)
-
-    def constant(self):
-        return self.c.get((), 0)
 
     def __bool__(self):
         return bool(self.c)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kromatic.numbers import (
-    QPoly, binomial, compositions, divisors, mobius, mu_hat, multichoose,
+    QPoly, binomial, compositions, divisors, mobius, mu_hat,
     multiplicities, partition_sort_key, partitions_of, partitions_up_to,
     q_factorial, q_int, z_lambda,
 )
@@ -84,9 +84,12 @@ def test_mu_hat_dirichlet_inverse():
 def test_binomial_multichoose():
     assert binomial(4, 2) == 6
     assert binomial(3, 5) == 0
-    assert multichoose(3, 2) == 6
-    assert multichoose(0, 0) == 1
-    assert multichoose(0, 2) == 0
+    # C(-m, k) = (-1)^k C(m + k - 1, k): multisets of size k from m kinds
+    assert binomial(-3, 2) == 6
+    assert binomial(0, 0) == 1
+    assert binomial(0, 2) == 0
+    assert binomial(-1, 3) == -1
+    assert binomial(-2, 0) == 1
 
 
 def test_qpoly_ring_ops():

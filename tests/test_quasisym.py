@@ -153,8 +153,7 @@ def test_pyramid_expansion_is_omega_image():
 def test_unrestricted_pair_statistic_fails(monkeypatch):
     # counting all vertex-order ascents, not just adjacent ones, breaks the
     # expansion on any graph with a non-edge
-    def all_pairs(h):
-        w = h.word
+    def all_pairs(g, w):
         return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
                    if w[i] < w[j])
 

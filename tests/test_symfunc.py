@@ -24,8 +24,9 @@ def test_series_ops():
     log = series_log(series_reciprocal((1, -1), 4), 4)
     assert log == (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
     assert series_neg_sub((1, 2, 3)) == (1, -2, 3)
-    with pytest.raises(ValueError):
-        series_reciprocal((2, 1), 3)
+    for bad in ((2, 1), (-1, 1)):
+        with pytest.raises(ValueError):
+            series_reciprocal(bad, 3)
     with pytest.raises(ValueError):
         series_log((0, 1), 3)
 
