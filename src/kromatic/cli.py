@@ -414,7 +414,8 @@ def make_parser():
                            "on it")
         if q:
             p.add_argument("--q", default=None,
-                           help="evaluate q-polynomials at this rational")
+                           help="evaluate q-polynomials at this rational; "
+                           "give a negative fraction as --q=-2/3")
         p.add_argument("--degree", type=int, default=5,
                        help="truncation degree N (default 5)")
         p.add_argument("--out", default=None, help="write JSON here "

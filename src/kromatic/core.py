@@ -20,7 +20,8 @@ from .heaps import enumerate_lyndon, lyndon_count
 from .numbers import binomial, multiplicities
 from .symfunc import (
     Expansion, SymPoly, generator_series, product_over_variables,
-    series_log, series_neg_sub, series_reciprocal, sympoly_from_vector_counts,
+    series_log_derivative, series_neg_sub, series_reciprocal,
+    sympoly_from_vector_counts,
 )
 
 
@@ -141,22 +142,6 @@ def brute_force_kromatic(g, N, M):
     return sympoly_from_vector_counts(counts, M, N)
 
 
-def brute_force_chromatic(g, M):
-    """The classical proper-coloring generating function with M colors
-    (homogeneous of degree n)."""
-    counts = {}
-    for assignment in itertools.product(range(M), repeat=g.n):
-        ok = all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges)
-        if not ok:
-            continue
-        vec = [0] * M
-        for c in assignment:
-            vec[c] += 1
-        vec = tuple(vec)
-        counts[vec] = counts.get(vec, 0) + 1
-    return sympoly_from_vector_counts(counts, M, g.n)
-
-
 # ---------------------------------------------------------------------------
 # classical power-sum oracles
 
@@ -231,17 +216,20 @@ def verify_factorization(g, variant, N):
     exp(sum_j c_j p_j) for c = log f, both sides are exponentials of
     power sums, and the p_(j) coefficient of exp(sum_j c_j p_j) is c_j.
     So the two sides agree through degree N exactly when log F and
-    sum_k e(k) log g_k agree through t^N, which is what is compared.
-    Returns True; raises AssertionError with context on failure."""
+    sum_k e(k) log g_k agree through t^N, that is when their integer
+    log derivatives t F'/F and sum_k e(k) t g_k'/g_k do, which is what is
+    compared.  Returns True; raises AssertionError with context on
+    failure."""
     rule = CLAIMS[variant]
     image, basis = RULES[rule]
-    lhs = series_log(
+    lhs = series_log_derivative(
         image_series(independence_polynomial(g), N, image), N)
     rhs = [0] * (N + 1)
     for k in range(1, N + 1):
         e = exponent(g, k, rule)
         if e:
-            for j, c in enumerate(series_log(generator_series(basis, k, N), N)):
+            for j, c in enumerate(series_log_derivative(
+                    generator_series(basis, k, N), N)):
                 rhs[j] += e * c
     assert lhs == tuple(rhs), (
         f"factorization variant {variant!r} fails on {g!r} at N={N}")

@@ -98,18 +98,6 @@ def heap_from_word(g, word):
     return Heap(g, canonical_word(g, word))
 
 
-def compose_all(heaps):
-    """Stack the heaps in order, each above the ones before it."""
-    it = iter(heaps)
-    first = next(it)
-    word = first.word
-    for h in it:
-        if h.graph != first.graph:
-            raise ValueError("heaps live on different graphs")
-        word = word + h.word
-    return Heap(first.graph, canonical_word(first.graph, word))
-
-
 def sources(h):
     """Piece indices with no dependent piece before them."""
     dep = _deps(h.graph)
@@ -197,13 +185,6 @@ def rotation_class(h):
         r = rotate_to_source(h, p)
         seen[r.word] = r
     return [seen[w] for w in sorted(seen)]
-
-
-def is_aperiodic(h):
-    """True iff h is not a d-fold power of a smaller heap for any d >= 2."""
-    return not any(canonical_word(h.graph, k.word * d) == h.word
-                   for d in divisors(h.size)[1:]
-                   for k in enumerate_heaps(h.graph, h.size // d))
 
 
 def is_lyndon(h):
@@ -387,22 +368,6 @@ def ascent_count(g, w):
             if w[i] < w[j] and g.adjacent(w[i], w[j]):
                 total += 1
     return total
-
-
-def heap_count_identity_defect(g, max_n):
-    """Coefficients of (sum_n #Heaps(n) t^n) * I_G(-t) - 1 up to degree
-    max_n; all zero when the counting identity holds."""
-    from .graphs import independence_polynomial
-    ind = independence_polynomial(g)
-    counts = [len(enumerate_heaps(g, n)) for n in range(max_n + 1)]
-    out = []
-    for n in range(max_n + 1):
-        acc = 0
-        for k, c in enumerate(ind):
-            if k <= n:
-                acc += counts[n - k] * c * (-1) ** k
-        out.append(acc - (1 if n == 0 else 0))
-    return out
 
 
 def lyndon_mobius_check(g, n):

@@ -116,10 +116,23 @@ def binomial(n, k):
 # ---------------------------------------------------------------------------
 # q-polynomials
 
-def _norm_scalar(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
+def norm_scalar(x):
+    """x, with an integral Fraction turned into an int.  The test is on the
+    type: isinstance against Fraction goes through the ABC machinery, which
+    is slow on the many ints that pass through here."""
+    if type(x) is Fraction and x.denominator == 1:
         return int(x)
     return x
+
+
+def scalar_div(x, d):
+    """x / d for an int d != 0 and x an int, Fraction or QPoly (divided
+    coefficientwise), giving an int wherever the quotient is integral."""
+    if isinstance(x, QPoly):
+        return QPoly(tuple(scalar_div(y, d) for y in x.c))
+    if isinstance(x, int) and x % d == 0:
+        return x // d
+    return norm_scalar(Fraction(x, d))
 
 
 class QPoly:
@@ -135,7 +148,7 @@ class QPoly:
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        c = [_norm_scalar(x) for x in coeffs]
+        c = [norm_scalar(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "c", tuple(c))
@@ -210,7 +223,7 @@ class QPoly:
         acc = 0
         for x in reversed(self.c):
             acc = acc * value + x
-        return _norm_scalar(acc)
+        return norm_scalar(acc)
 
     def divexact(self, other):
         """Exact polynomial division; raises ValueError on nonzero remainder."""

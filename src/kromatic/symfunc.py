@@ -1,12 +1,22 @@
 """Truncated symmetric functions in the power-sum basis, exactly.
 
 A SymPoly holds the coefficients of the power sums p_lambda, truncated to
-total degree <= N.  Coefficients live in any exact commutative ring (int,
-Fraction, QPoly).  The product is the union of partitions, omega is a sign
-on each p_lambda, and a product over variables prod_i f(x_i) is
-exp(sum_k c_k p_k) with sum_k c_k t^k = log f(t), so no number of variables
-enters.  Monomials appear only in sympoly_from_vector_counts, which reads
-the exponent-vector counts of the brute-force oracles.
+total degree <= N, each stored times |lambda|! (the exponential
+normalization).  The p_lambda coefficient of an integral symmetric function
+has a denominator dividing z_lambda, which divides |lambda|!, so for F(G),
+its omega image, every basis element and the q-refined series the stored
+values are ints (or QPolys over the ints) and all the arithmetic below is
+integer arithmetic; a Fraction then appears only where a coefficient that
+is really fractional is read out (coeff, terms, map_coeffs, repr).  Values
+that are not integral (a Fraction, a QPoly with Fraction coefficients) take
+the same code through Python's numeric tower.
+
+The product is the union of partitions, with the stored values multiplied
+by C(|lambda| + |mu|, |lambda|); omega is a sign on each p_lambda; and a
+product over variables prod_i f(x_i) is exp(sum_k c_k p_k) with
+sum_k c_k t^k = log f(t), so no number of variables enters.  Monomials
+appear only in sympoly_from_vector_counts, which reads the exponent-vector
+counts of the brute-force oracles.
 
 USeries values are plain tuples of coefficients, index = degree.
 """
@@ -14,8 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
-from .numbers import QPoly, partition_sort_key, partitions_of
+from .numbers import (QPoly, norm_scalar, partition_sort_key, partitions_of,
+                      scalar_div)
 
 
 # ---------------------------------------------------------------------------
@@ -38,17 +50,18 @@ def series_reciprocal(f, n):
     return tuple(out)
 
 
-def series_log(f, n):
-    """log f mod t^(n+1) over Fraction; constant term must be 1."""
+def series_log_derivative(f, n):
+    """t f'/f mod t^(n+1), whose t^k coefficient is k [t^k] log f; it stays
+    in the coefficient ring of f.  The constant term of f must be 1."""
     f = series_truncate(f, n)
     if f[0] != 1:
-        raise ValueError("series_log needs constant term 1")
-    out = [Fraction(0)] * (n + 1)
+        raise ValueError("series_log_derivative needs constant term 1")
+    out = [0] * (n + 1)
     for m in range(1, n + 1):
-        acc = Fraction(m) * f[m]
+        acc = m * f[m]
         for k in range(1, m):
-            acc -= k * out[k] * f[m - k]
-        out[m] = acc / m
+            acc -= out[k] * f[m - k]
+        out[m] = acc
     return tuple(out)
 
 
@@ -69,14 +82,16 @@ def _add_term(out, lam, v):
 
 
 class SymPoly:
-    """Symmetric function truncated to degree <= N, stored as
-    {partition: coefficient of p_partition}.  Two SymPolys are equal only
-    when N is equal too, and arithmetic between different N is refused."""
+    """Symmetric function truncated to degree <= N.  `scaled` maps each
+    partition lam to |lam|! times the coefficient of p_lam; the constructor,
+    coeff and terms take and give the coefficients themselves.  Two
+    SymPolys are equal only when N is equal too, and arithmetic between
+    different N is refused."""
 
-    __slots__ = ("N", "c")
+    __slots__ = ("N", "scaled")
 
     def __init__(self, N, coeffs=None):
-        c = {}
+        scaled = {}
         for lam, v in (coeffs or {}).items():
             lam = tuple(lam)
             if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or \
@@ -85,16 +100,16 @@ class SymPoly:
             if sum(lam) > N:
                 raise ValueError(f"partition {lam} exceeds N={N}")
             if v:
-                c[lam] = v
+                scaled[lam] = norm_scalar(v * factorial(sum(lam)))
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "scaled", scaled)
 
     @classmethod
-    def _of(cls, N, c):
-        """Wrap a dict of nonzero terms already known to be valid."""
+    def _of(cls, N, scaled):
+        """Wrap a dict of nonzero stored values already known to be valid."""
         self = object.__new__(cls)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "scaled", scaled)
         return self
 
     def __setattr__(self, *a):
@@ -105,16 +120,22 @@ class SymPoly:
         return cls(N, {(): value} if value else {})
 
     def coeff(self, lam):
-        return self.c.get(tuple(lam), 0)
+        lam = tuple(lam)
+        return scalar_div(self.scaled.get(lam, 0), factorial(sum(lam)))
+
+    def terms(self):
+        """{partition: coefficient of p_partition} over the nonzero terms."""
+        return {lam: scalar_div(v, factorial(sum(lam)))
+                for lam, v in self.scaled.items()}
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.scaled)
 
     def __eq__(self, other):
         if isinstance(other, SymPoly):
-            return self.N == other.N and self.c == other.c
+            return self.N == other.N and self.scaled == other.scaled
         if other == 0:
-            return not self.c
+            return not self.scaled
         return NotImplemented
 
     def _same_N(self, other):
@@ -126,8 +147,8 @@ class SymPoly:
     def __add__(self, other):
         if isinstance(other, SymPoly):
             N = self._same_N(other)
-            out = dict(self.c)
-            for lam, v in other.c.items():
+            out = dict(self.scaled)
+            for lam, v in other.scaled.items():
                 _add_term(out, lam, v)
             return SymPoly._of(N, out)
         if isinstance(other, (int, Fraction, QPoly)):
@@ -137,7 +158,7 @@ class SymPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly._of(self.N, {l: -v for l, v in self.c.items()})
+        return SymPoly._of(self.N, {l: -v for l, v in self.scaled.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -145,33 +166,38 @@ class SymPoly:
     def scale(self, scalar):
         if scalar == 0:
             return SymPoly._of(self.N, {})
-        return SymPoly._of(self.N,
-                           {l: scalar * v for l, v in self.c.items()})
+        return SymPoly._of(self.N, {l: norm_scalar(scalar * v)
+                                    for l, v in self.scaled.items()})
 
     def __mul__(self, other):
-        """p_lam * p_mu = p_(lam union mu), dropping degrees above N."""
+        """p_lam * p_mu = p_(lam union mu), dropping degrees above N; the
+        stored values multiply with C(|lam| + |mu|, |lam|)."""
         if isinstance(other, (int, Fraction, QPoly)):
             return self.scale(other)
         if not isinstance(other, SymPoly):
             return NotImplemented
         N = self._same_N(other)
-        right = [(mu, sum(mu), b) for mu, b in other.c.items()]
+        right = [[] for _ in range(N + 1)]
+        for mu, b in other.scaled.items():
+            right[sum(mu)].append((mu, b))
         out = {}
-        for lam, a in self.c.items():
-            room = N - sum(lam)
-            for mu, d, b in right:
-                if d <= room:
+        for lam, a in self.scaled.items():
+            d = sum(lam)
+            for e in range(N - d + 1):
+                ca = comb(d + e, d) * a
+                for mu, b in right[e]:
                     _add_term(out, tuple(sorted(lam + mu, reverse=True)),
-                              a * b)
+                              ca * b)
         return SymPoly._of(N, out)
 
     __rmul__ = __mul__
 
     def map_coeffs(self, fn):
-        return SymPoly(self.N, {l: fn(v) for l, v in self.c.items()})
+        return SymPoly(self.N, {l: fn(v) for l, v in self.terms().items()})
 
     def __repr__(self):
-        items = sorted(self.c.items(), key=lambda kv: partition_sort_key(kv[0]))
+        items = sorted(self.terms().items(),
+                       key=lambda kv: partition_sort_key(kv[0]))
         body = " + ".join(f"{v!r}*p{list(l)}" for l, v in items[:12])
         more = "" if len(items) <= 12 else f" ... ({len(items)} terms)"
         return f"SymPoly(N={self.N}: {body}{more})"
@@ -180,26 +206,29 @@ class SymPoly:
 def product_over_variables(f, N):
     """prod_i f(x_i) truncated to degree N, for a USeries f with constant
     term 1.  With c = log f, this is exp(sum_k c_k p_k), whose p_lambda
-    coefficient is prod_i c_(lambda_i) / prod_k m_k(lambda)!; only parts k
-    with c_k != 0 occur."""
-    c = series_log(f, N)
-    parts = [k for k in range(N, 0, -1) if c[k]]
+    coefficient is prod_i c_(lambda_i) / prod_k m_k(lambda)!.  In terms of
+    d = t f'/f, with d_k = k c_k, that is prod_i d_(lambda_i) / z_lambda, so
+    the stored value is (|lambda|! / z_lambda) prod_i d_(lambda_i), where
+    |lambda|! / z_lambda counts the permutations of cycle type lambda.  Only
+    parts k with d_k != 0 occur."""
+    d = series_log_derivative(f, N)
+    parts = [k for k in range(N, 0, -1) if d[k]]
     out = {}
 
-    def rec(i, lam, room, coeff):
+    def rec(i, lam, room, z, prod):
         if i == len(parts):
-            out[lam] = coeff
+            out[lam] = norm_scalar(factorial(N - room) // z * prod)
             return
         k = parts[i]
         m = 0
         while True:
-            rec(i + 1, lam, room, coeff)
+            rec(i + 1, lam, room, z, prod)
             if k > room:
                 return
             m += 1
-            lam, room, coeff = lam + (k,), room - k, coeff * c[k] / m
+            lam, room, z, prod = lam + (k,), room - k, z * k * m, prod * d[k]
 
-    rec(0, (), N, Fraction(1))
+    rec(0, (), N, 1, 1)
     return SymPoly._of(N, out)
 
 
@@ -236,10 +265,14 @@ def _p_to_m(lam):
 
 def p_decompose_homogeneous(slice_coeffs, n):
     """Write a homogeneous degree-n monomial-basis dict as sum of c_lam
-    p_lam.  Solved triangularly by partition length, longest first: p_lam
-    holds m_lam with coefficient prod_k m_k(lam)! and otherwise only m_mu
-    for shorter mu."""
-    residual = dict(slice_coeffs)
+    p_lam, and return the stored values {lam: n! c_lam}.  Solved
+    triangularly by partition length, longest first: p_lam holds m_lam with
+    coefficient prod_k m_k(lam)! and otherwise only m_mu for shorter mu.
+    The residual is scaled by n!, so that leading coefficient divides it
+    exactly whenever the monomial coefficients are integral (ints or QPolys
+    over the ints)."""
+    f = factorial(n)
+    residual = {mu: f * v for mu, v in slice_coeffs.items()}
     out = {}
     order = sorted(partitions_of(n), key=lambda l: (-len(l), partition_sort_key(l)))
     for lam in order:
@@ -247,14 +280,10 @@ def p_decompose_homogeneous(slice_coeffs, n):
         if not v:
             continue
         row = _p_to_m(lam)
-        lead = row[lam]
-        if isinstance(v, int) and v % lead == 0:
-            c = v // lead
-        else:
-            c = v * Fraction(1, lead)
+        c = scalar_div(v, row[lam])
         out[lam] = c
         for mu, m in row.items():
-            _add_term(residual, mu, -(c * m))
+            _add_term(residual, mu, c * -m)
     if residual:
         raise ValueError(f"degree-{n} slice is not symmetric-consistent: "
                          f"residual {residual}")
@@ -290,7 +319,7 @@ def sympoly_from_vector_counts(counts, M, N):
     out = {}
     for n, sl in by_degree.items():
         out.update(p_decompose_homogeneous(sl, n))
-    return SymPoly(N, out)
+    return SymPoly._of(N, out)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +359,7 @@ def basis_element(basis, lam, N):
 def omega(F):
     """The involution sending p_lam to (-1)^(|lam| - len(lam)) p_lam."""
     return SymPoly._of(F.N, {lam: -v if (sum(lam) - len(lam)) % 2 else v
-                             for lam, v in F.c.items()})
+                             for lam, v in F.scaled.items()})
 
 
 class Expansion:
@@ -365,29 +394,23 @@ class Expansion:
 def extract(F, basis):
     """Expand F over the multiplicative basis ('p', 'pbar', 'pbarprime') by
     peeling degrees in ascending order: each basis element is p_lam plus
-    higher degrees, so the degree-n residual is the degree-n coefficients.
-    Raises if the residual does not vanish."""
-    residual = dict(F.c)
+    higher degrees, so the degree-n residual is the degree-n coefficients,
+    each its stored value divided by n!.  Raises if the residual does not
+    vanish."""
+    residual = dict(F.scaled)
     coeffs = {}
     for n in range(F.N + 1):
+        f = factorial(n)
         for lam in [l for l in residual if sum(l) == n]:
-            c = residual[lam]
+            c = scalar_div(residual[lam], f)
             coeffs[lam] = c
-            for mu, m in basis_element(basis, lam, F.N).c.items():
-                _add_term(residual, mu, -(c * m))
+            for mu, m in basis_element(basis, lam, F.N).scaled.items():
+                _add_term(residual, mu, c * -m)
     if residual:
         raise ValueError(
             f"extraction in basis {basis!r} left a nonzero residual "
             f"({len(residual)} terms); input not in the truncated span")
     return Expansion(basis, F.N, coeffs)
-
-
-def assemble(expansion, N):
-    """Rebuild the SymPoly from an Expansion (inverse of extract)."""
-    acc = SymPoly(N, {})
-    for lam, c in expansion.coeffs.items():
-        acc = acc + basis_element(expansion.basis, lam, N).scale(c)
-    return acc
 
 
 def verify_omega_basis_identities(k, N):

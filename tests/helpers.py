@@ -1,13 +1,21 @@
-"""Shared randomized-property drivers, reused by the acceptance suite, and
-the random-graph strategy of the differential tests."""
+"""Shared randomized-property drivers, reused by the acceptance suite, the
+random-graph strategy of the differential tests, the oracles that only
+tests call, and the Fraction oracle of the power-sum arithmetic."""
 import itertools
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import strategies as st
 
 from kromatic import bundled_graph
-from kromatic.graphs import Graph
-from kromatic.heaps import canonical_word, heap_from_word
+from kromatic.graphs import Graph, independence_polynomial
+from kromatic.heaps import (Heap, canonical_word, enumerate_heaps,
+                            heap_from_word)
+from kromatic.numbers import divisors, partition_sort_key, partitions_of
+from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
+                              generator_series, series_truncate,
+                              sympoly_from_vector_counts)
 
 
 @st.composite
@@ -48,3 +56,193 @@ def check_canonical_invariance(trials=200, seed=20260822):
         assert sorted(cw) == sorted(word)
         assert heap_from_word(g, word) == heap_from_word(g, other)
     return trials
+
+
+# ---------------------------------------------------------------------------
+# oracles only tests call
+
+def brute_force_chromatic(g, M):
+    """The classical proper-coloring generating function with M colors
+    (homogeneous of degree n)."""
+    counts = {}
+    for assignment in itertools.product(range(M), repeat=g.n):
+        ok = all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges)
+        if not ok:
+            continue
+        vec = [0] * M
+        for c in assignment:
+            vec[c] += 1
+        vec = tuple(vec)
+        counts[vec] = counts.get(vec, 0) + 1
+    return sympoly_from_vector_counts(counts, M, g.n)
+
+
+def assemble(expansion, N):
+    """Rebuild the SymPoly from an Expansion (inverse of extract)."""
+    acc = SymPoly(N, {})
+    for lam, c in expansion.coeffs.items():
+        acc = acc + basis_element(expansion.basis, lam, N).scale(c)
+    return acc
+
+
+def compose_all(heaps):
+    """Stack the heaps in order, each above the ones before it."""
+    it = iter(heaps)
+    first = next(it)
+    word = first.word
+    for h in it:
+        if h.graph != first.graph:
+            raise ValueError("heaps live on different graphs")
+        word = word + h.word
+    return Heap(first.graph, canonical_word(first.graph, word))
+
+
+def is_aperiodic(h):
+    """True iff h is not a d-fold power of a smaller heap for any d >= 2."""
+    return not any(canonical_word(h.graph, k.word * d) == h.word
+                   for d in divisors(h.size)[1:]
+                   for k in enumerate_heaps(h.graph, h.size // d))
+
+
+def heap_count_identity_defect(g, max_n):
+    """Coefficients of (sum_n #Heaps(n) t^n) * I_G(-t) - 1 up to degree
+    max_n; all zero when the counting identity holds (Cartier-Foata,
+    Viennot)."""
+    ind = independence_polynomial(g)
+    counts = [len(enumerate_heaps(g, n)) for n in range(max_n + 1)]
+    out = []
+    for n in range(max_n + 1):
+        acc = 0
+        for k, c in enumerate(ind):
+            if k <= n:
+                acc += counts[n - k] * c * (-1) ** k
+        out.append(acc - (1 if n == 0 else 0))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle of the power-sum arithmetic
+#
+# The algorithms of kromatic.symfunc on plain coefficients {partition:
+# coefficient of p_partition} in Fraction arithmetic, with none of the
+# |lambda|! scaling that SymPoly stores: the tests hold SymPoly.terms() and
+# the extractions to these.
+
+def series_log(f, n):
+    """log f mod t^(n+1) over Fraction; constant term must be 1."""
+    f = series_truncate(f, n)
+    if f[0] != 1:
+        raise ValueError("series_log needs constant term 1")
+    out = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        acc = Fraction(m) * f[m]
+        for k in range(1, m):
+            acc -= k * out[k] * f[m - k]
+        out[m] = acc / m
+    return tuple(out)
+
+
+def _add_term(out, lam, v):
+    w = out.get(lam, 0) + v
+    if w:
+        out[lam] = w
+    else:
+        out.pop(lam, None)
+
+
+def oracle_add(a, b):
+    out = dict(a)
+    for lam, v in b.items():
+        _add_term(out, lam, v)
+    return out
+
+
+def oracle_scale(a, scalar):
+    return {lam: scalar * v for lam, v in a.items()} if scalar else {}
+
+
+def oracle_mul(a, b, N):
+    """p_lam * p_mu = p_(lam union mu), dropping degrees above N."""
+    out = {}
+    for lam, x in a.items():
+        for mu, y in b.items():
+            if sum(lam) + sum(mu) <= N:
+                _add_term(out, tuple(sorted(lam + mu, reverse=True)), x * y)
+    return out
+
+
+def oracle_omega(a):
+    return {lam: -v if (sum(lam) - len(lam)) % 2 else v
+            for lam, v in a.items()}
+
+
+def oracle_product_over_variables(f, N):
+    """exp(sum_k c_k p_k) for c = log f: the p_lambda coefficient is
+    prod_i c_(lambda_i) / prod_k m_k(lambda)!."""
+    c = series_log(f, N)
+    parts = [k for k in range(N, 0, -1) if c[k]]
+    out = {}
+
+    def rec(i, lam, room, coeff):
+        if i == len(parts):
+            out[lam] = coeff
+            return
+        k = parts[i]
+        m = 0
+        while True:
+            rec(i + 1, lam, room, coeff)
+            if k > room:
+                return
+            m += 1
+            lam, room, coeff = lam + (k,), room - k, coeff * c[k] / m
+
+    rec(0, (), N, Fraction(1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _oracle_basis_element(basis, lam, N):
+    if basis == "p":
+        return {lam: 1} if sum(lam) <= N else {}
+    if not lam:
+        return {(): 1}
+    if len(lam) == 1:
+        return oracle_add(oracle_product_over_variables(
+            generator_series(basis, lam[0], N), N), {(): -1})
+    return oracle_mul(_oracle_basis_element(basis, lam[:1], N),
+                      _oracle_basis_element(basis, lam[1:], N), N)
+
+
+def oracle_extract(a, basis, N):
+    """Peel degrees in ascending order: the degree-n residual is the
+    degree-n coefficients."""
+    residual = dict(a)
+    coeffs = {}
+    for n in range(N + 1):
+        for lam in [l for l in residual if sum(l) == n]:
+            c = residual[lam]
+            coeffs[lam] = c
+            for mu, m in _oracle_basis_element(basis, lam, N).items():
+                _add_term(residual, mu, -(c * m))
+    assert not residual
+    return coeffs
+
+
+def oracle_p_decompose_homogeneous(slice_coeffs, n):
+    """{lam: coefficient of p_lam} of a homogeneous degree-n monomial-basis
+    dict, peeling partitions longest first."""
+    residual = dict(slice_coeffs)
+    out = {}
+    order = sorted(partitions_of(n),
+                   key=lambda l: (-len(l), partition_sort_key(l)))
+    for lam in order:
+        v = residual.get(lam)
+        if not v:
+            continue
+        row = _p_to_m(lam)
+        c = v * Fraction(1, row[lam])
+        out[lam] = c
+        for mu, m in row.items():
+            _add_term(residual, mu, -(c * m))
+    assert not residual
+    return out

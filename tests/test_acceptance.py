@@ -4,7 +4,7 @@ per criterion.  Run with `pytest -v` for the per-criterion pass/fail lines."""
 import itertools
 import random
 
-from helpers import check_canonical_invariance
+from helpers import assemble, check_canonical_invariance
 
 from kromatic import bundled_graph
 from kromatic.core import (brute_force_kromatic, chromatic_p_expansion_oracles,
@@ -20,7 +20,7 @@ from kromatic.numbers import divisors, mobius, mu_hat, partitions_up_to
 from kromatic.quasisym import (kromatic_q, kromatic_q_vectors,
                                kromatic_q_via_clans, power_sum_coefficient_q,
                                pyramid_p_expansion_q, specialize_q)
-from kromatic.symfunc import SymPoly, assemble, extract, omega
+from kromatic.symfunc import SymPoly, extract, omega
 
 ALL_GRAPHS = [(n, bundled_graph(n)) for n in
               ("k1", "k2", "k3", "p3", "p4", "c4", "paw")]

@@ -198,6 +198,15 @@ QEXPAND_DIGESTS = dict([
 QEXPAND_Q1_DIGEST = \
     "b0d4b3f16c2bef17a7a7aa4a16550ec73e9a468ef52dc172122a3dba0fd8bccd"
 
+# the same for q values whose expansions are not integral, recorded while
+# every power-sum coefficient was still a Fraction
+QEXPAND_NONINTEGRAL_DIGESTS = {
+    ("ui-p3", "pbar", "--degree", "5", "--q", "1/3"):
+        "3feec43398777e37b1b28638c4a01763781175c36f828d06718219ebd63b2123",
+    ("ui-p4", "pbarprime", "--omega", "--degree", "5", "--q=-2/3"):
+        "42bc549071fdecf765f36ae0b27613ac29a22e5b6d23820cb25559d0dfad63c0",
+}
+
 
 def _stdout_digest(capsys, argv):
     assert main(argv) == 0, argv
@@ -227,6 +236,20 @@ def test_qexpand_stdout_digests(capsys):
     assert _stdout_digest(capsys, [
         "qexpand", "--model", "ui-p3", "--basis", "pbar", "--omega",
         "--degree", "5", "--q", "1"]) == QEXPAND_Q1_DIGEST
+    for (model, basis, *rest), digest in QEXPAND_NONINTEGRAL_DIGESTS.items():
+        assert _stdout_digest(capsys, [
+            "qexpand", "--model", model, "--basis", basis, *rest]) == digest
+
+
+def test_qexpand_negative_q_needs_equals_sign(capsys):
+    # argparse reads "-2/3" after a space as an option, not as the value
+    assert main(["qexpand", "--model", "ui-k2", "--degree", "3",
+                 "--q=-2/3"]) == 0
+    assert json.loads(capsys.readouterr().out)["q"] == "-2/3"
+    with pytest.raises(SystemExit) as e:
+        main(["qexpand", "--model", "ui-k2", "--degree", "3", "--q", "-2/3"])
+    assert e.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_verify_stdout_digest(capsys):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from kromatic import bundled_graph
 from kromatic.core import (
-    brute_force_chromatic, brute_force_kromatic,
+    brute_force_kromatic,
     chromatic_p_expansion_oracles, exponent, independence_multiset,
     kromatic, kromatic_from_multiset,
     omega_kromatic, omega_pbar_coefficients_via_subsets, proper_set_colorings,
@@ -14,7 +14,7 @@ from kromatic.graphs import Graph, induced_subgraph
 from kromatic.numbers import partitions_up_to
 from kromatic.symfunc import extract, omega
 
-from helpers import small_graphs
+from helpers import brute_force_chromatic, small_graphs
 
 K1 = bundled_graph("k1")
 K2 = bundled_graph("k2")
@@ -64,8 +64,8 @@ def test_kromatic_lowest_degree_is_chromatic():
     for g in (K2, P3, K3):
         n = g.n
         F, X = kromatic(g, n), brute_force_chromatic(g, n)
-        assert ({lam: c for lam, c in F.c.items() if sum(lam) == n}
-                == {lam: c for lam, c in X.c.items() if sum(lam) == n})
+        assert ({lam: c for lam, c in F.terms().items() if sum(lam) == n}
+                == {lam: c for lam, c in X.terms().items() if sum(lam) == n})
 
 
 def test_exponent_families_k2():

@@ -43,7 +43,7 @@ def test_k2_x1x2_coefficient():
     assert v[(1, 1)] == QPoly((1, 1))  # 1 + q
     # (1 + q) m_11 = (1 + q) (p_11 - p_2) / 2, and nothing else in degree 2
     F = kromatic_q(K2, 2)
-    assert {lam: c for lam, c in F.c.items() if sum(lam) == 2} == {
+    assert {lam: c for lam, c in F.terms().items() if sum(lam) == 2} == {
         (1, 1): QPoly((Fraction(1, 2),) * 2),
         (2,): QPoly((Fraction(-1, 2),) * 2)}
 

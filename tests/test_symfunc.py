@@ -1,20 +1,29 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kromatic import bundled_graph
-from kromatic.graphs import independence_polynomial
+from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, \
+    bundled_model
+from kromatic.core import kromatic, omega_kromatic
+from kromatic.graphs import independence_polynomial, unit_interval_graph
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import partitions_of, partitions_up_to, QPoly
+from kromatic.quasisym import kromatic_q
 from kromatic.symfunc import (
-    Expansion, SymPoly, assemble, basis_element, extract, omega,
+    Expansion, SymPoly, basis_element, extract, omega,
     p_decompose_homogeneous,
-    product_over_variables, series_log, series_neg_sub,
+    product_over_variables, series_log_derivative, series_neg_sub,
     series_reciprocal, series_truncate, sympoly_from_vector_counts,
     verify_omega_basis_identities,
 )
+
+from helpers import (assemble, oracle_add, oracle_extract, oracle_mul,
+                     oracle_omega, oracle_p_decompose_homogeneous,
+                     oracle_product_over_variables, oracle_scale, series_log)
 
 
 def test_series_ops():
@@ -23,6 +32,8 @@ def test_series_ops():
     assert series_reciprocal((1, 2), 3) == (1, -2, 4, -8)
     log = series_log(series_reciprocal((1, -1), 4), 4)
     assert log == (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    assert series_log_derivative(series_reciprocal((1, -1), 4), 4) == \
+        (0, 1, 1, 1, 1)
     assert series_neg_sub((1, 2, 3)) == (1, -2, 3)
     for bad in ((2, 1), (-1, 1)):
         with pytest.raises(ValueError):
@@ -56,7 +67,7 @@ def _dense(F, M):
     """Exponent vectors over M variables of a p-basis SymPoly, with each
     p_k expanded as x_1^k + ... + x_M^k (oracle)."""
     out = {}
-    for lam, c in F.c.items():
+    for lam, c in F.terms().items():
         vecs = {(0,) * M: 1}
         for part in lam:
             nxt = {}
@@ -120,7 +131,7 @@ def test_bases():
     assert basis_element("pbar", (2,), N) == _m({(2,): 1, (2, 2): 1}, N)
     assert basis_element("pbarprime", (2,), N) == _m(
         {(2,): 1, (4,): 1, (2, 2): 1}, N)
-    assert basis_element("p", (2,), N).c == {(2,): 1}
+    assert basis_element("p", (2,), N).terms() == {(2,): 1}
     # every basis truncates to degree N alike
     for basis in ("p", "pbar", "pbarprime"):
         assert basis_element(basis, (3, 3), N) == 0
@@ -133,17 +144,28 @@ def test_bases():
             if not lam:
                 continue
             B = basis_element(basis, lam, 6)
-            low = {mu: c for mu, c in B.c.items() if sum(mu) == sum(lam)}
+            low = {mu: c for mu, c in B.terms().items()
+                   if sum(mu) == sum(lam)}
             assert low == {lam: 1}
 
 
 def test_p_decompose_examples():
+    # the values returned are n! times the p-coefficients, as SymPoly
+    # stores them: 2 m_11 = p_11 - p_2
     got = p_decompose_homogeneous({(1, 1): 2}, 2)
-    assert got == {(1, 1): 1, (2,): -1}
-    # h_2 = m_2 + m_11 = (p_11 + p_2)/2
+    assert got == {(1, 1): 2, (2,): -2}
+    # h_2 = m_2 + m_11 = (p_11 + p_2)/2, stored as ints
     got = p_decompose_homogeneous({(2,): 1, (1, 1): 1}, 2)
-    assert got == {(1, 1): Fraction(1, 2), (2,): Fraction(1, 2)}
-    assert p_decompose_homogeneous({(2, 1): 1}, 3) == {(2, 1): 1, (3,): -1}
+    assert got == {(1, 1): 1, (2,): 1}
+    assert all(type(v) is int for v in got.values())
+    # m_21 = p_21 - p_3
+    assert p_decompose_homogeneous({(2, 1): 1}, 3) == {(2, 1): 6, (3,): -6}
+    # q-polynomials divide exactly too: q m_11 = q (p_11 - p_2) / 2
+    q = QPoly.q()
+    assert p_decompose_homogeneous({(1, 1): q}, 2) == {(1, 1): q, (2,): -q}
+    # a non-integral input still converts: m_11 / 3 = (p_11 - p_2) / 6
+    assert p_decompose_homogeneous({(1, 1): Fraction(1, 3)}, 2) == \
+        {(1, 1): Fraction(1, 3), (2,): Fraction(-1, 3)}
 
 
 def test_omega_small():
@@ -275,3 +297,82 @@ def test_sympoly_strict_truncation():
         SymPoly(3, {(1,): 1}) * SymPoly(2, {(1,): 1})
     with pytest.raises(ValueError):
         SymPoly(2, {(3,): 1})
+
+
+# ---------------------------------------------------------------------------
+# the |lambda|!-scaled storage against the Fraction oracle
+
+_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+_coefficients = st.one_of(
+    _scalars, st.builds(QPoly, st.lists(_scalars, max_size=3)))
+
+
+@st.composite
+def _p_dicts(draw, N):
+    """{partition: coefficient of p_partition} with |partition| <= N."""
+    pool = list(partitions_up_to(N))
+    lams = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+    return {lam: v for lam in lams if (v := draw(_coefficients))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scaled_arithmetic_matches_fraction_oracle(data):
+    N = data.draw(st.integers(0, 8), label="N")
+    a = data.draw(_p_dicts(N), label="a")
+    b = data.draw(_p_dicts(N), label="b")
+    x = data.draw(_coefficients, label="scalar")
+    A, B = SymPoly(N, a), SymPoly(N, b)
+
+    def same(F, want):
+        assert F == SymPoly(N, want)
+        assert F.terms() == {lam: v for lam, v in want.items() if v}
+
+    same(A + B, oracle_add(a, b))
+    same(A.scale(x), oracle_scale(a, x))
+    same(A * B, oracle_mul(a, b, N))
+    same(omega(A), oracle_omega(a))
+    basis = data.draw(st.sampled_from(("p", "pbar", "pbarprime")),
+                      label="basis")
+    assert extract(A, basis).coeffs == oracle_extract(a, basis, N)
+    f = (1,) + tuple(data.draw(st.lists(_scalars, min_size=N, max_size=N),
+                               label="f"))
+    same(product_over_variables(f, N), oracle_product_over_variables(f, N))
+    # values written one by one are stored as ints wherever integral
+    for F in (A, A.scale(x), product_over_variables(f, N),
+              A.map_coeffs(lambda v: v * x)):
+        for v in F.scaled.values():
+            for y in (v.c if isinstance(v, QPoly) else (v,)):
+                assert type(y) is int or y.denominator != 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_scaled_monomial_conversion_matches_fraction_oracle(n, data):
+    pool = list(partitions_of(n))
+    lams = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=4, unique=True))
+    sl = {lam: v for lam in lams if (v := data.draw(_coefficients))}
+    got = p_decompose_homogeneous(sl, n)
+    assert {lam: v * Fraction(1, factorial(n)) for lam, v in got.items()} \
+        == oracle_p_decompose_homogeneous(sl, n)
+
+
+def test_stored_values_are_ints():
+    # F(G), its omega image, every K-basis element and the q-refined
+    # series are integral, so |lambda|! times each p-coefficient is an int
+    def ints(F):
+        return all(type(y) is int for v in F.scaled.values()
+                   for y in (v.c if isinstance(v, QPoly) else (v,)))
+
+    N = 10
+    for name in BUNDLED_GRAPHS:
+        g = bundled_graph(name)
+        assert ints(kromatic(g, N)) and ints(omega_kromatic(g, N))
+    for basis in ("pbar", "pbarprime"):
+        for lam in partitions_up_to(N):
+            assert ints(basis_element(basis, lam, N))
+    for name in BUNDLED_MODELS:
+        assert ints(kromatic_q(unit_interval_graph(bundled_model(name)), 6))
