@@ -105,10 +105,23 @@ def test_lyndon_words(capsys):
      "55448474d43108855cc1d7d072927c8925c265cd45d076579b4b6cfc5842d739"),
     ("paw", 8,
      "8330ecc20866b4f865e315b4b774ae85f86779471d19ba49670c5f9128fabea4"),
+    ("k1", 8,
+     "ba3f099a85a6e4954933bbc868dc4933f680e6ca0402b32bad9fdc165d279e29"),
+    ("k2", 8,
+     "d3652699debaaae2f66a880d5e297d4ca8498965097dcced31df76185f6edfeb"),
+    ("k3", 8,
+     "9bd27e06a5d4852fd746c605e9b7c233bde46451f49b8267c138bdbce3b792a2"),
+    ("p3", 8,
+     "7c1ece3606d9739ef507a48fa0473b53e88c86609defa507a62f7741e5fd3a58"),
+    ("p4", 8,
+     "f982e73a3086cb0df5325e7762d2068a850fe168a6013972af617776c9a23983"),
+    ("c4", 8,
+     "27e46b1fe1b80e6e8a27b71562aee4653707936fd05b108d59e3f80f726cd725"),
 ])
 def test_lyndon_stdout_digest(capsys, graph, degree, digest):
-    # sha256 of the full stdout (counts and every canonical word) as
-    # produced by the per-pyramid is_lyndon filter
+    # sha256 of the full stdout (counts and every canonical word), recorded
+    # from filters over all heaps: the per-pyramid is_lyndon filter for paw
+    # and c4 at degree 6-8, the Lyndon word test on each pyramid for the rest
     assert main(["lyndon", "--graph", graph, "--degree", str(degree)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
