@@ -6,10 +6,13 @@ and non-adjacent.  Each class is represented by its canonical word: the
 lexicographically largest member, computed greedily by always emitting the
 largest-vertex piece among those with no unemitted earlier dependency.
 Pieces are referred to by their index (0-based) in the canonical word.
+
+Pyramids and Lyndon heaps grow letter by letter as canonical words, Lyndon
+heaps as prenecklaces, and Duval's algorithm factors a heap's word.  The
+heap enumeration and the rotation functions are the oracles.
 """
 from __future__ import annotations
 
-import itertools
 from functools import cache
 
 from .graphs import mask_of
@@ -210,7 +213,9 @@ def _extends_canonically(dep, w, v):
 
 @cache
 def enumerate_heaps(g, n):
-    """All heaps of size n on g, sorted by canonical word.
+    """All heaps of size n on g, sorted by canonical word.  The oracle of the
+    two growths below, behind the tests' heap_count_identity_defect,
+    is_aperiodic and filters; nothing in the package calls it.
 
     Canonical words are extended letter by letter (every prefix of a
     canonical word is canonical).  For canonical w, the word w + (v,) is
@@ -229,13 +234,42 @@ def enumerate_heaps(g, n):
 
 @cache
 def enumerate_pyramids(g, n):
-    """Pyramids of size n, sorted by canonical word."""
-    return tuple(h for h in enumerate_heaps(g, n) if is_pyramid(h))
+    """Pyramids of size n, sorted by canonical word, grown as in
+    enumerate_heaps.  A source of a prefix, a letter commuting with all
+    letters before it, is a source of the word, so every prefix of a
+    pyramid is a pyramid, and w + (v,) is one iff w is, v is no second
+    source (it fails to commute with some letter of w) and w + (v,) is
+    canonical."""
+    if n <= 1:
+        return tuple(Heap(g, (v,)) for v in g.vertices()) if n else ()
+    dep = _deps(g)
+    return tuple(Heap(g, h.word + (v,))
+                 for h in enumerate_pyramids(g, n - 1)
+                 for v in g.vertices()
+                 if h.support_mask & dep[v]
+                 and _extends_canonically(dep, h.word, v))
+
+
+@cache
+def _prenecklaces(g, n):
+    """Sorted canonical words of size n that are prenecklaces, each with
+    its period p, grown as in enumerate_heaps.  By Fredricksen-Kessler-
+    Maiorana, w + (v,) is a prenecklace iff v >= w[-p], of period p if
+    v == w[-p] and n otherwise; those of period n are the Lyndon words."""
+    if n <= 1:
+        return tuple(((v,), 1) for v in g.vertices()) if n else ()
+    dep = _deps(g)
+    return tuple((w + (v,), p if v == w[-p] else n)
+                 for w, p in _prenecklaces(g, n - 1)
+                 for v in g.vertices()
+                 if v >= w[-p] and _extends_canonically(dep, w, v))
 
 
 @cache
 def enumerate_lyndon(g, n):
-    """Lyndon heaps of size n, sorted by canonical word.
+    """Lyndon heaps of size n, sorted by canonical word: the canonical
+    Lyndon words of _prenecklaces, each the word of a pyramid (see
+    lyndon_factorize).
 
     A pyramid h is a Lyndon heap iff its canonical word w is a Lyndon word:
     smaller than each proper suffix, or each proper rotation.  Suppose the
@@ -257,8 +291,7 @@ def enumerate_lyndon(g, n):
     make w a power of k's word by (1); by Lalonde's dichotomy (checked by
     test_lalonde_dichotomy) the class of an aperiodic pyramid has n members.
     """
-    return tuple(h for h in enumerate_pyramids(g, n)
-                 if all(h.word < h.word[i:] for i in range(1, n)))
+    return tuple(Heap(g, w) for w, p in _prenecklaces(g, n) if p == n)
 
 
 @cache
@@ -285,8 +318,8 @@ def lyndon_count(g, n, support=None):
     return _lyndon_counts_by_support(g, n)[support & g.full_mask]
 
 
-_CACHED = (_deps, enumerate_heaps, enumerate_pyramids, enumerate_lyndon,
-           _lyndon_counts_by_support)
+_CACHED = (_deps, enumerate_heaps, enumerate_pyramids, _prenecklaces,
+           enumerate_lyndon, _lyndon_counts_by_support)
 
 
 def clear_caches():
@@ -296,65 +329,27 @@ def clear_caches():
         fn.cache_clear()
 
 
-def _downward_closed_subsets(h, size):
-    """Piece index sets of the given size closed under dependency
-    predecessors."""
-    dep, w = _deps(h.graph), h.word
-    n = len(w)
-    preds = [{j for j in range(i) if dep[w[i]] >> (w[j] - 1) & 1}
-             for i in range(n)]
-    for subset in itertools.combinations(range(n), size):
-        s = set(subset)
-        if all(preds[i] <= s for i in s):
-            yield subset
-
-
-def left_divide(h, l):
-    """All heaps k with h = l o k (usually zero or one)."""
-    out = []
-    seen = set()
-    for subset in _downward_closed_subsets(h, l.size):
-        s = set(subset)
-        lower = tuple(h.word[i] for i in subset)
-        upper = tuple(h.word[i] for i in range(h.size) if i not in s)
-        if canonical_word(h.graph, lower) == l.word:
-            k = Heap(h.graph, canonical_word(h.graph, upper))
-            if k.word not in seen:
-                # confirm the factorization reassembles h
-                if canonical_word(h.graph, l.word + k.word) == h.word:
-                    seen.add(k.word)
-                    out.append(k)
-    return out
-
-
 def lyndon_factorize(h):
-    """The unique factorization of h into Lyndon heaps L1 o ... o Lk with
-    canonical words nonincreasing lexicographically."""
-    g = h.graph
-    lyndon_pool = []
-    for n in range(1, h.size + 1):
-        lyndon_pool.extend(enumerate_lyndon(g, n))
+    """The unique factorization of h into Lyndon heaps with nonincreasing
+    canonical words (Lalonde), by Duval's algorithm on h's word w.
 
-    results = []
-
-    def search(rest, bound, acc):
-        if rest.size == 0:
-            results.append(list(acc))
-            return
-        for l in lyndon_pool:
-            if l.size > rest.size:
-                continue
-            if bound is not None and l.word > bound:
-                continue
-            for k in left_divide(rest, l):
-                search(k, l.word, acc + [l])
-
-    search(h, None, [])
-    if len(results) != 1:
-        raise RuntimeError(
-            f"expected exactly one nonincreasing Lyndon factorization of "
-            f"{h!r}, found {len(results)}")
-    return results[0]
+    Duval splits w into Lyndon words u1 >= ... >= uk (Chen-Fox-Lyndon).  A
+    factor of a canonical word is canonical.  A canonical Lyndon word is a
+    pyramid: a second source would commute with every earlier letter and so
+    be smaller than the first, least, letter.  So each ui is the word of a
+    Lyndon heap (see enumerate_lyndon), and they stack to h."""
+    g, w, n = h.graph, h.word, h.size
+    out = []
+    i = 0
+    while i < n:
+        j, k = i + 1, i
+        while j < n and w[k] <= w[j]:
+            k = i if w[k] < w[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(Heap(g, w[i:i + j - k]))
+            i += j - k
+    return out
 
 
 def ascent_count(g, w):

@@ -8,7 +8,7 @@ from kromatic.graphs import Graph, independence_polynomial
 from kromatic.heaps import (
     ascent_count, canonical_word, canonical_word_with_perm,
     clear_caches, enumerate_heaps, enumerate_lyndon, enumerate_pyramids,
-    heap_from_word, is_lyndon, is_pyramid, left_divide, lyndon_count,
+    heap_from_word, is_lyndon, is_pyramid, lyndon_count,
     lyndon_factorize, lyndon_mobius_check, rotate, rotate_to_source,
     rotation_class, sources, word_str,
 )
@@ -24,6 +24,7 @@ P3 = bundled_graph("p3")
 P4 = bundled_graph("p4")
 C4 = bundled_graph("c4")
 PAW = bundled_graph("paw")
+BUNDLED = [bundled_graph(name) for name in BUNDLED_GRAPHS]
 
 
 def test_canonical_word_examples():
@@ -139,14 +140,6 @@ def test_lalonde_dichotomy():
                     assert all(not is_aperiodic(c) for c in cls)
 
 
-def test_left_divide():
-    h = heap_from_word(K2, (1, 2, 1, 2))
-    l = heap_from_word(K2, (1, 2))
-    ks = left_divide(h, l)
-    assert [k.word for k in ks] == [(1, 2)]
-    assert left_divide(h, heap_from_word(K2, (2,))) == []
-
-
 def test_lyndon_factorize_examples():
     h = heap_from_word(K2, (1, 2, 1, 2))
     assert [l.word for l in lyndon_factorize(h)] == [(1, 2), (1, 2)]
@@ -155,15 +148,42 @@ def test_lyndon_factorize_examples():
 
 
 def test_lyndon_factorize_exhaustive():
-    # existence, uniqueness (raises otherwise), and recomposition
-    for g, top in ((K2, 5), (P3, 4), (PAW, 3)):
-        for n in range(1, top + 1):
+    # every heap of size <= 6 on every bundled graph (8,871 heaps): Lyndon
+    # factors by the rotation oracle, nonincreasing words, recomposition
+    total = 0
+    for g in BUNDLED:
+        for n in range(1, 7):
             for h in enumerate_heaps(g, n):
                 factors = lyndon_factorize(h)
                 assert all(is_lyndon(l) for l in factors)
                 words = [l.word for l in factors]
                 assert words == sorted(words, reverse=True)
                 assert compose_all(factors) == h
+                total += 1
+    assert total == 8871
+
+
+def _nonincreasing_lists(pool, n, bound=None):
+    """Lists of heaps from pool with sizes summing to n and canonical words
+    nonincreasing (each at most bound)."""
+    if n == 0:
+        yield []
+        return
+    for l in pool:
+        if l.size <= n and (bound is None or l.word <= bound):
+            for rest in _nonincreasing_lists(pool, n - l.size, l.word):
+                yield [l] + rest
+
+
+@pytest.mark.parametrize("g", BUNDLED, ids=BUNDLED_GRAPHS)
+def test_lyndon_factorization_is_unique(g):
+    # composing every nonincreasing list of Lyndon heaps (by the rotation
+    # oracle) of total size n gives each heap of size n exactly once
+    pool = [l for k in range(1, 6) for l in _lyndon_by_filter(g, k)]
+    for n in range(1, 6):
+        composed = sorted(compose_all(ls).word
+                          for ls in _nonincreasing_lists(pool, n))
+        assert composed == [h.word for h in enumerate_heaps(g, n)]
 
 
 def test_ascent_count():
@@ -196,7 +216,6 @@ def test_canonical_invariance_randomized():
 
 DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=60,
                         deadline=None)
-BUNDLED = [bundled_graph(name) for name in BUNDLED_GRAPHS]
 
 
 @st.composite
@@ -226,7 +245,7 @@ def _lex_max_by_swaps(g, word):
 
 
 def _lyndon_by_filter(g, k):
-    return [h for h in enumerate_pyramids(g, k) if is_lyndon(h)]
+    return [h for h in enumerate_heaps(g, k) if is_lyndon(h)]
 
 
 def _lyndon_count_by_formula(g, k, support):
@@ -293,29 +312,36 @@ def _labelled_graphs(max_n):
 
 
 def test_lyndon_routes_all_labelled_graphs():
-    # the word test of enumerate_lyndon against the rotation classes on every
-    # labelled graph with at most 4 vertices (76 graphs): the vertex order
-    # decides which words are canonical, so isomorphic copies all count
+    # both growths against filters over all heaps on every labelled graph
+    # with at most 4 vertices (76 graphs): pyramids against is_pyramid,
+    # Lyndon heaps against the rotation classes.  The vertex order decides
+    # which words are canonical, so isomorphic copies all count
     graphs = list(_labelled_graphs(4))
     assert len(graphs) == 76
     for g in graphs:
         for k in range(1, 6):
             clear_caches()
+            assert list(enumerate_pyramids(g, k)) == [
+                h for h in enumerate_heaps(g, k) if is_pyramid(h)], \
+                (g.n, g.edges, k)
             assert list(enumerate_lyndon(g, k)) == _lyndon_by_filter(g, k), \
                 (g.n, g.edges, k)
 
 
 def test_enumerate_lyndon_does_not_rotate(monkeypatch):
-    # the rotation functions are the oracle only: enumeration and counts by
-    # support must not fall back to them
+    # the rotation functions, the heap enumeration and the pyramid test are
+    # the oracle only: both growths and counts by support must not fall back
+    # to them
     def refuse(*args):
-        raise AssertionError("rotation oracle called")
+        raise AssertionError("oracle called")
 
-    for name in ("rotation_class", "rotate", "rotate_to_source", "is_lyndon"):
+    for name in ("rotation_class", "rotate", "rotate_to_source", "is_lyndon",
+                 "enumerate_heaps", "is_pyramid", "sources"):
         monkeypatch.setattr(heaps, name, refuse)
     clear_caches()
     for g in BUNDLED:
         for k in range(1, 7):
+            enumerate_pyramids(g, k)
             found = enumerate_lyndon(g, k)
             for support in range(1 << g.n):
                 lyndon_count(g, k, support)
@@ -329,6 +355,12 @@ def test_clear_caches_recomputes():
         clear_caches()
         again = enumerate_(PAW, 4)
         assert again == first and again is not first
+    # every cached function of the module is registered and emptied
+    cached = [f for f in vars(heaps).values() if hasattr(f, "cache_info")]
+    assert set(cached) == set(heaps._CACHED)
+    lyndon_count(PAW, 4, 0b11)
+    clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in cached)
 
 
 @pytest.mark.parametrize("g", BUNDLED, ids=BUNDLED_GRAPHS)
