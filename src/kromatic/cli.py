@@ -129,7 +129,7 @@ def run_lyndon(args, parser):
     sizes = {}
     counts = {}
     for n in range(1, args.degree + 1):
-        words = [word_str(h.word) for h in enumerate_lyndon(g, n)]
+        words = [word_str(w) for w in enumerate_lyndon(g, n)]
         counts[str(n)] = len(words)
         sizes[str(n)] = words
     _emit({"graph": name, "degree": args.degree, "counts": counts,
@@ -155,6 +155,8 @@ def _lambda_tag(lam):
 
 
 def _invariant_word_shuffles(g):
+    if not g.n:
+        return heap_from_word(g, ()) == ()  # the one word on no letters
     rng = random.Random(97 + 131 * g.n + len(g.edges))
     for _ in range(40):
         word = [rng.randint(1, g.n) for _ in range(rng.randint(1, 7))]
@@ -199,12 +201,11 @@ def build_checks(named_graphs, N, suites):
 
     # --- heaps -----------------------------------------------------------
     def rotation_example():
-        h = heap_from_word(P3, (2, 3, 1, 1))
-        cls = rotation_class(h)
-        words = sorted(word_str(x.word) for x in cls)
+        cls = rotation_class(P3, heap_from_word(P3, (2, 3, 1, 1)))
+        words = sorted(word_str(x) for x in cls)
         if words != ["1123", "1231", "2311", "3211"]:
             return False
-        reps = [word_str(x.word) for x in cls if is_lyndon(x)]
+        reps = [word_str(x) for x in cls if is_lyndon(P3, x)]
         return reps == ["1123"]
 
     add("heaps", "rotation-example-P3-2311", rotation_example)

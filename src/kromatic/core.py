@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .graphs import independence_polynomial, mask_vertices, popcount
-from .heaps import enumerate_lyndon, lyndon_count
+from .heaps import lyndon_count, lyndon_supports
 from .numbers import binomial, multiplicities
 from .symfunc import (
     Expansion, SymPoly, generator_series, product_over_variables,
@@ -276,9 +276,8 @@ def theorem_coefficient(g, lam, which):
     full = g.full_mask
     per_value = []
     for k, i_k in sorted(multiplicities(lam).items()):
-        menu = []
-        for s in _menu_sizes(k, which):
-            menu.extend(enumerate_lyndon(g, s))
+        menu = [m for s in _menu_sizes(k, which)
+                for m in lyndon_supports(g, s)]
         chooser = itertools.combinations_with_replacement \
             if rule_sign(which, (k,)) < 0 else itertools.combinations
         selections = [sel for sel in chooser(range(len(menu)), i_k)]
@@ -288,7 +287,7 @@ def theorem_coefficient(g, lam, which):
         mask = 0
         for (menu, _), chosen in zip(per_value, combo):
             for idx in chosen:
-                mask |= menu[idx].support_mask
+                mask |= menu[idx]
         if mask == full:
             total += 1
     return total

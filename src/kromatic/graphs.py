@@ -5,7 +5,7 @@ so capacity is unbounded.  Graphs are immutable and hashable.
 """
 from __future__ import annotations
 
-import itertools
+import sys
 
 
 def mask_of(vertices):
@@ -39,6 +39,8 @@ class Graph:
     def __init__(self, n, edges):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n >= sys.maxsize:  # adj below has n + 1 entries
+            raise ValueError(f"vertex count {n} is too large to index a list")
         seen = set()
         adj = [0] * (n + 1)  # adj[v] = bitmask of neighbours, index 0 unused
         norm = []
@@ -103,19 +105,6 @@ def graph_from_json(obj):
         for v in e:
             _require_int(v, "edge endpoint")
     return Graph(n, [tuple(e) for e in edges])
-
-
-def induced_subgraph(g, mask):
-    """Induced subgraph on a vertex bitmask.
-
-    Returns (subgraph, mapping) where mapping[old_vertex] = new_vertex and the
-    new labels 1..k preserve the old vertex order.
-    """
-    verts = mask_vertices(mask)
-    mapping = {v: i + 1 for i, v in enumerate(verts)}
-    edges = [(mapping[u], mapping[v]) for u, v in g.edges
-             if u in mapping and v in mapping]
-    return Graph(len(verts), edges), mapping
 
 
 def clan_graph(g, alpha):
@@ -322,15 +311,3 @@ def natural_unit_interval_model(g):
     if any(h[i] > h[i + 1] for i in range(g.n - 1)):
         return None
     return UnitIntervalModel(g.n, h)
-
-
-def has_induced_c4_or_claw(g):
-    """True if some 4 vertices induce a 4-cycle or a claw."""
-    for quad in itertools.combinations(g.vertices(), 4):
-        sub, _ = induced_subgraph(g, mask_of(quad))
-        deg = sorted(popcount(sub.adj[v]) for v in sub.vertices())
-        if len(sub.edges) == 4 and deg == [2, 2, 2, 2]:
-            return True  # induced C4
-        if len(sub.edges) == 3 and deg == [1, 1, 1, 3]:
-            return True  # induced claw
-    return False

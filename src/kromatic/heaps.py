@@ -2,10 +2,11 @@
 
 A heap over graph G is an equivalence class of words on the vertex alphabet,
 where two neighbouring letters may be swapped iff their vertices are distinct
-and non-adjacent.  Each class is represented by its canonical word: the
+and non-adjacent.  A heap is its canonical word, a tuple of vertices: the
 lexicographically largest member, computed greedily by always emitting the
 largest-vertex piece among those with no unemitted earlier dependency.
 Pieces are referred to by their index (0-based) in the canonical word.
+Every function that needs the graph takes it first, as (g, w).
 
 Pyramids and Lyndon heaps grow letter by letter as canonical words, Lyndon
 heaps as prenecklaces, and Duval's algorithm factors a heap's word.  The
@@ -58,35 +59,6 @@ def canonical_word(g, word):
     return canonical_word_with_perm(g, word)[0]
 
 
-class Heap:
-    """A trace over a host graph, held in canonical-word form."""
-
-    __slots__ = ("graph", "word", "support_mask")
-
-    def __init__(self, graph, word):
-        word = tuple(word)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "support_mask", mask_of(word))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Heap is immutable")
-
-    @property
-    def size(self):
-        return len(self.word)
-
-    def __eq__(self, other):
-        return (isinstance(other, Heap)
-                and self.graph == other.graph and self.word == other.word)
-
-    def __hash__(self):
-        return hash((self.graph.n, self.graph.edges, self.word))
-
-    def __repr__(self):
-        return f"Heap[{word_str(self.word)}]"
-
-
 def word_str(word):
     if all(v < 10 for v in word):
         return "".join(str(v) for v in word)
@@ -98,23 +70,23 @@ def heap_from_word(g, word):
     for v in word:
         if not (1 <= v <= g.n):
             raise ValueError(f"letter {v} outside vertex range 1..{g.n}")
-    return Heap(g, canonical_word(g, word))
+    return canonical_word(g, word)
 
 
-def sources(h):
+def sources(g, w):
     """Piece indices with no dependent piece before them."""
-    dep = _deps(h.graph)
+    dep = _deps(g)
     below = 0  # vertices that do not commute with some earlier piece
     out = []
-    for i, v in enumerate(h.word):
+    for i, v in enumerate(w):
         if not below >> (v - 1) & 1:
             out.append(i)
         below |= dep[v]
     return out
 
 
-def is_pyramid(h):
-    return h.size >= 1 and len(sources(h)) == 1
+def is_pyramid(g, w):
+    return len(w) >= 1 and len(sources(g, w)) == 1
 
 
 def _upper_closure(dep, w, p):
@@ -128,7 +100,7 @@ def _upper_closure(dep, w, p):
     return reach
 
 
-def rotate(h, p):
+def rotate(g, w, p):
     """One rotation step at piece p: split off the upward closure C of p and
     put it below the rest R.  Returns (rotated heap, new index of p).
     Oracle step, reached from rotation-example-P3-2311 and _lyndon_by_filter.
@@ -140,65 +112,60 @@ def rotate(h, p):
     letter lies above C's pieces with that letter, since R is stacked on C.
     So p is the lowest piece with its letter.
     """
-    g, w = h.graph, h.word
     if not (0 <= p < len(w)):
         raise IndexError("piece index out of range")
     reach = _upper_closure(_deps(g), w, p)
     new_word = (tuple(v for i, v in enumerate(w) if reach >> i & 1)
                 + tuple(v for i, v in enumerate(w) if not reach >> i & 1))
     canon = canonical_word(g, new_word)
-    return Heap(g, canon), canon.index(w[p])
+    return canon, canon.index(w[p])
 
 
-def rotate_to_source(h, p):
+def rotate_to_source(g, w, p):
     """Iterate rotation at p until p is the unique bottom piece; returns the
     resulting pyramid.  Oracle step, as for rotate.
 
-    Precondition: h is a pyramid.  Then at most size - 1 rotations are
+    Precondition: w is a pyramid.  Then at most size - 1 rotations are
     needed.  Let C be the upward closure of p in the current heap H, so that
     H = R o C with R the remaining pieces.  Rotation gives C o R, in which
     the closure of p still contains C, since the order inside C is kept.  If
     it contained nothing more, no piece of R would depend on a piece of C:
     the letters of C and of R would commute, so every heap with the letters
-    of h, h among them, would have a bottom piece in each part, and h would
+    of w, w among them, would have a bottom piece in each part, and w would
     not be a pyramid.  So each rotation adds at least one piece to the
     closure of p, which starts with one piece, and once it holds all pieces,
     p is the unique bottom piece.
     """
-    dep = _deps(h.graph)
-    full = (1 << h.size) - 1
-    cur, cp = h, p
-    for _ in range(h.size):
-        if _upper_closure(dep, cur.word, cp) == full:
+    dep = _deps(g)
+    full = (1 << len(w)) - 1
+    cur, cp = w, p
+    for _ in range(len(w)):
+        if _upper_closure(dep, cur, cp) == full:
             return cur
-        cur, cp = rotate(cur, cp)
-    raise ValueError(f"rotation at piece {p} of {h!r} did not reach a "
-                     "pyramid within size - 1 steps: not a pyramid")
+        cur, cp = rotate(g, cur, cp)
+    raise ValueError(f"rotation at piece {p} of [{word_str(w)}] did not "
+                     "reach a pyramid within size - 1 steps: not a pyramid")
 
 
-def rotation_class(h):
-    """The set of pyramids reachable by rotating each piece of h to the
-    bottom, sorted by canonical word (precondition: h is a pyramid).  The
-    oracle of enumerate_lyndon, for the verify check rotation-example-P3-2311
-    and the tests' _lyndon_by_filter."""
-    if not is_pyramid(h):
+def rotation_class(g, w):
+    """The words of the pyramids reachable by rotating each piece of w to
+    the bottom, sorted (precondition: w is a pyramid).  The oracle of
+    enumerate_lyndon, for the verify check rotation-example-P3-2311 and the
+    tests' _lyndon_by_filter."""
+    if not is_pyramid(g, w):
         raise ValueError("rotation class is defined for pyramids")
-    seen = {}
-    for p in range(h.size):
-        r = rotate_to_source(h, p)
-        seen[r.word] = r
-    return [seen[w] for w in sorted(seen)]
+    return sorted({rotate_to_source(g, w, p) for p in range(len(w))})
 
 
-def is_lyndon(h):
+def is_lyndon(g, w):
     """Aperiodic pyramid that is the lex-least member of its rotation class.
     The definition, kept as the oracle for the callers rotation_class names."""
-    if not is_pyramid(h):
+    if not is_pyramid(g, w):
         return False
-    cls = rotation_class(h)
-    if len(cls) != h.size:
+    cls = rotation_class(g, w)
+    if len(cls) != len(w):
         return False  # periodic: rotation class collapses
-    return h.word == cls[0].word
+    return w == cls[0]
 
 
 def _extends_canonically(dep, w, v):
@@ -224,12 +191,10 @@ def enumerate_heaps(g, n):
     the sorted words of size n - 1 by ascending letters keeps them sorted.
     """
     if n == 0:
-        return (Heap(g, ()),)
+        return ((),)
     dep = _deps(g)
-    return tuple(Heap(g, h.word + (v,))
-                 for h in enumerate_heaps(g, n - 1)
-                 for v in g.vertices()
-                 if _extends_canonically(dep, h.word, v))
+    return tuple(w + (v,) for w in enumerate_heaps(g, n - 1)
+                 for v in g.vertices() if _extends_canonically(dep, w, v))
 
 
 @cache
@@ -241,13 +206,14 @@ def enumerate_pyramids(g, n):
     source (it fails to commute with some letter of w) and w + (v,) is
     canonical."""
     if n <= 1:
-        return tuple(Heap(g, (v,)) for v in g.vertices()) if n else ()
+        return tuple((v,) for v in g.vertices()) if n else ()
     dep = _deps(g)
-    return tuple(Heap(g, h.word + (v,))
-                 for h in enumerate_pyramids(g, n - 1)
-                 for v in g.vertices()
-                 if h.support_mask & dep[v]
-                 and _extends_canonically(dep, h.word, v))
+    out = []
+    for w in enumerate_pyramids(g, n - 1):
+        m = mask_of(w)
+        out.extend(w + (v,) for v in g.vertices()
+                   if m & dep[v] and _extends_canonically(dep, w, v))
+    return tuple(out)
 
 
 @cache
@@ -279,7 +245,7 @@ def enumerate_lyndon(g, n):
     it is shorter than w, and w is canonical, so it reaches into the copy
     before: the letter commutes with all letters before it in its own copy,
     so it is the bottom piece a, which is least.
-    (2) For w[i] == a, rotate_to_source(h, i) has the word w[i:] + w[:i].
+    (2) For w[i] == a, rotate_to_source(g, w, i) has the word w[i:] + w[:i].
     A first later piece j not above i would commute with w[i:j] and so
     exceed a, breaking canonicity.  So one rotation gives w[i:] + w[:i],
     canonical by (1) as a factor of w + w, and for the same reason with i
@@ -291,7 +257,14 @@ def enumerate_lyndon(g, n):
     make w a power of k's word by (1); by Lalonde's dichotomy (checked by
     test_lalonde_dichotomy) the class of an aperiodic pyramid has n members.
     """
-    return tuple(Heap(g, w) for w, p in _prenecklaces(g, n) if p == n)
+    return tuple(w for w, p in _prenecklaces(g, n) if p == n)
+
+
+@cache
+def lyndon_supports(g, n):
+    """Vertex bitmasks of the supports of the Lyndon heaps of size n, in
+    the order of enumerate_lyndon."""
+    return tuple(mask_of(w) for w in enumerate_lyndon(g, n))
 
 
 @cache
@@ -300,8 +273,8 @@ def _lyndon_counts_by_support(g, n):
     the vertex bitmask S: exact-support counts, summed over subsets (zeta
     transform)."""
     table = [0] * (1 << g.n)
-    for h in enumerate_lyndon(g, n):
-        table[h.support_mask] += 1
+    for m in lyndon_supports(g, n):
+        table[m] += 1
     for b in range(g.n):
         bit = 1 << b
         for s in range(1 << g.n):
@@ -319,7 +292,7 @@ def lyndon_count(g, n, support=None):
 
 
 _CACHED = (_deps, enumerate_heaps, enumerate_pyramids, _prenecklaces,
-           enumerate_lyndon, _lyndon_counts_by_support)
+           enumerate_lyndon, lyndon_supports, _lyndon_counts_by_support)
 
 
 def clear_caches():
@@ -329,16 +302,17 @@ def clear_caches():
         fn.cache_clear()
 
 
-def lyndon_factorize(h):
-    """The unique factorization of h into Lyndon heaps with nonincreasing
-    canonical words (Lalonde), by Duval's algorithm on h's word w.
+def lyndon_factorize(w):
+    """The unique factorization of the heap with canonical word w into
+    Lyndon heaps with nonincreasing canonical words (Lalonde), by Duval's
+    algorithm on w; no graph is needed.
 
     Duval splits w into Lyndon words u1 >= ... >= uk (Chen-Fox-Lyndon).  A
     factor of a canonical word is canonical.  A canonical Lyndon word is a
     pyramid: a second source would commute with every earlier letter and so
     be smaller than the first, least, letter.  So each ui is the word of a
-    Lyndon heap (see enumerate_lyndon), and they stack to h."""
-    g, w, n = h.graph, h.word, h.size
+    Lyndon heap (see enumerate_lyndon), and they stack to w."""
+    n = len(w)
     out = []
     i = 0
     while i < n:
@@ -347,7 +321,7 @@ def lyndon_factorize(h):
             k = i if w[k] < w[j] else k + 1
             j += 1
         while i <= k:
-            out.append(Heap(g, w[i:i + j - k]))
+            out.append(w[i:i + j - k])
             i += j - k
     return out
 

@@ -24,7 +24,7 @@ from operator import add, mul
 
 from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
                    rule_sign)
-from .graphs import clan_graph, independent_sets, popcount
+from .graphs import clan_graph, independent_sets, mask_of, popcount
 from .heaps import ascent_count, enumerate_pyramids
 from .numbers import (QPoly, compositions_up_to, divisors, mobius, mu_hat,
                       partitions_up_to, q_factorial, z_lambda)
@@ -164,15 +164,16 @@ def ascent_polynomial(g, sizes):
     composed into one heap and read off the concatenation of its words."""
     if not sizes:
         return QPoly(1) if g.n == 0 else QPoly()
-    lists = [enumerate_pyramids(g, s) for s in sizes]
+    lists = [[(w, mask_of(w)) for w in enumerate_pyramids(g, s)]
+             for s in sizes]
     full = g.full_mask
     counts = []
     for combo in product(*lists):
         m = 0
-        for h in combo:
-            m |= h.support_mask
+        for _, wm in combo:
+            m |= wm
         if m == full:
-            word = sum((h.word for h in combo), ())
+            word = sum((w for w, _ in combo), ())
             _q_shift_add(counts, (1,), ascent_count(g, word))
     return QPoly(counts)
 
@@ -182,7 +183,7 @@ def pyramid_p_expansion_q(g, N):
     polynomial.  For unit-interval graphs this equals omega of kromatic_q."""
     return SymPoly(N, {
         lam: ascent_polynomial(g, lam) * Fraction(1, z_lambda(lam))
-        for lam in partitions_up_to(N) if lam})
+        for lam in partitions_up_to(N)})
 
 
 # ---------------------------------------------------------------------------

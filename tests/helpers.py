@@ -9,9 +9,9 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from kromatic import bundled_graph
-from kromatic.graphs import Graph, independence_polynomial
-from kromatic.heaps import (Heap, canonical_word, enumerate_heaps,
-                            heap_from_word)
+from kromatic.graphs import (Graph, independence_polynomial, mask_of,
+                             mask_vertices, popcount)
+from kromatic.heaps import canonical_word, enumerate_heaps, heap_from_word
 from kromatic.numbers import divisors, partition_sort_key, partitions_of
 from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
                               generator_series, series_truncate,
@@ -85,23 +85,42 @@ def assemble(expansion, N):
     return acc
 
 
-def compose_all(heaps):
-    """Stack the heaps in order, each above the ones before it."""
-    it = iter(heaps)
-    first = next(it)
-    word = first.word
-    for h in it:
-        if h.graph != first.graph:
-            raise ValueError("heaps live on different graphs")
-        word = word + h.word
-    return Heap(first.graph, canonical_word(first.graph, word))
+def compose_all(g, words):
+    """Stack the heaps with these words in order, each above the ones
+    before it."""
+    return canonical_word(g, sum(words, ()))
 
 
-def is_aperiodic(h):
-    """True iff h is not a d-fold power of a smaller heap for any d >= 2."""
-    return not any(canonical_word(h.graph, k.word * d) == h.word
-                   for d in divisors(h.size)[1:]
-                   for k in enumerate_heaps(h.graph, h.size // d))
+def is_aperiodic(g, w):
+    """True iff w is not a d-fold power of a smaller heap for any d >= 2."""
+    return not any(canonical_word(g, k * d) == w
+                   for d in divisors(len(w))[1:]
+                   for k in enumerate_heaps(g, len(w) // d))
+
+
+def induced_subgraph(g, mask):
+    """Induced subgraph on a vertex bitmask.
+
+    Returns (subgraph, mapping) where mapping[old_vertex] = new_vertex and the
+    new labels 1..k preserve the old vertex order.
+    """
+    verts = mask_vertices(mask)
+    mapping = {v: i + 1 for i, v in enumerate(verts)}
+    edges = [(mapping[u], mapping[v]) for u, v in g.edges
+             if u in mapping and v in mapping]
+    return Graph(len(verts), edges), mapping
+
+
+def has_induced_c4_or_claw(g):
+    """True if some 4 vertices induce a 4-cycle or a claw."""
+    for quad in itertools.combinations(g.vertices(), 4):
+        sub, _ = induced_subgraph(g, mask_of(quad))
+        deg = sorted(popcount(sub.adj[v]) for v in sub.vertices())
+        if len(sub.edges) == 4 and deg == [2, 2, 2, 2]:
+            return True  # induced C4
+        if len(sub.edges) == 3 and deg == [1, 1, 1, 3]:
+            return True  # induced claw
+    return False
 
 
 def heap_count_identity_defect(g, max_n):

@@ -56,10 +56,10 @@ def test_criterion_02_lyndon_counts_two_routes():
 
 def test_criterion_03_rotation_worked_example():
     h = heap_from_word(P3, (2, 3, 1, 1))
-    cls = rotation_class(h)
-    assert sorted(word_str(x.word) for x in cls) == \
+    cls = rotation_class(P3, h)
+    assert sorted(word_str(x) for x in cls) == \
         ["1123", "1231", "2311", "3211"]
-    assert [word_str(x.word) for x in cls if is_lyndon(x)] == ["1123"]
+    assert [word_str(x) for x in cls if is_lyndon(P3, x)] == ["1123"]
     verdict(3, "rotation class of 2311 and its distinguished word 1123")
 
 

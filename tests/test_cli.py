@@ -345,7 +345,13 @@ def test_malformed_input_file_exits_two(tmp_path, capsys):
     model = tmp_path / "bad-model.json"
     model.write_text(json.dumps({"n": 2, "bounds": [2, "2"]}))
     assert main(["qexpand", "--model", str(model), "--degree", "3"]) == 2
-    assert "must be an integer" in capsys.readouterr().err
+    # a vertex count too large to index a list
+    huge = tmp_path / "huge-graph.json"
+    huge.write_text(json.dumps({"n": 10 ** 20, "edges": []}))
+    assert main(["expand", "--graph", str(huge), "--degree", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer" in err
+    assert "vertex count" in err
 
 
 def test_graph_directory_exits_two(tmp_path):
@@ -382,6 +388,18 @@ def test_verify_single_graph_heaps(capsys):
     assert "PASS rotation-example-P3-2311" in out
     assert "PASS lyndon-counts-K2" in out
     assert "PASS canonical-invariance-K2" in out
+
+
+def test_verify_empty_graph_file(tmp_path, capsys):
+    # no vertices: the pyramid expansion is the constant 1 and the only
+    # word to canonicalize is the empty one
+    graph = tmp_path / "empty.json"
+    graph.write_text(json.dumps({"n": 0, "edges": []}))
+    rc = main(["verify", "--graph", str(graph), "--suite", "all",
+               "--degree", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.strip().endswith("133/133 checks passed")
 
 
 def test_verify_check_names_mirror_anchors(capsys):

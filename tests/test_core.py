@@ -10,11 +10,11 @@ from kromatic.core import (
     recover_signed_exponent_multiset, signed_exponent_family,
     theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
 )
-from kromatic.graphs import Graph, induced_subgraph
+from kromatic.graphs import Graph
 from kromatic.numbers import partitions_up_to
 from kromatic.symfunc import extract, omega
 
-from helpers import brute_force_chromatic, small_graphs
+from helpers import brute_force_chromatic, induced_subgraph, small_graphs
 
 K1 = bundled_graph("k1")
 K2 = bundled_graph("k2")

@@ -6,11 +6,12 @@ import pytest
 from kromatic import bundled_graph, bundled_model
 from kromatic.graphs import (
     Graph, acyclic_orientations, chromatic_polynomial, clan_graph,
-    graph_from_json, has_induced_c4_or_claw, independence_polynomial,
-    induced_subgraph, mask_of, mask_vertices,
+    graph_from_json, independence_polynomial, mask_of, mask_vertices,
     natural_unit_interval_model, model_from_json, popcount, source_components,
     unit_interval_graph, UnitIntervalModel,
 )
+
+from helpers import has_induced_c4_or_claw, induced_subgraph
 
 K2 = bundled_graph("k2")
 K3 = bundled_graph("k3")
