@@ -298,18 +298,18 @@ def build_checks(named_graphs, N, suites):
     add("recovery", "recover-K2-honest",
         lambda: recover_signed_exponent_multiset(
             extract(omega_kromatic(K2, 8), "pbar"), (2, 3))
-        == signed_exponent_family(K2, 2))
+        == signed_exponent_family(K2, "1.3", 2))
     add("recovery", "recover-P3-honest",
         lambda: recover_signed_exponent_multiset(
             extract(omega_kromatic(P3, 13), "pbar"), (3, 5))
-        == signed_exponent_family(P3, 2))
+        == signed_exponent_family(P3, "1.3", 2))
 
     def recover_k4(g):
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
         box = list(itertools.product(*(range(c + 1) for c in caps)))
         exp = omega_pbar_coefficients_via_subsets(g, box)
         return (recover_signed_exponent_multiset(exp, caps)
-                == signed_exponent_family(g, 4))
+                == signed_exponent_family(g, "1.3", 4))
 
     add("recovery", "recover-K2-k4", lambda: recover_k4(K2))
     add("recovery", "recover-P3-k4", lambda: recover_k4(P3))

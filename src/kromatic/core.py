@@ -14,6 +14,8 @@ brute-force oracles, which enumerate colorings, take a number M of colors.
 from __future__ import annotations
 
 import itertools
+from functools import cache
+from types import MappingProxyType
 
 from .graphs import independence_polynomial, mask_vertices, popcount
 from .heaps import lyndon_count, lyndon_supports
@@ -265,32 +267,31 @@ def _menu_sizes(k, which):
 
 
 def theorem_coefficient(g, lam, which):
-    """Count of Lyndon-heap-list configurations for the partition lam by
-    direct enumeration: for each part value k with multiplicity i_k pick i_k
-    Lyndon heaps from the allowed sizes (with or without repetition per the
-    rule), subject to the chosen heaps jointly covering every vertex.
+    """The number of ways to pick, for each part value k of lam with
+    multiplicity i, i Lyndon heaps of the sizes _menu_sizes allows (with
+    repetition exactly where rule_sign(which, (k,)) < 0) that jointly cover
+    every vertex: rule_sign(which, lam) times the coefficient of basis_lam
+    in the image of the set-coloring function, both named by RULES[which].
 
-    The count is rule_sign(which, lam) times the coefficient of basis_lam
-    in the image of the set-coloring function, both named by
-    RULES[which]."""
-    full = g.full_mask
-    per_value = []
-    for k, i_k in sorted(multiplicities(lam).items()):
-        menu = [m for s in _menu_sizes(k, which)
-                for m in lyndon_supports(g, s)]
-        chooser = itertools.combinations_with_replacement \
-            if rule_sign(which, (k,)) < 0 else itertools.combinations
-        selections = [sel for sel in chooser(range(len(menu)), i_k)]
-        per_value.append((menu, selections))
-    total = 0
-    for combo in itertools.product(*(sel for _, sel in per_value)):
-        mask = 0
-        for (menu, _), chosen in zip(per_value, combo):
-            for idx in chosen:
-                mask |= menu[idx]
-        if mask == full:
-            total += 1
-    return total
+    Only unions of supports matter, so this is a dynamic program over union
+    masks: picks[j] = {union: ways to choose j heaps of k's menu}, grown
+    heap by heap, is OR-convolved into the running {union: ways}."""
+    ways = {0: 1}
+    for k, i in multiplicities(lam).items():
+        repeat = rule_sign(which, (k,)) < 0
+        picks = [{0: 1}] + [{} for _ in range(i)]
+        for s in _menu_sizes(k, which):
+            for m in lyndon_supports(g, s):
+                for j in range(1, i + 1) if repeat else range(i, 0, -1):
+                    dst = picks[j]
+                    for u, x in picks[j - 1].items():
+                        dst[u | m] = dst.get(u | m, 0) + x
+        new = {}
+        for u, x in ways.items():
+            for v, y in picks[i].items():
+                new[u | v] = new.get(u | v, 0) + x * y
+        ways = new
+    return ways.get(g.full_mask, 0)
 
 
 def _binomial_sum(family, u):
@@ -309,10 +310,14 @@ def theorem_coefficient_subsets(g, lam, which):
     prod_k C(e_W(k), m_k) over the distinct parts k of lam, with m_k their
     multiplicities and e_W the rule's exponents inside W.  Where e_W(k) < 0,
     C(e_W(k), m_k) counts multisets of heaps up to the sign (-1)^m_k, and
-    those signs multiply to rule_sign(which, lam)."""
+    those signs multiply to rule_sign(which, lam).  The family is the
+    cached signed_exponent_family up to the largest part, projected onto
+    the distinct parts of lam (equal projections sum their weights)."""
     mult = multiplicities(lam)
-    family = signed_subset_sum(
-        g, lambda mask: tuple(exponent(g, k, which, mask) for k in mult))
+    family = {}
+    for v, w in signed_exponent_family(g, which, max(mult, default=0)).items():
+        u = tuple(v[k - 1] for k in mult)
+        family[u] = family.get(u, 0) + w
     return rule_sign(which, lam) * _binomial_sum(family, tuple(mult.values()))
 
 
@@ -362,7 +367,7 @@ def omega_pbar_coefficients_via_subsets(g, vectors):
     vertex subsets (size-graded Lyndon counts).  Returns an Expansion over
     exactly the partitions lam(u)."""
     family = signed_exponent_family(
-        g, max((len(u) for u in vectors), default=0))
+        g, "1.3", max((len(u) for u in vectors), default=0))
     coeffs = {}
     n_deg = 0
     for u in vectors:
@@ -407,10 +412,22 @@ def recover_signed_exponent_multiset(expansion, caps):
     return support
 
 
-def signed_exponent_family(g, K):
+@cache
+def signed_exponent_family(g, rule, K):
     """The ground-truth signed family: for each vertex subset W, the vector
-    of rule 1.3 exponents (e_W(1), ..., e_W(K)) weighted by (-1)^(n - |W|),
-    aggregated."""
-    return signed_subset_sum(
-        g, lambda mask: tuple(exponent(g, k, "1.3", mask)
-                           for k in range(1, K + 1)))
+    of the rule's exponents (e_W(1), ..., e_W(K)) weighted by
+    (-1)^(n - |W|), aggregated.  Cached per (graph, rule, K), so the family
+    is read-only."""
+    return MappingProxyType(signed_subset_sum(
+        g, lambda mask: tuple(exponent(g, k, rule, mask)
+                              for k in range(1, K + 1))))
+
+
+_CACHED = (signed_exponent_family,)
+
+
+def clear_caches():
+    """Empty every module-level cache of the core layer, so that the next
+    call recomputes from scratch."""
+    for fn in _CACHED:
+        fn.cache_clear()

@@ -5,8 +5,6 @@ so capacity is unbounded.  Graphs are immutable and hashable.
 """
 from __future__ import annotations
 
-import sys
-
 
 def mask_of(vertices):
     m = 0
@@ -39,10 +37,12 @@ class Graph:
     def __init__(self, n, edges):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if n >= sys.maxsize:  # adj below has n + 1 entries
-            raise ValueError(f"vertex count {n} is too large to index a list")
         seen = set()
-        adj = [0] * (n + 1)  # adj[v] = bitmask of neighbours, index 0 unused
+        try:  # adj[v] = bitmask of neighbours, index 0 unused
+            adj = [0] * (n + 1)
+        except (OverflowError, MemoryError):  # refused before allocating
+            raise ValueError(
+                f"vertex count {n} is too large to index a list") from None
         norm = []
         for e in edges:
             u, v = e

@@ -9,10 +9,13 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from kromatic import bundled_graph
+from kromatic.core import _menu_sizes, rule_sign
 from kromatic.graphs import (Graph, independence_polynomial, mask_of,
                              mask_vertices, popcount)
-from kromatic.heaps import canonical_word, enumerate_heaps, heap_from_word
-from kromatic.numbers import divisors, partition_sort_key, partitions_of
+from kromatic.heaps import (canonical_word, enumerate_heaps, heap_from_word,
+                            lyndon_supports)
+from kromatic.numbers import (divisors, multiplicities, partition_sort_key,
+                              partitions_of)
 from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
                               generator_series, series_truncate,
                               sympoly_from_vector_counts)
@@ -137,6 +140,29 @@ def heap_count_identity_defect(g, max_n):
                 acc += counts[n - k] * c * (-1) ** k
         out.append(acc - (1 if n == 0 else 0))
     return out
+
+
+def theorem_coefficient_by_products(g, lam, which):
+    """Oracle for core.theorem_coefficient: enumerate every product of heap
+    selections, for each part value k with multiplicity i_k a choice of
+    i_k Lyndon heaps from the allowed sizes (with or without repetition per
+    the rule), and count those whose heaps jointly cover every vertex."""
+    per_value = []
+    for k, i_k in sorted(multiplicities(lam).items()):
+        menu = [m for s in _menu_sizes(k, which)
+                for m in lyndon_supports(g, s)]
+        chooser = itertools.combinations_with_replacement \
+            if rule_sign(which, (k,)) < 0 else itertools.combinations
+        per_value.append([[menu[idx] for idx in sel]
+                          for sel in chooser(range(len(menu)), i_k)])
+    total = 0
+    for combo in itertools.product(*per_value):
+        mask = 0
+        for chosen in combo:
+            for m in chosen:
+                mask |= m
+        total += mask == g.full_mask
+    return total
 
 
 # ---------------------------------------------------------------------------

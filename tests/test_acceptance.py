@@ -131,10 +131,10 @@ def test_criterion_08_recovery_round_trip():
     # sizes up to 2, fully honest truncations
     assert recover_signed_exponent_multiset(
         extract(omega_kromatic(K2, 8), "pbar"), (2, 3)) == \
-        signed_exponent_family(K2, 2)
+        signed_exponent_family(K2, "1.3", 2)
     assert recover_signed_exponent_multiset(
         extract(omega_kromatic(P3, 13), "pbar"), (3, 5)) == \
-        signed_exponent_family(P3, 2)
+        signed_exponent_family(P3, "1.3", 2)
     # sizes up to 4, expansion generated by the subset formula (validated
     # against extraction degreewise in criterion 5's machinery)
     for g in (K2, P3):
@@ -142,7 +142,7 @@ def test_criterion_08_recovery_round_trip():
         box = list(itertools.product(*(range(c + 1) for c in caps)))
         exp = omega_pbar_coefficients_via_subsets(g, box)
         assert recover_signed_exponent_multiset(exp, caps) == \
-            signed_exponent_family(g, 4)
+            signed_exponent_family(g, "1.3", 4)
     verdict(8, "independence multiset rebuilds the series and is recovered "
                "back from it, sizes <= 4")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -290,6 +291,14 @@ def test_verify_stdout_digest_degree_8(capsys):
         "4a7b69df622e702af10f093933505a8870d48fed3febb58abe2af5df523cfcfb"
 
 
+def test_verify_stdout_digest_degree_9(capsys):
+    # the same at degree 9 (2867 PASS lines), recorded while the theorem
+    # counts still enumerated every product of heap selections
+    assert _stdout_digest(capsys, ["verify", "--suite", "all",
+                                   "--degree", "9"]) == \
+        "45ecb7ac7480f2bac40cd6b1ef40cfae493e1bdacda7d2f8dbea56be6fb07a6c"
+
+
 def test_independence_dump(capsys):
     rc, data = run_json(capsys, ["independence", "--graph", "k2"])
     assert rc == 0
@@ -349,7 +358,12 @@ def test_malformed_input_file_exits_two(tmp_path, capsys):
     huge = tmp_path / "huge-graph.json"
     huge.write_text(json.dumps({"n": 10 ** 20, "edges": []}))
     assert main(["expand", "--graph", str(huge), "--degree", "3"]) == 2
+    # one that fits an index but is refused by list repetition before any
+    # memory is allocated
+    huge.write_text(json.dumps({"n": sys.maxsize // 4, "edges": []}))
+    assert main(["expand", "--graph", str(huge), "--degree", "3"]) == 2
     err = capsys.readouterr().err
+    assert err.count("error: vertex count") == 2
     assert "must be an integer" in err
     assert "vertex count" in err
 

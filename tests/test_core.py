@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from kromatic import bundled_graph
+import kromatic.core as core
 from kromatic.core import (
-    brute_force_kromatic,
+    brute_force_kromatic, clear_caches,
     chromatic_p_expansion_oracles, exponent, independence_multiset,
     kromatic, kromatic_from_multiset,
     omega_kromatic, omega_pbar_coefficients_via_subsets, proper_set_colorings,
@@ -14,7 +15,8 @@ from kromatic.graphs import Graph
 from kromatic.numbers import partitions_up_to
 from kromatic.symfunc import extract, omega
 
-from helpers import brute_force_chromatic, induced_subgraph, small_graphs
+from helpers import (brute_force_chromatic, induced_subgraph, small_graphs,
+                     theorem_coefficient_by_products)
 
 K1 = bundled_graph("k1")
 K2 = bundled_graph("k2")
@@ -173,6 +175,61 @@ def test_theorem_suite_random_graphs(g):
     assert run_theorem_suite(g, N=5) == 4 * 18
 
 
+def _check_count_against_products(g, N):
+    for lam in partitions_up_to(N):
+        for which in RULES:
+            assert theorem_coefficient(g, lam, which) == \
+                theorem_coefficient_by_products(g, lam, which), (g, lam, which)
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_theorem_coefficient_matches_products(g):
+    _check_count_against_products(g, 5)
+
+
+def test_theorem_coefficient_matches_products_seven_vertices():
+    # a triangle with two pendant paths and an isolated vertex; heaps of
+    # total size below 7 cannot cover 7 vertices, so the sizes go up to 8
+    g = Graph(7, [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (5, 6)])
+    assert theorem_coefficient(g, (4, 2, 1), "1.3") > 0
+    _check_count_against_products(g, 8)
+
+
+def test_theorem_coefficient_counts_without_subset_formula(monkeypatch):
+    # the count is checked against the subset formula, so it must not be
+    # built from the subset formula's parts
+    def refuse(*args):
+        raise AssertionError("subset formula called")
+
+    for name in ("signed_subset_sum", "exponent", "_binomial_sum"):
+        monkeypatch.setattr(core, name, refuse)
+    for g in (K2, P3, PAW):
+        for lam in partitions_up_to(5):
+            for which in RULES:
+                theorem_coefficient(g, lam, which)
+
+
+def test_clear_caches_recomputes():
+    first = signed_exponent_family(PAW, "1.2", 3)
+    assert signed_exponent_family(PAW, "1.2", 3) is first
+    clear_caches()
+    again = signed_exponent_family(PAW, "1.2", 3)
+    assert again == first and again is not first
+    # every cached function of the module is registered and emptied
+    cached = [f for f in vars(core).values() if hasattr(f, "cache_info")
+              and f.__module__ == core.__name__]
+    assert set(cached) == set(core._CACHED)
+    theorem_coefficient_subsets(PAW, (2, 1), "1.4")
+    clear_caches()
+    assert all(f.cache_info().currsize == 0 for f in cached)
+
+
+def test_signed_exponent_family_is_read_only():
+    with pytest.raises(TypeError):
+        signed_exponent_family(K2, "1.3", 2)[(0, 0)] = 0
+
+
 def test_classical_p_oracles():
     for g in (K1, K2, K3, P3, P4, C4, PAW):
         edges_exp, ao_exp = chromatic_p_expansion_oracles(g)
@@ -204,7 +261,7 @@ def test_recover_signed_family_tiny():
 def test_recover_signed_family_k2_from_extraction():
     # fully honest: expansion comes from the truncated function itself
     F = omega_kromatic(K2, 8)
-    fam = signed_exponent_family(K2, 2)
+    fam = signed_exponent_family(K2, "1.3", 2)
     assert fam == {(0, 0): 1, (1, 1): -2, (2, 3): 1}
     got = recover_signed_exponent_multiset(extract(F, "pbar"), (2, 3))
     assert got == fam
@@ -213,7 +270,7 @@ def test_recover_signed_family_k2_from_extraction():
 def test_recover_signed_family_p3_from_extraction():
     # degree bound 1*3 + 2*5 = 13
     F = omega_kromatic(P3, 13)
-    fam = signed_exponent_family(P3, 2)
+    fam = signed_exponent_family(P3, "1.3", 2)
     assert fam == {(0, 0): -1, (1, 1): 3, (2, 2): -1, (2, 3): -2, (3, 5): 1}
     assert recover_signed_exponent_multiset(extract(F, "pbar"), (3, 5)) == fam
 
@@ -233,7 +290,7 @@ def test_recover_signed_family_k4_forward():
     import itertools
     for g in (K2, P3):
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
-        fam = signed_exponent_family(g, 4)
+        fam = signed_exponent_family(g, "1.3", 4)
         assert set(fam) <= set(itertools.product(*(range(c + 1) for c in caps)))
         box = list(itertools.product(*(range(c + 1) for c in caps)))
         exp = omega_pbar_coefficients_via_subsets(g, box)
