@@ -26,7 +26,6 @@ from .core import (CLAIMS, RULES, brute_force_kromatic,
                    chromatic_p_expansion_oracles, exponent,
                    independence_multiset, kromatic,
                    kromatic_from_multiset, omega_kromatic,
-                   omega_pbar_coefficients_via_subsets,
                    recover_signed_exponent_multiset, rule_sign,
                    signed_exponent_family, theorem_coefficient,
                    theorem_coefficient_subsets, verify_factorization)
@@ -36,11 +35,13 @@ from .graphs import (acyclic_orientations, chromatic_polynomial,
 from .heaps import (enumerate_lyndon, heap_from_word, is_lyndon,
                     lyndon_count, lyndon_mobius_check, rotation_class,
                     word_str)
-from .numbers import QPoly, divisors, mu_hat, partitions_up_to
+from .numbers import (QPoly, divisors, mu_hat, partition_of_multiplicities,
+                      partitions_up_to)
 from .quasisym import (RULES_Q, kromatic_q, kromatic_q_vectors,
                        kromatic_q_via_clans, power_sum_coefficient_q,
                        pyramid_p_expansion_q, specialize_q)
-from .symfunc import extract, omega, verify_omega_basis_identities
+from .symfunc import (Expansion, extract, omega,
+                      verify_omega_basis_identities)
 
 DISPLAY = {"k1": "K1", "k2": "K2", "k3": "K3", "p3": "P3", "p4": "P4",
            "c4": "C4", "paw": "paw"}
@@ -298,18 +299,21 @@ def build_checks(named_graphs, N, suites):
     add("recovery", "recover-K2-honest",
         lambda: recover_signed_exponent_multiset(
             extract(omega_kromatic(K2, 8), "pbar"), (2, 3))
-        == signed_exponent_family(K2, "1.3", 2))
+        == signed_exponent_family(K2, "1.3", (1, 2)))
     add("recovery", "recover-P3-honest",
         lambda: recover_signed_exponent_multiset(
             extract(omega_kromatic(P3, 13), "pbar"), (3, 5))
-        == signed_exponent_family(P3, "1.3", 2))
+        == signed_exponent_family(P3, "1.3", (1, 2)))
 
     def recover_k4(g):
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
-        box = list(itertools.product(*(range(c + 1) for c in caps)))
-        exp = omega_pbar_coefficients_via_subsets(g, box)
+        lams = [partition_of_multiplicities(u)
+                for u in itertools.product(*(range(c + 1) for c in caps))]
+        exp = Expansion("pbar", max(map(sum, lams)),
+                        {lam: theorem_coefficient_subsets(g, lam, "1.3")
+                         for lam in lams})
         return (recover_signed_exponent_multiset(exp, caps)
-                == signed_exponent_family(g, "1.3", 4))
+                == signed_exponent_family(g, "1.3", (1, 2, 3, 4)))
 
     add("recovery", "recover-K2-k4", lambda: recover_k4(K2))
     add("recovery", "recover-P3-k4", lambda: recover_k4(P3))
@@ -464,6 +468,8 @@ def validate(args, parser):
         parser.error("--graph is required")
     if args.mode == "qexpand" and not (args.graph or args.model):
         parser.error("qexpand needs --graph or --model")
+    if args.mode == "qexpand" and args.graph and args.model:
+        parser.error("qexpand takes --graph or --model, not both")
     if getattr(args, "q", None) is not None:
         try:
             Fraction(args.q)

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .graphs import independence_polynomial, mask_vertices, popcount
 from .heaps import lyndon_count, lyndon_supports
-from .numbers import binomial, multiplicities
+from .numbers import binomial, multiplicities, partition_of_multiplicities
 from .symfunc import (
     Expansion, SymPoly, generator_series, product_over_variables,
     series_log_derivative, series_neg_sub, series_reciprocal,
@@ -300,6 +300,8 @@ def _binomial_sum(family, u):
     for v, w in family.items():
         for v_k, u_k in zip(v, u):
             w *= binomial(v_k, u_k)
+            if not w:
+                break
         total += w
     return total
 
@@ -310,14 +312,10 @@ def theorem_coefficient_subsets(g, lam, which):
     prod_k C(e_W(k), m_k) over the distinct parts k of lam, with m_k their
     multiplicities and e_W the rule's exponents inside W.  Where e_W(k) < 0,
     C(e_W(k), m_k) counts multisets of heaps up to the sign (-1)^m_k, and
-    those signs multiply to rule_sign(which, lam).  The family is the
-    cached signed_exponent_family up to the largest part, projected onto
-    the distinct parts of lam (equal projections sum their weights)."""
+    those signs multiply to rule_sign(which, lam).  The sum runs over the
+    cached signed_exponent_family of the distinct parts of lam."""
     mult = multiplicities(lam)
-    family = {}
-    for v, w in signed_exponent_family(g, which, max(mult, default=0)).items():
-        u = tuple(v[k - 1] for k in mult)
-        family[u] = family.get(u, 0) + w
+    family = signed_exponent_family(g, which, tuple(mult))
     return rule_sign(which, lam) * _binomial_sum(family, tuple(mult.values()))
 
 
@@ -354,31 +352,6 @@ def kromatic_from_multiset(ms, N, image="direct"):
 # ---------------------------------------------------------------------------
 # recovering the signed exponent family from coefficients
 
-def _lambda_of_vector(u):
-    parts = []
-    for k, times in enumerate(u, start=1):
-        parts.extend([k] * times)
-    return tuple(sorted(parts, reverse=True))
-
-
-def omega_pbar_coefficients_via_subsets(g, vectors):
-    """[pbar_{lam(u)}] of the omega image for each exponent vector u: the sum
-    of w * prod_k C(v_k, u_k) over the signed exponent family {v: w} of the
-    vertex subsets (size-graded Lyndon counts).  Returns an Expansion over
-    exactly the partitions lam(u)."""
-    family = signed_exponent_family(
-        g, "1.3", max((len(u) for u in vectors), default=0))
-    coeffs = {}
-    n_deg = 0
-    for u in vectors:
-        lam = _lambda_of_vector(u)
-        n_deg = max(n_deg, sum(lam))
-        total = _binomial_sum(family, u)
-        if total:
-            coeffs[lam] = total
-    return Expansion("pbar", n_deg, coeffs)
-
-
 def recover_signed_exponent_multiset(expansion, caps):
     """Invert a pbar expansion into the signed family {vector: weight} with
     coefficient(lam(u)) = sum_v weight(v) * prod_k C(v_k, u_k), peeling from
@@ -397,7 +370,7 @@ def recover_signed_exponent_multiset(expansion, caps):
                  key=lambda u: (-sum(u), u))
     support = {}
     for u in box:
-        acc = expansion.coeff(_lambda_of_vector(u))
+        acc = expansion.coeff(partition_of_multiplicities(u))
         for v, w in support.items():
             if v == u or any(vk < uk for vk, uk in zip(v, u)):
                 continue
@@ -413,14 +386,13 @@ def recover_signed_exponent_multiset(expansion, caps):
 
 
 @cache
-def signed_exponent_family(g, rule, K):
+def signed_exponent_family(g, rule, parts):
     """The ground-truth signed family: for each vertex subset W, the vector
-    of the rule's exponents (e_W(1), ..., e_W(K)) weighted by
-    (-1)^(n - |W|), aggregated.  Cached per (graph, rule, K), so the family
-    is read-only."""
+    of the rule's exponents (e_W(k) for k in parts) weighted by
+    (-1)^(n - |W|), aggregated.  Cached per (graph, rule, parts), so the
+    family is read-only."""
     return MappingProxyType(signed_subset_sum(
-        g, lambda mask: tuple(exponent(g, k, rule, mask)
-                              for k in range(1, K + 1))))
+        g, lambda mask: tuple(exponent(g, k, rule, mask) for k in parts)))
 
 
 _CACHED = (signed_exponent_family,)

@@ -234,8 +234,9 @@ def _prenecklaces(g, n):
 @cache
 def enumerate_lyndon(g, n):
     """Lyndon heaps of size n, sorted by canonical word: the canonical
-    Lyndon words of _prenecklaces, each the word of a pyramid (see
-    lyndon_factorize).
+    Lyndon words of _prenecklaces.  A canonical Lyndon word is a pyramid:
+    its first letter is least, and a second source would commute with every
+    earlier letter and so, by canonicity, be smaller than the first.
 
     A pyramid h is a Lyndon heap iff its canonical word w is a Lyndon word:
     smaller than each proper suffix, or each proper rotation.  Suppose the
@@ -300,30 +301,6 @@ def clear_caches():
     call recomputes from scratch."""
     for fn in _CACHED:
         fn.cache_clear()
-
-
-def lyndon_factorize(w):
-    """The unique factorization of the heap with canonical word w into
-    Lyndon heaps with nonincreasing canonical words (Lalonde), by Duval's
-    algorithm on w; no graph is needed.
-
-    Duval splits w into Lyndon words u1 >= ... >= uk (Chen-Fox-Lyndon).  A
-    factor of a canonical word is canonical.  A canonical Lyndon word is a
-    pyramid: a second source would commute with every earlier letter and so
-    be smaller than the first, least, letter.  So each ui is the word of a
-    Lyndon heap (see enumerate_lyndon), and they stack to w."""
-    n = len(w)
-    out = []
-    i = 0
-    while i < n:
-        j, k = i + 1, i
-        while j < n and w[k] <= w[j]:
-            k = i if w[k] < w[j] else k + 1
-            j += 1
-        while i <= k:
-            out.append(w[i:i + j - k])
-            i += j - k
-    return out
 
 
 def ascent_count(g, w):

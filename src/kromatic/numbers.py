@@ -44,6 +44,12 @@ def multiplicities(lam):
     return m
 
 
+def partition_of_multiplicities(u):
+    """The partition with u[k - 1] parts equal to k: the inverse of
+    multiplicities, read as a vector over the part sizes 1..len(u)."""
+    return tuple(k for k in range(len(u), 0, -1) for _ in range(u[k - 1]))
+
+
 def z_lambda(lam):
     """Order of the centralizer of a permutation of cycle type lam."""
     z = 1

@@ -101,6 +101,33 @@ def is_aperiodic(g, w):
                    for k in enumerate_heaps(g, len(w) // d))
 
 
+def lyndon_factorize(w):
+    """The unique factorization of the heap with canonical word w into
+    Lyndon heaps with nonincreasing canonical words (Lalonde), by Duval's
+    algorithm on w; no graph is needed.
+
+    Oracle: no code of the package factors heaps; the tests check it
+    against the rotation oracle is_lyndon and recomposition.
+
+    Duval splits w into Lyndon words u1 >= ... >= uk (Chen-Fox-Lyndon).  A
+    factor of a canonical word is canonical.  A canonical Lyndon word is a
+    pyramid: a second source would commute with every earlier letter and so
+    be smaller than the first, least, letter.  So each ui is the word of a
+    Lyndon heap (see kromatic.heaps.enumerate_lyndon), and they stack to w."""
+    n = len(w)
+    out = []
+    i = 0
+    while i < n:
+        j, k = i + 1, i
+        while j < n and w[k] <= w[j]:
+            k = i if w[k] < w[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(w[i:i + j - k])
+            i += j - k
+    return out
+
+
 def induced_subgraph(g, mask):
     """Induced subgraph on a vertex bitmask.
 

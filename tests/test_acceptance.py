@@ -10,17 +10,17 @@ from kromatic import bundled_graph
 from kromatic.core import (brute_force_kromatic, chromatic_p_expansion_oracles,
                            exponent, independence_multiset, kromatic,
                            kromatic_from_multiset, omega_kromatic,
-                           omega_pbar_coefficients_via_subsets,
                            recover_signed_exponent_multiset,
                            signed_exponent_family, theorem_coefficient,
                            theorem_coefficient_subsets, verify_factorization)
 from kromatic.heaps import (enumerate_pyramids, heap_from_word, is_lyndon,
                             lyndon_count, rotation_class, word_str)
-from kromatic.numbers import divisors, mobius, mu_hat, partitions_up_to
+from kromatic.numbers import (divisors, mobius, mu_hat,
+                              partition_of_multiplicities, partitions_up_to)
 from kromatic.quasisym import (kromatic_q, kromatic_q_vectors,
                                kromatic_q_via_clans, power_sum_coefficient_q,
                                pyramid_p_expansion_q, specialize_q)
-from kromatic.symfunc import SymPoly, extract, omega
+from kromatic.symfunc import Expansion, SymPoly, extract, omega
 
 ALL_GRAPHS = [(n, bundled_graph(n)) for n in
               ("k1", "k2", "k3", "p3", "p4", "c4", "paw")]
@@ -131,18 +131,21 @@ def test_criterion_08_recovery_round_trip():
     # sizes up to 2, fully honest truncations
     assert recover_signed_exponent_multiset(
         extract(omega_kromatic(K2, 8), "pbar"), (2, 3)) == \
-        signed_exponent_family(K2, "1.3", 2)
+        signed_exponent_family(K2, "1.3", (1, 2))
     assert recover_signed_exponent_multiset(
         extract(omega_kromatic(P3, 13), "pbar"), (3, 5)) == \
-        signed_exponent_family(P3, "1.3", 2)
+        signed_exponent_family(P3, "1.3", (1, 2))
     # sizes up to 4, expansion generated by the subset formula (validated
     # against extraction degreewise in criterion 5's machinery)
     for g in (K2, P3):
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
-        box = list(itertools.product(*(range(c + 1) for c in caps)))
-        exp = omega_pbar_coefficients_via_subsets(g, box)
+        lams = [partition_of_multiplicities(u)
+                for u in itertools.product(*(range(c + 1) for c in caps))]
+        exp = Expansion("pbar", max(map(sum, lams)),
+                        {lam: theorem_coefficient_subsets(g, lam, "1.3")
+                         for lam in lams})
         assert recover_signed_exponent_multiset(exp, caps) == \
-            signed_exponent_family(g, "1.3", 4)
+            signed_exponent_family(g, "1.3", (1, 2, 3, 4))
     verdict(8, "independence multiset rebuilds the series and is recovered "
                "back from it, sizes <= 4")
 

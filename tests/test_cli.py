@@ -489,6 +489,8 @@ def test_config_errors_exit_two():
                  ["expand", "--graph", "nosuch"],
                  ["qexpand", "--model", "ui-k2", "--q", "1/0"],
                  ["qexpand", "--degree", "3"],
+                 ["qexpand", "--model", "ui-k2", "--graph", "k2",
+                  "--degree", "3"],
                  ["verify", "--suite", "nosuchsuite"],
                  ["verify", "--degree", "0"],
                  ["verify", "--graph", "k2", "--degree", "-1"],

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,13 +9,13 @@ from kromatic.core import (
     brute_force_kromatic, clear_caches,
     chromatic_p_expansion_oracles, exponent, independence_multiset,
     kromatic, kromatic_from_multiset,
-    omega_kromatic, omega_pbar_coefficients_via_subsets, proper_set_colorings,
+    omega_kromatic, proper_set_colorings,
     recover_signed_exponent_multiset, signed_exponent_family,
     theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
 )
-from kromatic.graphs import Graph
-from kromatic.numbers import partitions_up_to
-from kromatic.symfunc import extract, omega
+from kromatic.graphs import Graph, popcount
+from kromatic.numbers import partition_of_multiplicities, partitions_up_to
+from kromatic.symfunc import Expansion, extract, omega
 
 from helpers import (brute_force_chromatic, induced_subgraph, small_graphs,
                      theorem_coefficient_by_products)
@@ -211,10 +213,10 @@ def test_theorem_coefficient_counts_without_subset_formula(monkeypatch):
 
 
 def test_clear_caches_recomputes():
-    first = signed_exponent_family(PAW, "1.2", 3)
-    assert signed_exponent_family(PAW, "1.2", 3) is first
+    first = signed_exponent_family(PAW, "1.2", (1, 2, 3))
+    assert signed_exponent_family(PAW, "1.2", (1, 2, 3)) is first
     clear_caches()
-    again = signed_exponent_family(PAW, "1.2", 3)
+    again = signed_exponent_family(PAW, "1.2", (1, 2, 3))
     assert again == first and again is not first
     # every cached function of the module is registered and emptied
     cached = [f for f in vars(core).values() if hasattr(f, "cache_info")
@@ -227,7 +229,24 @@ def test_clear_caches_recomputes():
 
 def test_signed_exponent_family_is_read_only():
     with pytest.raises(TypeError):
-        signed_exponent_family(K2, "1.3", 2)[(0, 0)] = 0
+        signed_exponent_family(K2, "1.3", (1, 2))[(0, 0)] = 0
+
+
+@DIFFERENTIAL
+@given(small_graphs())
+def test_signed_exponent_family_matches_subset_loop(g):
+    # every ascending tuple of distinct sizes with sum <= 6
+    part_tuples = [parts for r in range(4)
+                   for parts in itertools.combinations(range(1, 7), r)
+                   if sum(parts) <= 6]
+    for rule in RULES:
+        for parts in part_tuples:
+            want = {}
+            for mask in range(g.full_mask + 1):
+                key = tuple(exponent(g, k, rule, mask) for k in parts)
+                want[key] = want.get(key, 0) + (-1) ** (g.n - popcount(mask))
+            assert signed_exponent_family(g, rule, parts) == {
+                key: w for key, w in want.items() if w}, (g, rule, parts)
 
 
 def test_classical_p_oracles():
@@ -261,7 +280,7 @@ def test_recover_signed_family_tiny():
 def test_recover_signed_family_k2_from_extraction():
     # fully honest: expansion comes from the truncated function itself
     F = omega_kromatic(K2, 8)
-    fam = signed_exponent_family(K2, "1.3", 2)
+    fam = signed_exponent_family(K2, "1.3", (1, 2))
     assert fam == {(0, 0): 1, (1, 1): -2, (2, 3): 1}
     got = recover_signed_exponent_multiset(extract(F, "pbar"), (2, 3))
     assert got == fam
@@ -270,7 +289,7 @@ def test_recover_signed_family_k2_from_extraction():
 def test_recover_signed_family_p3_from_extraction():
     # degree bound 1*3 + 2*5 = 13
     F = omega_kromatic(P3, 13)
-    fam = signed_exponent_family(P3, "1.3", 2)
+    fam = signed_exponent_family(P3, "1.3", (1, 2))
     assert fam == {(0, 0): -1, (1, 1): 3, (2, 2): -1, (2, 3): -2, (3, 5): 1}
     assert recover_signed_exponent_multiset(extract(F, "pbar"), (3, 5)) == fam
 
@@ -282,37 +301,36 @@ def test_recover_requires_enough_degree():
         recover_signed_exponent_multiset(extract(F, "pbar"), (2, 3))
 
 
+def test_recover_requires_pbar():
+    with pytest.raises(ValueError, match="needs a pbar expansion"):
+        recover_signed_exponent_multiset(
+            extract(omega_kromatic(K2, 8), "pbarprime"), (2, 3))
+
+
 def test_recover_signed_family_k4_forward():
     # at sizes up to 4 the honest truncation is out of reach (degree ~38+),
     # so the expansion is generated by the subset formula, whose agreement
     # with extraction is covered degree-by-degree elsewhere; this validates
     # that the coefficients determine the signed family
-    import itertools
     for g in (K2, P3):
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
-        fam = signed_exponent_family(g, "1.3", 4)
-        assert set(fam) <= set(itertools.product(*(range(c + 1) for c in caps)))
+        fam = signed_exponent_family(g, "1.3", (1, 2, 3, 4))
         box = list(itertools.product(*(range(c + 1) for c in caps)))
-        exp = omega_pbar_coefficients_via_subsets(g, box)
+        assert set(fam) <= set(box)
+        lams = [partition_of_multiplicities(u) for u in box]
+        exp = Expansion("pbar", max(map(sum, lams)),
+                        {lam: theorem_coefficient_subsets(g, lam, "1.3")
+                         for lam in lams})
         got = recover_signed_exponent_multiset(exp, caps)
         assert got == fam
 
 
 def test_forward_coefficients_match_extraction_low_degree():
-    # the subset-formula coefficients agree with honest extraction wherever
-    # both are defined
+    # the subset-formula coefficients of rule 1.3 agree with honest
+    # extraction wherever both are defined
     for g in (K2, P3):
         W = extract(omega_kromatic(g, 5), "pbar")
-        vectors = []
         for lam in partitions_up_to(5):
             if lam and all(p <= 4 for p in lam):
-                vec = [0, 0, 0, 0]
-                for p in lam:
-                    vec[p - 1] += 1
-                vectors.append(tuple(vec))
-        exp = omega_pbar_coefficients_via_subsets(g, vectors)
-        for lam, c in exp.coeffs.items():
-            assert W.coeff(lam) == c
-        for lam in partitions_up_to(5):
-            if lam and all(p <= 4 for p in lam):
-                assert exp.coeff(lam) == W.coeff(lam)
+                assert theorem_coefficient_subsets(g, lam, "1.3") == \
+                    W.coeff(lam), (g, lam)

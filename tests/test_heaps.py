@@ -9,15 +9,15 @@ from kromatic.heaps import (
     ascent_count, canonical_word, canonical_word_with_perm,
     clear_caches, enumerate_heaps, enumerate_lyndon, enumerate_pyramids,
     heap_from_word, is_lyndon, is_pyramid, lyndon_count,
-    lyndon_factorize, lyndon_mobius_check, rotate, rotate_to_source,
+    lyndon_mobius_check, rotate, rotate_to_source,
     rotation_class, sources, word_str,
 )
 from kromatic.numbers import divisors, mobius
 from kromatic.symfunc import series_neg_sub, series_reciprocal
 
 from helpers import (check_canonical_invariance, compose_all,
-                     heap_count_identity_defect, is_aperiodic, series_log,
-                     small_graphs)
+                     heap_count_identity_defect, is_aperiodic,
+                     lyndon_factorize, series_log, small_graphs)
 
 K2 = bundled_graph("k2")
 P3 = bundled_graph("p3")

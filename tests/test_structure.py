@@ -1,0 +1,52 @@
+"""Source-level guards over the modules of src/kromatic."""
+import ast
+from pathlib import Path
+
+import kromatic
+
+SRC = Path(kromatic.__file__).parent
+
+# Test hooks: only the tests call them, to empty a layer's caches.
+HOOKS = {("core", "clear_caches"), ("heaps", "clear_caches")}
+
+
+def _imported_names(tree):
+    """{name: defining module} for every `from .module import name` (and
+    `from . import name`, from the package itself) anywhere in a module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.module or "__init__"
+    return out
+
+
+def _references(stmt, name, home, imported):
+    """Whether a top-level statement of a module with these imports uses
+    `name` as defined in module `home`.  An import alone is no use."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return False
+    return imported.get(name, home) == home and any(
+        isinstance(node, ast.Name) and node.id == name
+        for node in ast.walk(stmt))
+
+
+def test_every_definition_has_a_caller():
+    # a module-level function or class that no other top-level statement
+    # of the package uses is dead code, or an oracle for tests/helpers.py;
+    # a registration in a _CACHED tuple counts as a use
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    imports = {mod: _imported_names(tree) for mod, tree in trees.items()}
+    dead = []
+    for home, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (home, node.name) in HOOKS:
+                continue
+            if not any(_references(stmt, node.name, home, imports[mod])
+                       for mod, other in trees.items()
+                       if mod == home or node.name in imports[mod]
+                       for stmt in other.body if stmt is not node):
+                dead.append(f"{home}.{node.name}")
+    assert dead == []
