@@ -393,13 +393,3 @@ def signed_exponent_family(g, rule, parts):
     family is read-only."""
     return MappingProxyType(signed_subset_sum(
         g, lambda mask: tuple(exponent(g, k, rule, mask) for k in parts)))
-
-
-_CACHED = (signed_exponent_family,)
-
-
-def clear_caches():
-    """Empty every module-level cache of the core layer, so that the next
-    call recomputes from scratch."""
-    for fn in _CACHED:
-        fn.cache_clear()

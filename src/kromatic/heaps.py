@@ -9,8 +9,8 @@ Pieces are referred to by their index (0-based) in the canonical word.
 Every function that needs the graph takes it first, as (g, w).
 
 Pyramids and Lyndon heaps grow letter by letter as canonical words, Lyndon
-heaps as prenecklaces, and Duval's algorithm factors a heap's word.  The
-heap enumeration and the rotation functions are the oracles.
+heaps as prenecklaces.  The rotation functions are the oracles; the
+enumeration of every heap is a test oracle in tests/helpers.py.
 """
 from __future__ import annotations
 
@@ -169,6 +169,11 @@ def is_lyndon(g, w):
 
 
 def _extends_canonically(dep, w, v):
+    """Whether w + (v,) is canonical, for canonical w: the step by which
+    canonical words grow letter by letter (every prefix of a canonical word
+    is canonical).  It is iff every letter of the longest suffix of w that
+    commutes with v is larger than v: a smaller one could be overtaken by
+    v.  Extending sorted words by ascending letters keeps them sorted."""
     d = dep[v]
     for u in reversed(w):
         if d >> (u - 1) & 1:
@@ -179,28 +184,9 @@ def _extends_canonically(dep, w, v):
 
 
 @cache
-def enumerate_heaps(g, n):
-    """All heaps of size n on g, sorted by canonical word.  The oracle of the
-    two growths below, behind the tests' heap_count_identity_defect,
-    is_aperiodic and filters; nothing in the package calls it.
-
-    Canonical words are extended letter by letter (every prefix of a
-    canonical word is canonical).  For canonical w, the word w + (v,) is
-    canonical iff every letter of the longest suffix of w that commutes with
-    v is larger than v: a smaller one could be overtaken by v.  Extending
-    the sorted words of size n - 1 by ascending letters keeps them sorted.
-    """
-    if n == 0:
-        return ((),)
-    dep = _deps(g)
-    return tuple(w + (v,) for w in enumerate_heaps(g, n - 1)
-                 for v in g.vertices() if _extends_canonically(dep, w, v))
-
-
-@cache
 def enumerate_pyramids(g, n):
-    """Pyramids of size n, sorted by canonical word, grown as in
-    enumerate_heaps.  A source of a prefix, a letter commuting with all
+    """Pyramids of size n, sorted by canonical word, grown by
+    _extends_canonically.  A source of a prefix, a letter commuting with all
     letters before it, is a source of the word, so every prefix of a
     pyramid is a pyramid, and w + (v,) is one iff w is, v is no second
     source (it fails to commute with some letter of w) and w + (v,) is
@@ -219,7 +205,7 @@ def enumerate_pyramids(g, n):
 @cache
 def _prenecklaces(g, n):
     """Sorted canonical words of size n that are prenecklaces, each with
-    its period p, grown as in enumerate_heaps.  By Fredricksen-Kessler-
+    its period p, grown by _extends_canonically.  By Fredricksen-Kessler-
     Maiorana, w + (v,) is a prenecklace iff v >= w[-p], of period p if
     v == w[-p] and n otherwise; those of period n are the Lyndon words."""
     if n <= 1:
@@ -287,20 +273,8 @@ def _lyndon_counts_by_support(g, n):
 def lyndon_count(g, n, support=None):
     """Number of Lyndon heaps of size n; if support is a bitmask, only heaps
     whose pieces all lie inside it are counted."""
-    if support is None:
-        return len(enumerate_lyndon(g, n))
-    return _lyndon_counts_by_support(g, n)[support & g.full_mask]
-
-
-_CACHED = (_deps, enumerate_heaps, enumerate_pyramids, _prenecklaces,
-           enumerate_lyndon, lyndon_supports, _lyndon_counts_by_support)
-
-
-def clear_caches():
-    """Empty every module-level cache of the heap layer, so that the next
-    call recomputes from scratch."""
-    for fn in _CACHED:
-        fn.cache_clear()
+    mask = g.full_mask if support is None else support & g.full_mask
+    return _lyndon_counts_by_support(g, n)[mask]
 
 
 def ascent_count(g, w):

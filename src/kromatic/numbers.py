@@ -254,11 +254,6 @@ class QPoly:
             raise ValueError(f"inexact QPoly division: {self!r} by {other!r}")
         return QPoly(quot)
 
-    def coeff(self, power):
-        if 0 <= power < len(self.c):
-            return self.c[power]
-        return 0
-
     def __repr__(self):
         if not self.c:
             return "QPoly(0)"

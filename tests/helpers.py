@@ -1,10 +1,12 @@
 """Shared randomized-property drivers, reused by the acceptance suite, the
-random-graph strategy of the differential tests, the oracles that only
-tests call, and the Fraction oracle of the power-sum arithmetic."""
+random-graph strategy of the differential tests, the hook that empties the
+package's caches, the oracles that only tests call, and the Fraction oracle
+of the power-sum arithmetic."""
 import itertools
 import random
+import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from hypothesis import strategies as st
 
@@ -12,8 +14,8 @@ from kromatic import bundled_graph
 from kromatic.core import _menu_sizes, rule_sign
 from kromatic.graphs import (Graph, independence_polynomial, mask_of,
                              mask_vertices, popcount)
-from kromatic.heaps import (canonical_word, enumerate_heaps, heap_from_word,
-                            lyndon_supports)
+from kromatic.heaps import (_deps, _extends_canonically, canonical_word,
+                            heap_from_word, lyndon_supports)
 from kromatic.numbers import (divisors, multiplicities, partition_sort_key,
                               partitions_of)
 from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
@@ -59,6 +61,18 @@ def check_canonical_invariance(trials=200, seed=20260822):
         assert sorted(cw) == sorted(word)
         assert heap_from_word(g, word) == heap_from_word(g, other)
     return trials
+
+
+def clear_caches():
+    """Empty every module-level functools cache of the loaded kromatic
+    modules and of the oracles here, so that the next call recomputes from
+    scratch."""
+    namespaces = [vars(m) for name, m in list(sys.modules.items())
+                  if name.partition(".")[0] == "kromatic"]
+    for namespace in namespaces + [globals()]:
+        for f in namespace.values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +165,21 @@ def has_induced_c4_or_claw(g):
         if len(sub.edges) == 3 and deg == [1, 1, 1, 3]:
             return True  # induced claw
     return False
+
+
+@cache
+def enumerate_heaps(g, n):
+    """All heaps of size n on g, sorted by canonical word: every canonical
+    word grown by kromatic.heaps._extends_canonically.
+
+    Oracle: no code of the package enumerates every heap; the tests hold
+    the pyramid and prenecklace growths to filters over it, and
+    heap_count_identity_defect and is_aperiodic read it."""
+    if n == 0:
+        return ((),)
+    dep = _deps(g)
+    return tuple(w + (v,) for w in enumerate_heaps(g, n - 1)
+                 for v in g.vertices() if _extends_canonically(dep, w, v))
 
 
 def heap_count_identity_defect(g, max_n):

@@ -7,7 +7,7 @@ from kromatic import BUNDLED_GRAPHS, bundled_graph, heaps
 from kromatic.graphs import Graph, independence_polynomial, mask_of
 from kromatic.heaps import (
     ascent_count, canonical_word, canonical_word_with_perm,
-    clear_caches, enumerate_heaps, enumerate_lyndon, enumerate_pyramids,
+    enumerate_lyndon, enumerate_pyramids,
     heap_from_word, is_lyndon, is_pyramid, lyndon_count,
     lyndon_mobius_check, rotate, rotate_to_source,
     rotation_class, sources, word_str,
@@ -15,9 +15,10 @@ from kromatic.heaps import (
 from kromatic.numbers import divisors, mobius
 from kromatic.symfunc import series_neg_sub, series_reciprocal
 
-from helpers import (check_canonical_invariance, compose_all,
-                     heap_count_identity_defect, is_aperiodic,
-                     lyndon_factorize, series_log, small_graphs)
+from helpers import (check_canonical_invariance, clear_caches, compose_all,
+                     enumerate_heaps, heap_count_identity_defect,
+                     is_aperiodic, lyndon_factorize, series_log,
+                     small_graphs)
 
 K2 = bundled_graph("k2")
 P3 = bundled_graph("p3")
@@ -283,6 +284,7 @@ def _check_lyndon_routes(g, k):
     clear_caches()
     fast = list(enumerate_lyndon(g, k))
     assert fast == _lyndon_by_filter(g, k)
+    assert lyndon_count(g, k) == len(fast)
     for support in range(1 << g.n):
         got = lyndon_count(g, k, support)
         assert got == sum(1 for h in fast
@@ -328,14 +330,13 @@ def test_lyndon_routes_all_labelled_graphs():
 
 
 def test_enumerate_lyndon_does_not_rotate(monkeypatch):
-    # the rotation functions, the heap enumeration and the pyramid test are
-    # the oracle only: both growths and counts by support must not fall back
-    # to them
+    # the rotation functions and the pyramid test are the oracle only: both
+    # growths and counts by support must not fall back to them
     def refuse(*args):
         raise AssertionError("oracle called")
 
     for name in ("rotation_class", "rotate", "rotate_to_source", "is_lyndon",
-                 "enumerate_heaps", "is_pyramid", "sources"):
+                 "is_pyramid", "sources"):
         monkeypatch.setattr(heaps, name, refuse)
     clear_caches()
     for g in BUNDLED:
@@ -354,10 +355,11 @@ def test_clear_caches_recomputes():
         clear_caches()
         again = enumerate_(PAW, 4)
         assert again == first and again is not first
-    # every cached function of the module is registered and emptied
+    # every cached function of the module, and the heap oracle, is emptied
     cached = [f for f in vars(heaps).values() if hasattr(f, "cache_info")]
-    assert set(cached) == set(heaps._CACHED)
+    cached.append(enumerate_heaps)
     lyndon_count(PAW, 4, 0b11)
+    enumerate_heaps(PAW, 3)
     clear_caches()
     assert all(f.cache_info().currsize == 0 for f in cached)
 

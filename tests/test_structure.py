@@ -6,9 +6,6 @@ import kromatic
 
 SRC = Path(kromatic.__file__).parent
 
-# Test hooks: only the tests call them, to empty a layer's caches.
-HOOKS = {("core", "clear_caches"), ("heaps", "clear_caches")}
-
 
 def _imported_names(tree):
     """{name: defining module} for every `from .module import name` (and
@@ -33,16 +30,13 @@ def _references(stmt, name, home, imported):
 
 def test_every_definition_has_a_caller():
     # a module-level function or class that no other top-level statement
-    # of the package uses is dead code, or an oracle for tests/helpers.py;
-    # a registration in a _CACHED tuple counts as a use
+    # of the package uses is dead code, or an oracle for tests/helpers.py
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     imports = {mod: _imported_names(tree) for mod, tree in trees.items()}
     dead = []
     for home, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if (home, node.name) in HOOKS:
                 continue
             if not any(_references(stmt, node.name, home, imports[mod])
                        for mod, other in trees.items()
