@@ -24,7 +24,7 @@ from pathlib import Path
 from . import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, bundled_model
 from .core import (CLAIMS, RULES, brute_force_kromatic,
                    chromatic_p_expansion_oracles, exponent,
-                   independence_multiset, kromatic,
+                   independence_multiset, kromatic, kromatic_expansion,
                    kromatic_from_multiset, omega_kromatic,
                    recover_signed_exponent_multiset, rule_sign,
                    signed_exponent_family, theorem_coefficient,
@@ -98,8 +98,11 @@ def _emit(obj, out_path):
 def run_expand(args, parser):
     name, g = _load_graph(args.graph)
     N, M = args.degree, args.vars or args.degree
-    F = omega_kromatic(g, N) if args.omega else kromatic(g, N)
-    exp = extract(F, args.basis)
+    ms, image = independence_multiset(g), "omega" if args.omega else "direct"
+    if args.basis == "p":
+        exp = Expansion("p", N, kromatic_from_multiset(ms, N, image).terms())
+    else:
+        exp = kromatic_expansion(ms, N, image, args.basis)
     _emit(_expansion_json(exp, name, M, args.omega), args.out)
     return 0
 

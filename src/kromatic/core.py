@@ -19,7 +19,8 @@ from types import MappingProxyType
 
 from .graphs import independence_polynomial, mask_vertices, popcount
 from .heaps import lyndon_count, lyndon_supports
-from .numbers import binomial, multiplicities, partition_of_multiplicities
+from .numbers import (binomial, multiplicities, partition_of_multiplicities,
+                      partitions_up_to)
 from .symfunc import (
     Expansion, SymPoly, generator_series, product_over_variables,
     series_log_derivative, series_neg_sub, series_reciprocal,
@@ -220,8 +221,8 @@ def verify_factorization(g, variant, N):
     So the two sides agree through degree N exactly when log F and
     sum_k e(k) log g_k agree through t^N, that is when their integer
     log derivatives t F'/F and sum_k e(k) t g_k'/g_k do, which is what is
-    compared.  Returns True; raises AssertionError with context on
-    failure."""
+    compared.  Returns True; raises AssertionError naming the first degree
+    where they differ, with both values."""
     rule = CLAIMS[variant]
     image, basis = RULES[rule]
     lhs = series_log_derivative(
@@ -233,8 +234,10 @@ def verify_factorization(g, variant, N):
             for j, c in enumerate(series_log_derivative(
                     generator_series(basis, k, N), N)):
                 rhs[j] += e * c
-    assert lhs == tuple(rhs), (
-        f"factorization variant {variant!r} fails on {g!r} at N={N}")
+    j = next((j for j in range(N + 1) if lhs[j] != rhs[j]), None)
+    assert j is None, (
+        f"factorization variant {variant!r} fails on {g!r} at N={N}: at "
+        f"t^{j}, t F'/F has {lhs[j]} but sum_k e(k) t g_k'/g_k has {rhs[j]}")
     return True
 
 
@@ -299,9 +302,10 @@ def _binomial_sum(family, u):
     total = 0
     for v, w in family.items():
         for v_k, u_k in zip(v, u):
-            w *= binomial(v_k, u_k)
-            if not w:
-                break
+            if u_k:
+                w *= binomial(v_k, u_k)
+                if not w:
+                    break
         total += w
     return total
 
@@ -330,23 +334,54 @@ def independence_multiset(g):
                         for mask in range(g.full_mask + 1)))
 
 
-def kromatic_from_multiset(ms, N, image="direct"):
-    """The (direct or omega) set-coloring generating function from an
-    independence multiset alone: the alternating sum over its entries of
-    prod_i f(x_i), where f is the entry's independence polynomial I (direct)
-    or 1 / I(-t) (omega).  The number of vertices is the largest size, that
-    of W = V.  Equal polynomials have their signs summed first: many subsets
-    share one."""
+def _polynomial_weights(ms):
+    """{polynomial: sum of (-1)^(n - size) over its entries} of an
+    independence multiset, without the polynomials whose signs cancel.  The
+    number of vertices n is the largest size, that of W = V."""
     n = max(size for _, size in ms)
     weight = {}
     for poly, size in ms:
         weight[poly] = weight.get(poly, 0) + (-1 if (n - size) % 2 else 1)
+    return {poly: w for poly, w in weight.items() if w}
+
+
+def kromatic_from_multiset(ms, N, image="direct"):
+    """The (direct or omega) set-coloring generating function from an
+    independence multiset alone: the alternating sum over its entries of
+    prod_i f(x_i), where f is the entry's independence polynomial I (direct)
+    or 1 / I(-t) (omega).  Equal polynomials have their signs summed first:
+    many subsets share one."""
     acc = SymPoly(N, {})
-    for poly, w in weight.items():
-        if w:
-            series = image_series(poly, N, image)
-            acc = acc + product_over_variables(series, N).scale(w)
+    for poly, w in _polynomial_weights(ms).items():
+        acc += product_over_variables(image_series(poly, N, image), N).scale(w)
     return acc
+
+
+def kromatic_expansion(ms, N, image, basis):
+    """extract(kromatic_from_multiset(ms, N, image), basis) for pbar or
+    pbarprime, with no basis element built.  Each polynomial's image series
+    is prod_k g_k^e(k) mod t^(N+1), g_k the generator series, so its product
+    over variables is prod_k (1 + basis_k)^e(k), whose basis_lam coefficient
+    is prod_k C(e(k), m_k(lam)).  The exponents solve t f'/f = sum_k e(k)
+    t g_k'/g_k, triangular as t g_j'/g_j starts with j t^j; a division by j
+    that is not exact raises ValueError."""
+    logs = {j: series_log_derivative(generator_series(basis, j, N), N)
+            for j in range(1, N + 1)}
+    family = {}
+    for poly, w in _polynomial_weights(ms).items():
+        d = list(series_log_derivative(image_series(poly, N, image), N))
+        e = [0] * (N + 1)
+        for j in range(1, N + 1):
+            e[j], rest = divmod(d[j], j)
+            if rest:
+                raise ValueError(f"t^{j} coefficient {d[j]} of t f'/f for "
+                                 f"{poly} is not a multiple of {j}")
+            for i, c in enumerate(logs[j]):
+                d[i] -= e[j] * c
+        family[tuple(e[1:])] = family.get(tuple(e[1:]), 0) + w
+    coeffs = {lam: _binomial_sum(family, [lam.count(k) for k in range(
+        1, max(lam, default=0) + 1)]) for lam in partitions_up_to(N)}
+    return Expansion(basis, N, {lam: c for lam, c in coeffs.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import pytest
 
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph
 from kromatic.cli import build_checks, main
+from kromatic.symfunc import basis_element
+
+from helpers import clear_caches
 
 GOLDEN_K2 = {
     (2,): "-1", (1, 1): "1",
@@ -244,6 +247,42 @@ def test_expand_stdout_digests(capsys):
         EXPAND_DIGESTS
 
 
+# sha256 of the stdout of two expand jobs at high degree, recorded while
+# expand still extracted by peeling products of basis elements
+EXPAND_HIGH_DEGREE_DIGESTS = {
+    ("paw", "pbar", "--omega", "--degree", "18"):
+        "b5ab480dcb36293b985b8a02f5db1ef06f88693ab5d90afa90f7fb754aea20c5",
+    ("c4", "pbarprime", "--degree", "16"):
+        "ef79e637b6244de8847efde045a14d6b652dda3f6e97bee705c7933184cf06e8",
+}
+
+
+def test_expand_stdout_digests_high_degree(capsys):
+    for (graph, basis, *rest), digest in EXPAND_HIGH_DEGREE_DIGESTS.items():
+        assert _stdout_digest(capsys, [
+            "expand", "--graph", graph, "--basis", basis, *rest]) == digest
+
+
+def test_expand_stays_off_heaps_and_builds_no_basis_element(capsys,
+                                                            monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expand called the heap layer")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "kromatic":
+            for attr, f in list(vars(module).items()):
+                if callable(f) and getattr(f, "__module__", None) == \
+                        "kromatic.heaps":
+                    monkeypatch.setattr(module, attr, refuse)
+    clear_caches()
+    for basis in ("p", "pbar", "pbarprime"):
+        for omega in ((), ("--omega",)):
+            assert main(["expand", "--graph", "paw", "--basis", basis,
+                         *omega, "--degree", "9"]) == 0
+    capsys.readouterr()
+    assert basis_element.cache_info().misses == 0
+
+
 def test_qexpand_stdout_digests(capsys):
     assert _sweep(capsys, "qexpand", "--model", BUNDLED_MODELS, 5) == \
         QEXPAND_DIGESTS
@@ -480,6 +519,18 @@ def test_verify_fail_lines_show_values(capsys, monkeypatch):
     assert "FAIL prop-5.1-K2-lambda-1 (AssertionError: counted 7, " \
         "extracted " in out
     assert "PASS clans-vs-brute-K2" in out
+
+    import kromatic.core as core
+    exponent = core.exponent
+    monkeypatch.setattr(core, "exponent", lambda g, k, rule, support=None:
+                        exponent(g, k, rule, support) + (k == 2))
+    rc = main(["verify", "--graph", "k2", "--suite", "factorization",
+               "--degree", "3"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert ("FAIL claim-a-K2-N3 (AssertionError: factorization variant 'a' "
+            "fails on Graph(n=2, edges=[(1, 2)]) at N=3: at t^2, t F'/F has "
+            "-4 but sum_k e(k) t g_k'/g_k has -2)") in out
 
 
 def test_config_errors_exit_two():

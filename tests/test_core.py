@@ -1,14 +1,17 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kromatic import bundled_graph
 import kromatic.core as core
 from kromatic.core import (
     brute_force_kromatic, chromatic_p_expansion_oracles, exponent,
-    independence_multiset, kromatic, kromatic_from_multiset,
-    omega_kromatic, proper_set_colorings,
+    independence_multiset, kromatic, kromatic_expansion,
+    kromatic_from_multiset, omega_kromatic, proper_set_colorings,
     recover_signed_exponent_multiset, signed_exponent_family,
     theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
 )
@@ -106,7 +109,7 @@ def test_verify_factorization_rejects_wrong_exponent(monkeypatch):
             core, "exponent", lambda g, k, rule, support=None, bad_k=bad_k:
             exponent(g, k, rule, support) + (k == bad_k))
         for variant in "abcd":
-            with pytest.raises(AssertionError):
+            with pytest.raises(AssertionError, match=rf"at t\^{bad_k}, "):
                 verify_factorization(P3, variant, 4)
 
 
@@ -255,6 +258,35 @@ def test_classical_p_oracles():
         assert direct.coeffs == edges_exp.coeffs
     # frozen spec example
     assert chromatic_p_expansion_oracles(K2)[0].coeffs == {(1, 1): 1, (2,): -1}
+
+
+def _check_kromatic_expansion(g, N):
+    ms = independence_multiset(g)
+    for image in ("direct", "omega"):
+        F = kromatic_from_multiset(ms, N, image)
+        for basis in ("pbar", "pbarprime"):
+            assert kromatic_expansion(ms, N, image, basis) == \
+                extract(F, basis)
+
+
+@DIFFERENTIAL
+@given(small_graphs(), st.integers(0, 8))
+def test_kromatic_expansion_matches_extraction(g, N):
+    _check_kromatic_expansion(g, N)
+
+
+def test_kromatic_expansion_eight_vertices_and_empty_graph():
+    rng = random.Random(20261019)
+    pairs = list(itertools.combinations(range(1, 9), 2))
+    _check_kromatic_expansion(
+        Graph(8, [e for e in pairs if rng.random() < 0.35]), 12)
+    _check_kromatic_expansion(Graph(0, []), 5)
+
+
+def test_kromatic_expansion_refuses_inexact_division():
+    ms = (((1,), 0), ((1, Fraction(1, 2)), 1))
+    with pytest.raises(ValueError, match="not a multiple of 1"):
+        kromatic_expansion(ms, 3, "direct", "pbar")
 
 
 def test_independence_multiset():
