@@ -197,33 +197,6 @@ def _is_acyclic(n, oriented):
     return seen == n
 
 
-def chromatic_polynomial(g):
-    """Chromatic polynomial coefficients by deletion-contraction,
-    low degree first."""
-    if not g.edges:
-        out = [0] * (g.n + 1)
-        out[g.n] = 1
-        return tuple(out)
-    u, v = g.edges[0]
-    deleted = Graph(g.n, g.edges[1:])
-    # contract v into u, relabel down
-    keep = [w for w in g.vertices() if w != v]
-    relab = {w: i + 1 for i, w in enumerate(keep)}
-    cedges = set()
-    for a, b in g.edges[1:]:
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 != b2:
-            cedges.add((min(relab[a2], relab[b2]), max(relab[a2], relab[b2])))
-    contracted = Graph(g.n - 1, sorted(cedges))
-    pd = chromatic_polynomial(deleted)
-    pc = chromatic_polynomial(contracted)
-    out = list(pd) + [0] * (len(pc) - len(pd))
-    for i, c in enumerate(pc):
-        out[i] -= c
-    return tuple(out)
-
-
 def source_components(g, oriented):
     """Partition of the vertices by repeated least-vertex reachability.
 

@@ -1,8 +1,7 @@
 """Exact scalar arithmetic: partitions, arithmetic functions, q-polynomials.
 
-Partitions are plain tuples of ints sorted nonincreasing; compositions are
-plain tuples.  All arithmetic is exact (int / fractions.Fraction / QPoly),
-never floating point.
+Partitions are plain tuples of ints sorted nonincreasing.  All arithmetic
+is exact (int / fractions.Fraction / QPoly), never floating point.
 """
 from __future__ import annotations
 
@@ -162,10 +161,6 @@ class QPoly:
     def __setattr__(self, *a):
         raise AttributeError("QPoly is immutable")
 
-    @staticmethod
-    def q(power=1):
-        return QPoly((0,) * power + (1,))
-
     def __bool__(self):
         return bool(self.c)
 
@@ -283,21 +278,3 @@ def q_factorial(alpha):
             acc = acc * q_int(j)
     return acc
 
-
-# ---------------------------------------------------------------------------
-# composition helpers
-
-def compositions(length, total):
-    """All tuples of `length` positive ints summing to exactly `total`."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - length + 2):
-        for rest in compositions(length - 1, total - first):
-            yield (first,) + rest
-
-
-def compositions_up_to(length, max_total):
-    for total in range(length, max_total + 1):
-        yield from compositions(length, total)

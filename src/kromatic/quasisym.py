@@ -13,21 +13,21 @@ Routes implemented here:
     color, divide out the q-factorial of the clique sizes;
   * pyramid expansions: coefficients of p_lambda / z_lambda are ascent
     generating functions over lists of pyramids covering the vertex set;
-  * closed coefficient formulas for the four K-power-sum expansions.
+  * closed coefficient formulas for the four K-power-sum expansions, each
+    p_mu written over the basis by inverting log(1 + b_k), not extracted.
 """
 
-from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import factorial
 from operator import add, mul
 
 from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
                    rule_sign)
 from .graphs import clan_graph, independent_sets, mask_of, popcount
 from .heaps import ascent_count, enumerate_pyramids
-from .numbers import (QPoly, compositions_up_to, divisors, mobius, mu_hat,
-                      partitions_up_to, q_factorial, z_lambda)
+from .numbers import (QPoly, mobius, mu_hat, partitions_up_to, q_factorial,
+                      z_lambda)
 from .symfunc import SymPoly, sympoly_from_vector_counts
 
 
@@ -147,7 +147,10 @@ def kromatic_q_via_clans(g, N, M):
     ascents are the edges that increase in color.  The division must be
     exact; divexact raises otherwise."""
     acc = {}
-    for alpha in compositions_up_to(g.n, N):
+    # the other g.n - 1 parts are at least 1, so no part exceeds N - g.n + 1
+    for alpha in product(range(1, N - g.n + 2), repeat=g.n):
+        if sum(alpha) > N:
+            continue
         cg, _ = clan_graph(g, alpha)
         fac = q_factorial(alpha)
         for vec, poly in kromatic_q_vectors(cg, cg.n, M).items():
@@ -192,46 +195,29 @@ def pyramid_p_expansion_q(g, N):
 RULES_Q = tuple(rule for rule in RULES if rule.startswith("5."))
 
 
-def _triple_decompositions(lam):
-    """Multisets of triples (a, d, n), each contributing n copies of the
-    part value a*d, that together rebuild the part multiset of lam."""
-    target = Counter(lam)
-    cands = []
-    for v in sorted(target):
-        for n in range(1, target[v] + 1):
-            for d in divisors(v):
-                cands.append((v // d, d, n, v))
+@lru_cache(maxsize=None)
+def _p_over_basis(basis, mu, N):
+    """p_mu over the basis ('pbar' or 'pbarprime'), to degree N, as a SymPoly
+    whose symbol p_lam stands for the basis element b_lam: SymPoly's product
+    is the union of partitions, which is the product b_lam b_nu = b_(lam
+    union nu) of a multiplicative basis.
 
-    def rec(idx, remaining, chosen):
-        if not +remaining:
-            yield tuple(chosen)
-            return
-        if idx == len(cands):
-            return
-        a, d, n, v = cands[idx]
-        yield from rec(idx + 1, remaining, chosen)
-        mx = remaining.get(v, 0) // n
-        for take in range(1, mx + 1):
-            nxt = remaining.copy()
-            nxt[v] -= n * take
-            if not nxt[v]:
-                del nxt[v]
-            yield from rec(idx + 1, nxt, chosen + [(a, d, n)] * take)
-
-    yield from rec(0, target, [])
-
-
-def _arrangements(triples):
-    """Ordered assignments of (d, n) data to the positions of the sorted
-    partition formed by the a-values."""
-    by_a = Counter(t[0] for t in triples)
-    by_triple = Counter(triples)
-    num = 1
-    for c in by_a.values():
-        num *= factorial(c)
-    for c in by_triple.values():
-        num //= factorial(c)
-    return num
+    Each basis has log(1 + b_k) = sum_r c_r p_(kr), with c_r = 1/r for
+    pbarprime and (-1)^(r+1)/r for pbar, and f (mobius, or mu_hat for pbar)
+    is the Dirichlet inverse that makes sum_(dr=m) f(d) c_r r = [m = 1].  So
+    p_a = sum_d f(d)/d log(1 + b_(ad))
+        = sum_(d,n) f(d) (-1)^(n+1)/(d n) b_(ad)^n,
+    and p_mu is the product of these series over the parts a of mu."""
+    if not mu:
+        return SymPoly.const(N, 1)
+    if len(mu) > 1:
+        return (_p_over_basis(basis, mu[:1], N)
+                * _p_over_basis(basis, mu[1:], N))
+    a = mu[0]
+    f = mobius if basis == "pbarprime" else mu_hat
+    return SymPoly(N, {(a * d,) * n: Fraction(f(d) * (-1) ** (n + 1), d * n)
+                       for d in range(1, N // a + 1)
+                       for n in range(1, N // (a * d) + 1)})
 
 
 def power_sum_coefficient_q(g, lam, rule):
@@ -239,27 +225,21 @@ def power_sum_coefficient_q(g, lam, rule):
     q-refined series or its omega image, as a polynomial in q (entries may
     be fractions).
 
-    The rule's entry in core.RULES names the image (the series itself or
-    its omega image) and the basis (pbarprime, built over all multiples of
-    each part, or pbar, a single column).  mobius enters for pbarprime and
-    mu_hat for pbar.  Pyramid lists count only when they cover every
-    vertex, as in ascent_polynomial.
+    The rule's entry in core.RULES names the image and the basis.  The
+    omega image is sum_mu A_mu(q) p_mu / z_mu, A_mu the covering ascent
+    polynomial, and rule_sign carries it to the series itself; p_mu is
+    written over the basis by _p_over_basis, and A_mu is computed only
+    where b_lam occurs in it.
     """
     if rule not in RULES_Q:
         raise ValueError(f"unknown rule {rule!r}")
-    f = mobius if RULES[rule][1] == "pbarprime" else mu_hat
+    basis, N = RULES[rule][1], sum(lam)
     total = QPoly()
-    for triples in _triple_decompositions(lam):
-        lamp = tuple(sorted((a for a, d, n in triples), reverse=True))
-        coef = Fraction(_arrangements(triples), z_lambda(lamp))
-        for a, d, n in triples:
-            coef *= Fraction(f(d) * (-1) ** (n + 1), d * n)
-        if not coef:
-            continue
-        A = ascent_polynomial(g, lamp)
-        if not A:
-            continue
-        total = total + A * (rule_sign(rule, lamp) * coef)
+    for mu in partitions_up_to(N):
+        c = _p_over_basis(basis, mu, N).coeff(lam)
+        if c:
+            total = total + ascent_polynomial(g, mu) * (
+                rule_sign(rule, mu) * Fraction(c, z_lambda(mu)))
     return total
 
 

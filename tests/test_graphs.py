@@ -4,8 +4,9 @@ import json
 import pytest
 
 from kromatic import bundled_graph, bundled_model
+from kromatic.core import chromatic_p_expansion_oracles
 from kromatic.graphs import (
-    Graph, acyclic_orientations, chromatic_polynomial, clan_graph,
+    Graph, acyclic_orientations, clan_graph,
     graph_from_json, independence_polynomial, mask_of, mask_vertices,
     natural_unit_interval_model, model_from_json, popcount, source_components,
     unit_interval_graph, UnitIntervalModel,
@@ -83,12 +84,15 @@ def test_independence_polynomial():
 
 
 def test_acyclic_orientation_count_vs_chromatic():
-    # |AO(G)| = |chi_G(-1)|
+    # |AO(G)| = |chi_G(-1)|, with chi read off the edge-subset expansion:
+    # p_lam at x ones is x^len(lam)
     for g in ALL:
-        chi = chromatic_polynomial(g)
-        at_minus_one = sum(c * (-1) ** i for i, c in enumerate(chi))
+        edges = chromatic_p_expansion_oracles(g)[0]
+        at_minus_one = sum(c * (-1) ** len(lam)
+                           for lam, c in edges.coeffs.items())
         assert len(acyclic_orientations(g)) == abs(at_minus_one)
     assert len(acyclic_orientations(K3)) == 6
+    assert len(acyclic_orientations(bundled_graph("c4"))) == 14
 
 
 def test_source_components():

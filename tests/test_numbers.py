@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kromatic.numbers import (
-    QPoly, binomial, compositions, divisors, mobius, mu_hat,
+    QPoly, binomial, divisors, mobius, mu_hat,
     multiplicities, partition_sort_key, partitions_of, partitions_up_to,
     q_factorial, q_int, z_lambda,
 )
@@ -93,7 +93,7 @@ def test_binomial_multichoose():
 
 
 def test_qpoly_ring_ops():
-    q = QPoly.q()
+    q = QPoly((0, 1))
     one = QPoly(1)
     assert (one + q) * (one + q) == QPoly((1, 2, 1))
     assert (one + q) - (one + q) == 0
@@ -102,7 +102,7 @@ def test_qpoly_ring_ops():
     assert (one + q)(1) == 2
     assert (QPoly((1, 2, 1)))(Fraction(1, 2)) == Fraction(9, 4)
     assert 2 - q == QPoly((2, -1))
-    assert hash(QPoly((0, 1))) == hash(q)
+    assert hash(QPoly([0, 1, 0])) == hash(q)
     assert QPoly(Fraction(4, 2)) == 2
 
 
@@ -121,9 +121,3 @@ def test_q_factorial():
     assert q_factorial((2, 2)) == QPoly((1, 2, 1))
     assert q_factorial((3,)) == q_int(2) * q_int(3)
     assert q_factorial((1, 1, 1)) == 1
-
-
-def test_compositions():
-    assert list(compositions(2, 3)) == [(1, 2), (2, 1)]
-    assert list(compositions(0, 0)) == [()]
-    assert list(compositions(3, 3)) == [(1, 1, 1)]

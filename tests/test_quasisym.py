@@ -5,18 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 import kromatic.core as core
 import kromatic.quasisym as quasisym
-from helpers import small_graphs
+import kromatic.symfunc as symfunc
+from helpers import clear_caches, small_graphs
 from kromatic import BUNDLED_MODELS, bundled_graph, bundled_model
 from kromatic.core import kromatic, theorem_coefficient
-from kromatic.graphs import Graph, unit_interval_graph
+from kromatic.graphs import Graph, UnitIntervalModel, unit_interval_graph
 from kromatic.heaps import enumerate_pyramids
-from kromatic.numbers import QPoly, partitions_up_to
+from kromatic.numbers import QPoly, partitions_of, partitions_up_to
 from kromatic.quasisym import (
-    ascent_polynomial, coloring_ascents, composition_coefficients, kromatic_q,
-    kromatic_q_vectors, kromatic_q_via_clans, power_sum_coefficient_q,
-    pyramid_p_expansion_q, specialize_q,
+    RULES_Q, _p_over_basis, ascent_polynomial, coloring_ascents,
+    composition_coefficients, kromatic_q, kromatic_q_vectors,
+    kromatic_q_via_clans, power_sum_coefficient_q, pyramid_p_expansion_q,
+    specialize_q,
 )
-from kromatic.symfunc import extract, omega, sympoly_from_vector_counts
+from kromatic.symfunc import (SymPoly, basis_element, extract, omega,
+                              sympoly_from_vector_counts)
 
 K1 = bundled_graph("k1")
 K2 = bundled_graph("k2")
@@ -62,8 +65,11 @@ def test_specialize_q_collapse():
 
 
 def test_via_clans_matches_direct_enumeration():
+    # vertex counts 0, N - 1, N, N + 1 and N + 2 included, where the
+    # compositions run out
     cases = [(K1, 4, 3), (K2, 5, 3), (K3, 5, 3), (P3, 4, 3), (E2, 4, 3),
-             (P4, 5, 3), (C4, 5, 3), (PAW, 5, 3)]
+             (P4, 5, 3), (C4, 5, 3), (PAW, 5, 3), (Graph(0, []), 3, 3),
+             (P4, 4, 3), (Graph(5, [(1, 2)]), 4, 3), (Graph(6, []), 4, 3)]
     for g, N, M in cases:
         assert kromatic_q_via_clans(g, N, M) == kromatic_q_vectors(g, N, M)
 
@@ -179,6 +185,56 @@ def test_rule_coefficients_match_extraction():
             for rule in ("5.1", "5.2", "5.3", "5.4"):
                 got = power_sum_coefficient_q(g, lam, rule)
                 assert got == tgt[rule].coeff(lam), (g, lam, rule)
+
+
+@st.composite
+def unit_interval_models(draw, max_n=5):
+    """Random natural unit interval models on at most max_n vertices."""
+    n = draw(st.integers(0, max_n))
+    h = []
+    for i in range(1, n + 1):
+        h.append(draw(st.integers(max([i] + h[-1:]), n)))
+    return UnitIntervalModel(n, h)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(unit_interval_models(),
+       st.integers(1, 5).flatmap(lambda n: st.sampled_from(
+           list(partitions_of(n)))))
+def test_rule_coefficients_match_extraction_on_random_models(model, lam):
+    g = unit_interval_graph(model)
+    tgt = q_extraction_targets(g, sum(lam))
+    for rule in RULES_Q:
+        got = power_sum_coefficient_q(g, lam, rule)
+        assert got == tgt[rule].coeff(lam), (model, lam, rule)
+
+
+def test_p_over_basis_inverts_the_basis_change():
+    # reading each symbol p_lam of the series as the basis element b_lam
+    # gives back p_mu: products included, since b is multiplicative
+    N = 6
+    for basis in ("pbar", "pbarprime"):
+        for mu in partitions_up_to(N):
+            total = SymPoly.const(N, 0)
+            for lam, c in _p_over_basis(basis, mu, N).terms().items():
+                total = total + basis_element(basis, lam, N).scale(c)
+            assert total == SymPoly(N, {mu: 1}), (basis, mu)
+
+
+def test_rule_coefficients_do_not_extract(monkeypatch):
+    # prop-5.x-* holds the closed formula to extraction, so the formula
+    # must build no basis element and peel nothing
+    def refuse(*args):
+        raise AssertionError("extraction route called")
+
+    clear_caches()
+    for name in ("extract", "basis_element"):
+        monkeypatch.setattr(symfunc, name, refuse)
+    monkeypatch.setattr(quasisym, "pyramid_p_expansion_q", refuse)
+    for g in (K2, P3, PAW):
+        for lam in partitions_up_to(4):
+            for rule in RULES_Q:
+                power_sum_coefficient_q(g, lam, rule)
 
 
 def test_rule_coefficients_collapse_at_q_one():

@@ -161,7 +161,7 @@ def test_p_decompose_examples():
     # m_21 = p_21 - p_3
     assert p_decompose_homogeneous({(2, 1): 1}, 3) == {(2, 1): 6, (3,): -6}
     # q-polynomials divide exactly too: q m_11 = q (p_11 - p_2) / 2
-    q = QPoly.q()
+    q = QPoly((0, 1))
     assert p_decompose_homogeneous({(1, 1): q}, 2) == {(1, 1): q, (2,): -q}
     # a non-integral input still converts: m_11 / 3 = (p_11 - p_2) / 6
     assert p_decompose_homogeneous({(1, 1): Fraction(1, 3)}, 2) == \
@@ -256,7 +256,7 @@ def test_omega_basis_identities_reject_identity_omega(monkeypatch):
 
 def test_qpoly_coefficients_supported():
     N = 3
-    q = QPoly.q()
+    q = QPoly((0, 1))
     F = SymPoly(N, {(1,): 1 + q, (1, 1): q})
     G = F * F
     assert G.coeff((1, 1)) == (1 + q) * (1 + q)
