@@ -270,10 +270,12 @@ def build_checks(named_graphs, N, suites):
                     theorem_check(g, lam, rule))
 
     # --- classical -------------------------------------------------------
+    classical_oracles = functools.cache(chromatic_p_expansion_oracles)
+
     def classical_reduction(g):
         n = g.n
         E = extract(kromatic(g, n), "pbar")
-        by_edges, by_orientations = chromatic_p_expansion_oracles(g)
+        by_edges, by_orientations = classical_oracles(g)
         if by_edges.coeffs != by_orientations.coeffs:
             return False
         return all(E.coeff(lam) == by_edges.coeff(lam)
@@ -286,7 +288,7 @@ def build_checks(named_graphs, N, suites):
         add("classical", f"orientation-count-{name}",
             lambda g=g: len(acyclic_orientations(g))
             == abs(sum(c * (-1) ** len(lam) for lam, c in
-                       chromatic_p_expansion_oracles(g)[0].coeffs.items())))
+                       classical_oracles(g)[0].coeffs.items())))
 
     # --- recovery --------------------------------------------------------
     for name, g in named_graphs:

@@ -63,14 +63,38 @@ def image_series(poly, N, image):
     return series_reciprocal(series_neg_sub(poly), N)
 
 
-def signed_subset_sum(g, key):
-    """{key(W): sum of (-1)^(n - |W|)} over the vertex bitmasks W of g,
-    without the keys whose signs cancel."""
+def signed_subset_sum(pairs, n):
+    """{key: sum of (-1)^(n - |W|)} over the (key, |W|) pairs of the vertex
+    subsets W of an n-vertex graph, without the keys whose signs cancel."""
     acc = {}
-    for mask in range(g.full_mask + 1):
-        k = key(mask)
-        acc[k] = acc.get(k, 0) + (-1 if (g.n - popcount(mask)) % 2 else 1)
+    for k, size in pairs:
+        acc[k] = acc.get(k, 0) + (-1 if (n - size) % 2 else 1)
     return {k: w for k, w in acc.items() if w}
+
+
+@cache
+def _generator_logs(basis, N):
+    """{k: t g_k'/g_k mod t^(N+1)} for the basis' generator series g_k."""
+    return {k: series_log_derivative(generator_series(basis, k, N), N)
+            for k in range(1, N + 1)}
+
+
+def series_exponents(f, N, basis):
+    """[e(1), ..., e(N)] with f = prod_k g_k^e(k) mod t^(N+1), g_k the
+    basis' generator series, solving t f'/f = sum_k e(k) t g_k'/g_k, which
+    is triangular as t g_k'/g_k starts with k t^k.  A division by k that is
+    not exact raises ValueError."""
+    d = list(series_log_derivative(f, N))
+    e = []
+    for k, log in _generator_logs(basis, N).items():
+        ek, rest = divmod(d[k], k)
+        if rest:
+            raise ValueError(f"t^{k} coefficient {d[k]} of t f'/f for {f} "
+                             f"is not a multiple of {k}")
+        for i, c in enumerate(log):
+            d[i] -= ek * c
+        e.append(ek)
+    return e
 
 
 def kromatic(g, N):
@@ -212,32 +236,19 @@ def exponent(g, k, rule, support=None):
 
 def verify_factorization(g, variant, N):
     """Check prod_i F(x_i) = prod_k (1 + basis_k)^(e(k)) at truncation N,
-    where F is the image series of g and basis and e are those of the
-    claim's rule.
-
-    With 1 + basis_k = prod_i g_k(x_i) and prod_i f(x_i) =
-    exp(sum_j c_j p_j) for c = log f, both sides are exponentials of
-    power sums, and the p_(j) coefficient of exp(sum_j c_j p_j) is c_j.
-    So the two sides agree through degree N exactly when log F and
-    sum_k e(k) log g_k agree through t^N, that is when their integer
-    log derivatives t F'/F and sum_k e(k) t g_k'/g_k do, which is what is
-    compared.  Returns True; raises AssertionError naming the first degree
-    where they differ, with both values."""
-    rule = CLAIMS[variant]
-    image, basis = RULES[rule]
-    lhs = series_log_derivative(
-        image_series(independence_polynomial(g), N, image), N)
-    rhs = [0] * (N + 1)
-    for k in range(1, N + 1):
-        e = exponent(g, k, rule)
-        if e:
-            for j, c in enumerate(series_log_derivative(
-                    generator_series(basis, k, N), N)):
-                rhs[j] += e * c
-    j = next((j for j in range(N + 1) if lhs[j] != rhs[j]), None)
-    assert j is None, (
-        f"factorization variant {variant!r} fails on {g!r} at N={N}: at "
-        f"t^{j}, t F'/F has {lhs[j]} but sum_k e(k) t g_k'/g_k has {rhs[j]}")
+    F the image series of g and basis and e those of the claim's rule: as
+    1 + basis_k = prod_i g_k(x_i), the exponents series_exponents solves
+    from F must be the heap counts.  Returns True; raises AssertionError
+    at the first k where they differ, with both values."""
+    image, basis = RULES[CLAIMS[variant]]
+    solved = series_exponents(
+        image_series(independence_polynomial(g), N, image), N, basis)
+    for k, e in enumerate(solved, 1):
+        counted = exponent(g, k, CLAIMS[variant])
+        assert e == counted, (
+            f"factorization variant {variant!r} fails on {g!r} at N={N}: "
+            f"at t^{k}, the series gives e({k}) = {e} but the Lyndon heap "
+            f"count gives {counted}")
     return True
 
 
@@ -334,17 +345,6 @@ def independence_multiset(g):
                         for mask in range(g.full_mask + 1)))
 
 
-def _polynomial_weights(ms):
-    """{polynomial: sum of (-1)^(n - size) over its entries} of an
-    independence multiset, without the polynomials whose signs cancel.  The
-    number of vertices n is the largest size, that of W = V."""
-    n = max(size for _, size in ms)
-    weight = {}
-    for poly, size in ms:
-        weight[poly] = weight.get(poly, 0) + (-1 if (n - size) % 2 else 1)
-    return {poly: w for poly, w in weight.items() if w}
-
-
 def kromatic_from_multiset(ms, N, image="direct"):
     """The (direct or omega) set-coloring generating function from an
     independence multiset alone: the alternating sum over its entries of
@@ -352,7 +352,7 @@ def kromatic_from_multiset(ms, N, image="direct"):
     or 1 / I(-t) (omega).  Equal polynomials have their signs summed first:
     many subsets share one."""
     acc = SymPoly(N, {})
-    for poly, w in _polynomial_weights(ms).items():
+    for poly, w in signed_subset_sum(ms, max(size for _, size in ms)).items():
         acc += product_over_variables(image_series(poly, N, image), N).scale(w)
     return acc
 
@@ -360,25 +360,13 @@ def kromatic_from_multiset(ms, N, image="direct"):
 def kromatic_expansion(ms, N, image, basis):
     """extract(kromatic_from_multiset(ms, N, image), basis) for pbar or
     pbarprime, with no basis element built.  Each polynomial's image series
-    is prod_k g_k^e(k) mod t^(N+1), g_k the generator series, so its product
-    over variables is prod_k (1 + basis_k)^e(k), whose basis_lam coefficient
-    is prod_k C(e(k), m_k(lam)).  The exponents solve t f'/f = sum_k e(k)
-    t g_k'/g_k, triangular as t g_j'/g_j starts with j t^j; a division by j
-    that is not exact raises ValueError."""
-    logs = {j: series_log_derivative(generator_series(basis, j, N), N)
-            for j in range(1, N + 1)}
+    is prod_k g_k^e(k) mod t^(N+1), with e from series_exponents, so its
+    product over variables is prod_k (1 + basis_k)^e(k), whose basis_lam
+    coefficient is prod_k C(e(k), m_k(lam))."""
     family = {}
-    for poly, w in _polynomial_weights(ms).items():
-        d = list(series_log_derivative(image_series(poly, N, image), N))
-        e = [0] * (N + 1)
-        for j in range(1, N + 1):
-            e[j], rest = divmod(d[j], j)
-            if rest:
-                raise ValueError(f"t^{j} coefficient {d[j]} of t f'/f for "
-                                 f"{poly} is not a multiple of {j}")
-            for i, c in enumerate(logs[j]):
-                d[i] -= e[j] * c
-        family[tuple(e[1:])] = family.get(tuple(e[1:]), 0) + w
+    for poly, w in signed_subset_sum(ms, max(size for _, size in ms)).items():
+        e = tuple(series_exponents(image_series(poly, N, image), N, basis))
+        family[e] = family.get(e, 0) + w
     coeffs = {lam: _binomial_sum(family, [lam.count(k) for k in range(
         1, max(lam, default=0) + 1)]) for lam in partitions_up_to(N)}
     return Expansion(basis, N, {lam: c for lam, c in coeffs.items() if c})
@@ -426,5 +414,6 @@ def signed_exponent_family(g, rule, parts):
     of the rule's exponents (e_W(k) for k in parts) weighted by
     (-1)^(n - |W|), aggregated.  Cached per (graph, rule, parts), so the
     family is read-only."""
-    return MappingProxyType(signed_subset_sum(
-        g, lambda mask: tuple(exponent(g, k, rule, mask) for k in parts)))
+    return MappingProxyType(signed_subset_sum((
+        (tuple(exponent(g, k, rule, mask) for k in parts), popcount(mask))
+        for mask in range(g.full_mask + 1)), g.n))

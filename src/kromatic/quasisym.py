@@ -6,17 +6,18 @@ j a color on v, and i < j.  The resulting series is quasisymmetric in
 general and symmetric when the graph comes from a unit interval model.
 
 Routes implemented here:
-  * the transfer matrix over colors (composition level), behind kromatic_q;
+  * one transfer matrix over colors (for kromatic_q) and pyramid lists;
   * direct enumeration over set colorings (exponent-vector level), kept as
     the oracle;
   * the clan-graph route: blow vertices into cliques, give each piece one
     color, divide out the q-factorial of the clique sizes;
   * pyramid expansions: coefficients of p_lambda / z_lambda are ascent
-    generating functions over lists of pyramids covering the vertex set;
+    generating functions over those lists, cached per (graph, degree);
   * closed coefficient formulas for the four K-power-sum expansions, each
     p_mu written over the basis by inverting log(1 + b_k), not extracted.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -24,7 +25,7 @@ from operator import add, mul
 
 from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
                    rule_sign)
-from .graphs import clan_graph, independent_sets, mask_of, popcount
+from .graphs import clan_graph, independent_sets, mask_vertices, popcount
 from .heaps import ascent_count, enumerate_pyramids
 from .numbers import (QPoly, mobius, mu_hat, partitions_up_to, q_factorial,
                       z_lambda)
@@ -52,12 +53,12 @@ def coloring_ascents(g, coloring):
     return total
 
 
-def _q_shift_add(acc, coeffs, shift):
-    """acc += q^shift * coeffs, on coefficient lists."""
+def _q_shift_add(acc, coeffs, shift, mult=1):
+    """acc += mult * q^shift * coeffs, on coefficient lists."""
     if len(acc) < shift + len(coeffs):
         acc.extend([0] * (shift + len(coeffs) - len(acc)))
     for i, c in enumerate(coeffs, shift):
-        acc[i] += c
+        acc[i] += mult * c
 
 
 def kromatic_q_vectors(g, N, M):
@@ -77,27 +78,21 @@ def kromatic_q_vectors(g, N, M):
     return {vec: QPoly(lst) for vec, lst in acc.items() if any(lst)}
 
 
-def composition_coefficients(g, N):
-    """Coefficient of x_1^a_1 ... x_l^a_l in the q-refined series for every
-    composition alpha = (a_1, ..., a_l) with |alpha| <= N, as a dict from
-    alpha to a nonzero QPoly: the transfer-matrix route (Stanley, EC1 4.7).
-
-    Colors are placed one at a time: color j goes on an independent set S
-    of size a_j.  Every earlier color is below j, so S adds, for each v in
-    S and each neighbour u < v, one ascent per color u already has.  The
-    state after j colors is the vector of per-vertex color counts, carrying
-    the q-polynomial of the ways to reach it; alpha's coefficient sums the
-    states in which every vertex has a color.  Compositions are walked
-    depth first, each extending its prefix's states, and a state is dropped
-    once its uncolored vertices outnumber the colors left to place."""
-    steps = {}
-    for s in independent_sets(g)[1:]:
-        # weight[u]: neighbours of u in s above u, each of which gains
-        # cnt(u) ascents when s takes the next color
-        steps.setdefault(popcount(s), []).append((
-            tuple(s >> u & 1 for u in range(g.n)),
-            tuple(popcount(g.adj[u] & s & ~((1 << u) - 1))
-                  for u in range(1, g.n + 1))))
+def _covering_walk(g, steps, N, nonincreasing):
+    """{alpha: sum of q^ascents} over the lists of steps of sizes alpha,
+    |alpha| <= N (nonincreasing, if asked), that cover every vertex, without
+    zeros: the transfer-matrix method (Stanley, EC1 4.7).  steps maps a size
+    to {(c, own): multiplicity}, c the step's pieces per vertex and own its
+    own ascents.  After steps with C pieces per vertex, a step adds own +
+    sum_u C[u] weight[u], weight[u] its pieces on the neighbours above u.
+    The states C carry q-polynomials; alpha sums those with no zero.  A
+    depth-first walk extends each prefix's states and drops a state once
+    its uncovered vertices outnumber the size left to place."""
+    ups = [mask_vertices(g.adj[u] >> u) for u in g.vertices()]  # v - u, v > u
+    moves = {a: [(c, own, tuple(sum(c[i + d] for d in gaps)
+                                for i, gaps in enumerate(ups)), mult)
+                 for (c, own), mult in classes.items()]
+             for a, classes in steps.items()}
     out = {}
 
     def walk(alpha, states, room):
@@ -107,19 +102,32 @@ def composition_coefficients(g, N):
                 _q_shift_add(total, coeffs, 0)
         if total:
             out[alpha] = QPoly(total)
-        for a in range(1, room + 1):
+        top = min(room, alpha[-1]) if nonincreasing and alpha else room
+        for a in range(1, top + 1):
             nxt = {}
             for cnt, coeffs in states.items():
-                for inc, weight in steps.get(a, ()):
+                for inc, own, weight, mult in moves.get(a, ()):
                     new = tuple(map(add, cnt, inc))
                     if new.count(0) <= room - a:
                         _q_shift_add(nxt.setdefault(new, []), coeffs,
-                                     sum(map(mul, cnt, weight)))
+                                     own + sum(map(mul, cnt, weight)), mult)
             if nxt:
                 walk(alpha + (a,), nxt, room - a)
 
     walk((), {(0,) * g.n: [1]}, N)
     return out
+
+
+def composition_coefficients(g, N):
+    """{alpha: coefficient of x_1^a_1 ... x_l^a_l} in the q-refined series
+    over the compositions with |alpha| <= N, by _covering_walk: color j is
+    a step on an independent set S of size a_j, and as every earlier color
+    is smaller, it adds one per color of u for each neighbour v > u in S."""
+    steps = {}
+    for s in independent_sets(g)[1:]:
+        steps.setdefault(popcount(s), {})[
+            tuple(s >> u & 1 for u in range(g.n)), 0] = 1
+    return _covering_walk(g, steps, N, False)
 
 
 def kromatic_q(g, N):
@@ -161,24 +169,24 @@ def kromatic_q_via_clans(g, N, M):
 # ---------------------------------------------------------------------------
 # pyramid expansions
 
+@lru_cache(maxsize=None)
+def _ascent_table(g, N):
+    """{lam: A_lam(q)} for the partitions with |lam| <= N, by _covering_walk
+    over pyramids grouped by (pieces per vertex, own ascents).  A list's
+    ascents are its pyramids' own plus the adjacent pieces a, b with a in
+    an earlier pyramid and vertex(a) < vertex(b): the walk's count."""
+    steps = {a: Counter((tuple(map(w.count, g.vertices())), ascent_count(g, w))
+                        for w in enumerate_pyramids(g, a))
+             for a in range(1, N + 1)}
+    return _covering_walk(g, steps, N, True)
+
+
 def ascent_polynomial(g, sizes):
-    """Generating function sum q^ascents over ordered lists of pyramids with
-    the given sizes whose supports jointly cover every vertex, each list
-    composed into one heap and read off the concatenation of its words."""
-    if not sizes:
-        return QPoly(1) if g.n == 0 else QPoly()
-    lists = [[(w, mask_of(w)) for w in enumerate_pyramids(g, s)]
-             for s in sizes]
-    full = g.full_mask
-    counts = []
-    for combo in product(*lists):
-        m = 0
-        for _, wm in combo:
-            m |= wm
-        if m == full:
-            word = sum((w for w, _ in combo), ())
-            _q_shift_add(counts, (1,), ascent_count(g, word))
-    return QPoly(counts)
+    """Sum of q^ascents over the ordered lists of pyramids of these sizes, a
+    partition (else ValueError), that cover every vertex: see _ascent_table."""
+    if list(sizes) != sorted(sizes, reverse=True) or min(sizes + (1,)) < 1:
+        raise ValueError(f"sizes {sizes} are not a partition")
+    return _ascent_table(g, sum(sizes)).get(sizes, QPoly())
 
 
 def pyramid_p_expansion_q(g, N):

@@ -14,10 +14,11 @@ from kromatic import bundled_graph
 from kromatic.core import _menu_sizes, rule_sign
 from kromatic.graphs import (Graph, independence_polynomial, mask_of,
                              mask_vertices, popcount)
-from kromatic.heaps import (_deps, _extends_canonically, canonical_word,
+from kromatic.heaps import (_deps, _extends_canonically, ascent_count,
+                            canonical_word, enumerate_pyramids,
                             heap_from_word, lyndon_supports)
-from kromatic.numbers import (divisors, multiplicities, partition_sort_key,
-                              partitions_of)
+from kromatic.numbers import (QPoly, divisors, multiplicities,
+                              partition_sort_key, partitions_of)
 from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
                               generator_series, series_truncate,
                               sympoly_from_vector_counts)
@@ -196,6 +197,31 @@ def heap_count_identity_defect(g, max_n):
                 acc += counts[n - k] * c * (-1) ** k
         out.append(acc - (1 if n == 0 else 0))
     return out
+
+
+def ascent_polynomial_by_lists(g, sizes):
+    """Oracle for kromatic.quasisym.ascent_polynomial: sum q^ascents over
+    every ordered list of pyramids with these sizes whose supports jointly
+    cover every vertex, counted by ascent_count on the concatenation of the
+    list's words.
+
+    The package walks the lists as a transfer matrix instead: a pair of
+    pieces of the concatenation lies in one pyramid, and is counted among
+    that pyramid's own ascents, or in two, and then only the pieces per
+    vertex of the earlier pyramids matter.  This enumeration shares none of
+    that and checks it."""
+    counts = []
+    lists = [[(w, mask_of(w)) for w in enumerate_pyramids(g, s)]
+             for s in sizes]
+    for combo in itertools.product(*lists):
+        union = 0
+        for _, m in combo:
+            union |= m
+        if union == g.full_mask:
+            k = ascent_count(g, sum((w for w, _ in combo), ()))
+            counts.extend([0] * (k + 1 - len(counts)))
+            counts[k] += 1
+    return QPoly(counts)
 
 
 def theorem_coefficient_by_products(g, lam, which):

@@ -263,10 +263,11 @@ def test_expand_stdout_digests_high_degree(capsys):
             "expand", "--graph", graph, "--basis", basis, *rest]) == digest
 
 
-def test_expand_stays_off_heaps_and_builds_no_basis_element(capsys,
-                                                            monkeypatch):
+def _refuse_heap_layer(monkeypatch, mode):
+    """Make every heap-layer function that a kromatic module holds raise,
+    and empty the caches that could answer for it."""
     def refuse(*args, **kwargs):
-        raise AssertionError("expand called the heap layer")
+        raise AssertionError(f"{mode} called the heap layer")
 
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "kromatic":
@@ -275,12 +276,28 @@ def test_expand_stays_off_heaps_and_builds_no_basis_element(capsys,
                         "kromatic.heaps":
                     monkeypatch.setattr(module, attr, refuse)
     clear_caches()
+
+
+def test_expand_stays_off_heaps_and_builds_no_basis_element(capsys,
+                                                            monkeypatch):
+    _refuse_heap_layer(monkeypatch, "expand")
     for basis in ("p", "pbar", "pbarprime"):
         for omega in ((), ("--omega",)):
             assert main(["expand", "--graph", "paw", "--basis", basis,
                          *omega, "--degree", "9"]) == 0
     capsys.readouterr()
     assert basis_element.cache_info().misses == 0
+
+
+def test_qexpand_stays_off_heaps(capsys, monkeypatch):
+    # qexpand goes through the transfer matrix over colors; pyramids enter
+    # only the pyramid-expansion-* and prop-* checks of verify
+    _refuse_heap_layer(monkeypatch, "qexpand")
+    for model in BUNDLED_MODELS:
+        for basis in ("p", "pbar", "pbarprime"):
+            assert main(["qexpand", "--model", model, "--basis", basis,
+                         "--omega", "--degree", "6"]) == 0
+    capsys.readouterr()
 
 
 def test_qexpand_stdout_digests(capsys):
@@ -529,8 +546,8 @@ def test_verify_fail_lines_show_values(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert ("FAIL claim-a-K2-N3 (AssertionError: factorization variant 'a' "
-            "fails on Graph(n=2, edges=[(1, 2)]) at N=3: at t^2, t F'/F has "
-            "-4 but sum_k e(k) t g_k'/g_k has -2)") in out
+            "fails on Graph(n=2, edges=[(1, 2)]) at N=3: at t^2, the series "
+            "gives e(2) = -1 but the Lyndon heap count gives 0)") in out
 
 
 def test_config_errors_exit_two():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import kromatic.core as core
 import kromatic.quasisym as quasisym
 import kromatic.symfunc as symfunc
-from helpers import clear_caches, small_graphs
+from helpers import ascent_polynomial_by_lists, clear_caches, small_graphs
 from kromatic import BUNDLED_MODELS, bundled_graph, bundled_model
 from kromatic.core import kromatic, theorem_coefficient
 from kromatic.graphs import Graph, UnitIntervalModel, unit_interval_graph
@@ -148,6 +148,14 @@ def test_ascent_polynomial_empty_sizes():
     assert ascent_polynomial(Graph(0, []), ()) == QPoly(1)  # empty list covers
 
 
+def test_ascent_polynomial_refuses_non_partitions():
+    # the table holds the nonincreasing orders only, so any other order
+    # must not read as 0
+    for sizes in ((1, 2), (2, 1, 2), (2, 0), (0,), (3, -1)):
+        with pytest.raises(ValueError, match="not a partition"):
+            ascent_polynomial(P3, sizes)
+
+
 def test_pyramid_expansion_is_omega_image():
     # one degree beyond the vertex count, so heaps with repeated vertices
     # (whose ascent polynomials are not palindromic) are exercised
@@ -166,7 +174,11 @@ def test_unrestricted_pair_statistic_fails(monkeypatch):
     g = P3
     want = omega(kromatic_q(g, 3))
     monkeypatch.setattr(quasisym, "ascent_count", all_pairs)
-    assert pyramid_p_expansion_q(g, 3) != want
+    clear_caches()  # the cached ascent tables hold the true count
+    try:
+        assert pyramid_p_expansion_q(g, 3) != want
+    finally:
+        clear_caches()
 
 
 def q_extraction_targets(g, N):
@@ -207,6 +219,19 @@ def test_rule_coefficients_match_extraction_on_random_models(model, lam):
     for rule in RULES_Q:
         got = power_sum_coefficient_q(g, lam, rule)
         assert got == tgt[rule].coeff(lam), (model, lam, rule)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(st.one_of(unit_interval_models(max_n=4).map(unit_interval_graph),
+                 small_graphs(max_n=4)))
+def test_ascent_polynomial_matches_pyramid_lists(g):
+    # every partition up to two past the vertex count, so that pyramids
+    # repeat vertices and some lists overlap.  On a unit interval graph,
+    # counting the pairs across pyramids with the lower vertex later gives
+    # the same polynomials, so only the other graphs tell the two apart.
+    for lam in partitions_up_to(g.n + 2):
+        assert ascent_polynomial(g, lam) == \
+            ascent_polynomial_by_lists(g, lam), (g, lam)
 
 
 def test_p_over_basis_inverts_the_basis_change():
