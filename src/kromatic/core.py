@@ -17,8 +17,9 @@ import itertools
 from functools import cache
 from types import MappingProxyType
 
-from .graphs import independence_polynomial, mask_vertices, popcount
-from .heaps import lyndon_count, lyndon_supports
+from .graphs import (acyclic_orientations, independence_polynomial,
+                     mask_vertices, popcount, source_components)
+from .heaps import lyndon_count, lyndon_support_counts
 from .numbers import (binomial, multiplicities, partition_of_multiplicities,
                       partitions_up_to)
 from .symfunc import (
@@ -204,7 +205,6 @@ def chromatic_p_expansion_oracles(g):
             edge_coeffs[lam] = edge_coeffs.get(lam, 0) + (-1) ** r
     edge_coeffs = {l: v for l, v in edge_coeffs.items() if v}
 
-    from .graphs import acyclic_orientations, source_components
     ao_coeffs = {}
     for orient in acyclic_orientations(g):
         comps = source_components(g, orient)
@@ -288,18 +288,22 @@ def theorem_coefficient(g, lam, which):
     in the image of the set-coloring function, both named by RULES[which].
 
     Only unions of supports matter, so this is a dynamic program over union
-    masks: picks[j] = {union: ways to choose j heaps of k's menu}, grown
-    heap by heap, is OR-convolved into the running {union: ways}."""
+    masks: picks[j] = {union: ways to choose j heaps of k's menu}, grown by
+    one support group of c heaps at a time (t of them in
+    abs(binomial(sign * c, t)) ways, as in _menu_sizes), is OR-convolved
+    into the running {union: ways}."""
     ways = {0: 1}
     for k, i in multiplicities(lam).items():
-        repeat = rule_sign(which, (k,)) < 0
+        sign = rule_sign(which, (k,))
         picks = [{0: 1}] + [{} for _ in range(i)]
         for s in _menu_sizes(k, which):
-            for m in lyndon_supports(g, s):
-                for j in range(1, i + 1) if repeat else range(i, 0, -1):
+            for m, c in lyndon_support_counts(g, s).items():
+                for j in range(i, 0, -1):  # picks[j - t] not yet grown
                     dst = picks[j]
-                    for u, x in picks[j - 1].items():
-                        dst[u | m] = dst.get(u | m, 0) + x
+                    for t in range(1, j + 1):
+                        w = abs(binomial(sign * c, t))
+                        for u, x in picks[j - t].items():
+                            dst[u | m] = dst.get(u | m, 0) + w * x
         new = {}
         for u, x in ways.items():
             for v, y in picks[i].items():

@@ -10,11 +10,15 @@ Every function that needs the graph takes it first, as (g, w).
 
 Pyramids and Lyndon heaps grow letter by letter as canonical words, Lyndon
 heaps as prenecklaces.  The rotation functions are the oracles; the
-enumeration of every heap is a test oracle in tests/helpers.py.
+enumeration of every heap is a test oracle in tests/helpers.py.  The other
+modules read counts, never words: Lyndon heaps by support and pyramids by
+class, one cached table per (graph, size).
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
+from types import MappingProxyType
 
 from .graphs import mask_of
 from .numbers import divisors, mobius
@@ -248,20 +252,18 @@ def enumerate_lyndon(g, n):
 
 
 @cache
-def lyndon_supports(g, n):
-    """Vertex bitmasks of the supports of the Lyndon heaps of size n, in
-    the order of enumerate_lyndon."""
-    return tuple(mask_of(w) for w in enumerate_lyndon(g, n))
+def lyndon_support_counts(g, n):
+    """{vertex bitmask S: number of Lyndon heaps of size n with support
+    exactly S}, read-only."""
+    return MappingProxyType(Counter(map(mask_of, enumerate_lyndon(g, n))))
 
 
 @cache
 def _lyndon_counts_by_support(g, n):
     """table[S] = number of Lyndon heaps of size n whose support lies inside
-    the vertex bitmask S: exact-support counts, summed over subsets (zeta
+    the vertex bitmask S: lyndon_support_counts summed over subsets (zeta
     transform)."""
-    table = [0] * (1 << g.n)
-    for m in lyndon_supports(g, n):
-        table[m] += 1
+    table = [lyndon_support_counts(g, n).get(s, 0) for s in range(1 << g.n)]
     for b in range(g.n):
         bit = 1 << b
         for s in range(1 << g.n):
@@ -290,10 +292,20 @@ def ascent_count(g, w):
     return total
 
 
+@cache
+def pyramid_classes(g, n):
+    """{(pieces per vertex, own ascents): number of pyramids of size n},
+    read-only: all that a list of pyramids needs of each member to count
+    its ascents (see quasisym.pyramid_p_expansion_q)."""
+    return MappingProxyType(Counter(
+        (tuple(map(w.count, g.vertices())), ascent_count(g, w))
+        for w in enumerate_pyramids(g, n)))
+
+
 def lyndon_mobius_check(g, n):
     """Both sides of k*#Lyndon(k) = sum_{d | k} mobius(k/d) * #Pyramids(d),
-    for k = n."""
+    for k = n, the pyramids counted by pyramid_classes."""
     lhs = n * len(enumerate_lyndon(g, n))
-    rhs = sum(mobius(n // d) * len(enumerate_pyramids(g, d))
+    rhs = sum(mobius(n // d) * sum(pyramid_classes(g, d).values())
               for d in divisors(n))
     return lhs, rhs

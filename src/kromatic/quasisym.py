@@ -17,7 +17,6 @@ Routes implemented here:
     p_mu written over the basis by inverting log(1 + b_k), not extracted.
 """
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -26,9 +25,8 @@ from operator import add, mul
 from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
                    rule_sign)
 from .graphs import clan_graph, independent_sets, mask_vertices, popcount
-from .heaps import ascent_count, enumerate_pyramids
-from .numbers import (QPoly, mobius, mu_hat, partitions_up_to, q_factorial,
-                      z_lambda)
+from .heaps import pyramid_classes
+from .numbers import QPoly, mobius, mu_hat, q_factorial, z_lambda
 from .symfunc import SymPoly, sympoly_from_vector_counts
 
 
@@ -170,31 +168,17 @@ def kromatic_q_via_clans(g, N, M):
 # pyramid expansions
 
 @lru_cache(maxsize=None)
-def _ascent_table(g, N):
-    """{lam: A_lam(q)} for the partitions with |lam| <= N, by _covering_walk
-    over pyramids grouped by (pieces per vertex, own ascents).  A list's
-    ascents are its pyramids' own plus the adjacent pieces a, b with a in
-    an earlier pyramid and vertex(a) < vertex(b): the walk's count."""
-    steps = {a: Counter((tuple(map(w.count, g.vertices())), ascent_count(g, w))
-                        for w in enumerate_pyramids(g, a))
-             for a in range(1, N + 1)}
-    return _covering_walk(g, steps, N, True)
-
-
-def ascent_polynomial(g, sizes):
-    """Sum of q^ascents over the ordered lists of pyramids of these sizes, a
-    partition (else ValueError), that cover every vertex: see _ascent_table."""
-    if list(sizes) != sorted(sizes, reverse=True) or min(sizes + (1,)) < 1:
-        raise ValueError(f"sizes {sizes} are not a partition")
-    return _ascent_table(g, sum(sizes)).get(sizes, QPoly())
-
-
 def pyramid_p_expansion_q(g, N):
-    """Sum over partitions of p_lambda / z_lambda times the covering ascent
-    polynomial.  For unit-interval graphs this equals omega of kromatic_q."""
-    return SymPoly(N, {
-        lam: ascent_polynomial(g, lam) * Fraction(1, z_lambda(lam))
-        for lam in partitions_up_to(N)})
+    """Sum over partitions lam, |lam| <= N, of A_lam(q) p_lam / z_lam:
+    A_lam(q) sums q^ascents over the lists of pyramids of sizes lam that
+    cover every vertex, by _covering_walk over pyramid_classes (a list's
+    ascents are its pyramids' own plus each adjacent a, b with a in an
+    earlier pyramid and vertex(a) < vertex(b)).  For unit-interval graphs
+    this equals omega of kromatic_q."""
+    table = _covering_walk(g, {a: pyramid_classes(g, a)
+                               for a in range(1, N + 1)}, N, True)
+    return SymPoly(N, {lam: poly * Fraction(1, z_lambda(lam))
+                       for lam, poly in table.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +218,18 @@ def power_sum_coefficient_q(g, lam, rule):
     be fractions).
 
     The rule's entry in core.RULES names the image and the basis.  The
-    omega image is sum_mu A_mu(q) p_mu / z_mu, A_mu the covering ascent
-    polynomial, and rule_sign carries it to the series itself; p_mu is
-    written over the basis by _p_over_basis, and A_mu is computed only
-    where b_lam occurs in it.
+    omega image is pyramid_p_expansion_q, sum_mu A_mu(q) p_mu / z_mu, and
+    rule_sign carries it to the series itself; p_mu is written over the
+    basis by _p_over_basis.
     """
     if rule not in RULES_Q:
         raise ValueError(f"unknown rule {rule!r}")
     basis, N = RULES[rule][1], sum(lam)
     total = QPoly()
-    for mu in partitions_up_to(N):
+    for mu, a in pyramid_p_expansion_q(g, N).terms().items():
         c = _p_over_basis(basis, mu, N).coeff(lam)
         if c:
-            total = total + ascent_polynomial(g, mu) * (
-                rule_sign(rule, mu) * Fraction(c, z_lambda(mu)))
+            total = total + a * (rule_sign(rule, mu) * c)
     return total
 
 

@@ -15,8 +15,8 @@ from kromatic.core import _menu_sizes, rule_sign
 from kromatic.graphs import (Graph, independence_polynomial, mask_of,
                              mask_vertices, popcount)
 from kromatic.heaps import (_deps, _extends_canonically, ascent_count,
-                            canonical_word, enumerate_pyramids,
-                            heap_from_word, lyndon_supports)
+                            canonical_word, enumerate_lyndon,
+                            enumerate_pyramids, heap_from_word)
 from kromatic.numbers import (QPoly, divisors, multiplicities,
                               partition_sort_key, partitions_of)
 from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
@@ -200,16 +200,17 @@ def heap_count_identity_defect(g, max_n):
 
 
 def ascent_polynomial_by_lists(g, sizes):
-    """Oracle for kromatic.quasisym.ascent_polynomial: sum q^ascents over
-    every ordered list of pyramids with these sizes whose supports jointly
-    cover every vertex, counted by ascent_count on the concatenation of the
+    """Oracle for A_sizes(q), z_sizes times the coefficient of p_sizes in
+    kromatic.quasisym.pyramid_p_expansion_q: sum q^ascents over every
+    ordered list of pyramids with these sizes whose supports jointly cover
+    every vertex, counted by ascent_count on the concatenation of the
     list's words.
 
-    The package walks the lists as a transfer matrix instead: a pair of
-    pieces of the concatenation lies in one pyramid, and is counted among
-    that pyramid's own ascents, or in two, and then only the pieces per
-    vertex of the earlier pyramids matter.  This enumeration shares none of
-    that and checks it."""
+    The package walks the lists as a transfer matrix over the pyramid
+    classes instead: a pair of pieces of the concatenation lies in one
+    pyramid, and is counted among that pyramid's own ascents, or in two,
+    and then only the pieces per vertex of the earlier pyramids matter.
+    This enumeration shares none of that and checks it."""
     counts = []
     lists = [[(w, mask_of(w)) for w in enumerate_pyramids(g, s)]
              for s in sizes]
@@ -228,11 +229,13 @@ def theorem_coefficient_by_products(g, lam, which):
     """Oracle for core.theorem_coefficient: enumerate every product of heap
     selections, for each part value k with multiplicity i_k a choice of
     i_k Lyndon heaps from the allowed sizes (with or without repetition per
-    the rule), and count those whose heaps jointly cover every vertex."""
+    the rule), and count those whose heaps jointly cover every vertex.  The
+    menus list one support mask per Lyndon word, with none of the package's
+    grouping by support."""
     per_value = []
     for k, i_k in sorted(multiplicities(lam).items()):
-        menu = [m for s in _menu_sizes(k, which)
-                for m in lyndon_supports(g, s)]
+        menu = [mask_of(w) for s in _menu_sizes(k, which)
+                for w in enumerate_lyndon(g, s)]
         chooser = itertools.combinations_with_replacement \
             if rule_sign(which, (k,)) < 0 else itertools.combinations
         per_value.append([[menu[idx] for idx in sel]

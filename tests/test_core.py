@@ -12,10 +12,11 @@ from kromatic.core import (
     brute_force_kromatic, chromatic_p_expansion_oracles, exponent,
     independence_multiset, kromatic, kromatic_expansion,
     kromatic_from_multiset, omega_kromatic, proper_set_colorings,
-    recover_signed_exponent_multiset, signed_exponent_family,
+    recover_signed_exponent_multiset, rule_sign, signed_exponent_family,
     theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
 )
 from kromatic.graphs import Graph, popcount
+from kromatic.heaps import lyndon_support_counts
 from kromatic.numbers import partition_of_multiplicities, partitions_up_to
 from kromatic.symfunc import Expansion, extract, omega
 
@@ -198,6 +199,18 @@ def test_theorem_coefficient_matches_products_seven_vertices():
     g = Graph(7, [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (5, 6)])
     assert theorem_coefficient(g, (4, 2, 1), "1.3") > 0
     _check_count_against_products(g, 8)
+
+
+def test_theorem_coefficient_picks_several_heaps_of_one_support():
+    # every support of a size-4 Lyndon heap of K2 and C4 holds 3 or 4 heaps,
+    # and lambda = (4, 4) picks two of them: C(c + 1, 2) multisets of one
+    # support under rule 1.2 at the even part 4, C(c, 2) sets under 1.5
+    assert rule_sign("1.2", (4,)) < 0 < rule_sign("1.5", (4,))
+    for g in (K2, C4):
+        assert min(lyndon_support_counts(g, 4).values()) >= 3
+        for which in ("1.2", "1.5"):
+            assert theorem_coefficient(g, (4, 4), which) == \
+                theorem_coefficient_by_products(g, (4, 4), which), (g, which)
 
 
 def test_theorem_coefficient_counts_without_subset_formula(monkeypatch):

@@ -44,3 +44,13 @@ def test_every_definition_has_a_caller():
                        for stmt in other.body if stmt is not node):
                 dead.append(f"{home}.{node.name}")
     assert dead == []
+
+
+def test_heap_words_stay_in_the_heap_layer():
+    # core and quasisym read the heap layer's count tables, never its words
+    tables = {"lyndon_count", "lyndon_support_counts", "pyramid_classes"}
+    for mod in ("core", "quasisym"):
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        names = {name for name, home in _imported_names(tree).items()
+                 if home == "heaps"}
+        assert names <= tables, (mod, sorted(names - tables))
