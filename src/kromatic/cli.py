@@ -30,7 +30,7 @@ from .core import (CLAIMS, RULES, brute_force_kromatic,
                    signed_exponent_family, theorem_coefficient,
                    theorem_coefficient_subsets, verify_factorization)
 from .graphs import (acyclic_orientations, graph_from_json, model_from_json,
-                     natural_unit_interval_model, unit_interval_graph)
+                     unit_interval_bounds)
 from .heaps import (enumerate_lyndon, heap_from_word, is_lyndon,
                     lyndon_count, lyndon_mobius_check, rotation_class,
                     word_str)
@@ -57,6 +57,7 @@ def _load_graph(spec):
 
 
 def _load_model(spec):
+    """Bundled model name or path to a model JSON file, as a graph."""
     key = spec.lower()
     if key in BUNDLED_MODELS:
         return key, bundled_model(key)
@@ -107,14 +108,11 @@ def run_expand(args, parser):
 
 
 def run_qexpand(args, parser):
-    if args.model:
-        name, model = _load_model(args.model)
-        g = unit_interval_graph(model)
-    else:
-        name, g = _load_graph(args.graph)
-        if natural_unit_interval_model(g) is None:
-            parser.error(f"graph {name} has no natural unit-interval model; "
-                         "its q-refined series is not symmetric")
+    name, g = (_load_model(args.model) if args.model
+               else _load_graph(args.graph))
+    if unit_interval_bounds(g) is None:
+        parser.error(f"graph {name} has no natural unit-interval model; "
+                     "its q-refined series is not symmetric")
     N, M = args.degree, args.vars or args.degree
     F = kromatic_q(g, N)
     q_value = Fraction(args.q) if args.q is not None else None
@@ -328,7 +326,7 @@ def build_checks(named_graphs, N, suites):
         add("q", f"clans-vs-brute-{name}",
             lambda g=g: kromatic_q_via_clans(g, 4, 3)
             == kromatic_q_vectors(g, 4, 3))
-        if natural_unit_interval_model(g) is not None:
+        if unit_interval_bounds(g) is not None:
             add("q", f"pyramid-expansion-{name}",
                 lambda g=g: pyramid_p_expansion_q(g, g.n + 1)
                 == omega(kromatic_q(g, g.n + 1)))

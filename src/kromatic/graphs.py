@@ -112,26 +112,21 @@ def clan_graph(g, alpha):
 
     Copies of the same vertex are mutually adjacent; copies of adjacent
     vertices are all adjacent.  Pieces are ordered by host vertex then copy
-    index.  Returns (graph, piece_vertex) with piece_vertex[p-1] = host vertex
-    of piece p.
+    index.
     """
     if len(alpha) != g.n:
         raise ValueError("composition length must equal vertex count")
     if any(a < 0 for a in alpha):
         raise ValueError("composition parts must be nonnegative")
-    piece_vertex = []
-    first = {}
-    for v in g.vertices():
-        first[v] = len(piece_vertex) + 1
-        piece_vertex.extend([v] * alpha[v - 1])
+    host = [v for v in g.vertices() for _ in range(alpha[v - 1])]
+    m = len(host)
     edges = []
-    m = len(piece_vertex)
     for p in range(1, m + 1):
         for r in range(p + 1, m + 1):
-            u, v = piece_vertex[p - 1], piece_vertex[r - 1]
+            u, v = host[p - 1], host[r - 1]
             if u == v or g.adjacent(u, v):
                 edges.append((p, r))
-    return Graph(m, edges), tuple(piece_vertex)
+    return Graph(m, edges)
 
 
 def independent_sets(g, mask=None):
@@ -231,29 +226,20 @@ def source_components(g, oriented):
 # ---------------------------------------------------------------------------
 # natural unit-interval graphs
 
-class UnitIntervalModel:
-    """Interval bounds h with h[i-1] >= i, nondecreasing: vertex i is adjacent
-    to every j with i < j <= h[i-1]."""
-
-    __slots__ = ("n", "h")
-
-    def __init__(self, n, h):
-        h = tuple(h)
-        if len(h) != n:
-            raise ValueError("bounds length must equal n")
-        for i, b in enumerate(h, start=1):
-            if not (i <= b <= n):
-                raise ValueError(f"bound h[{i}]={b} outside [{i}, {n}]")
-        if any(h[i] > h[i + 1] for i in range(n - 1)):
-            raise ValueError("bounds must be nondecreasing")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "h", h)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UnitIntervalModel is immutable")
-
-    def __repr__(self):
-        return f"UnitIntervalModel(n={self.n}, h={list(self.h)})"
+def unit_interval_graph(n, bounds):
+    """The graph on 1..n in which vertex i is adjacent to every j with
+    i < j <= bounds[i-1]; the bounds satisfy i <= bounds[i-1] <= n and are
+    nondecreasing."""
+    h = tuple(bounds)
+    if len(h) != n:
+        raise ValueError("bounds length must equal n")
+    for i, b in enumerate(h, start=1):
+        if not (i <= b <= n):
+            raise ValueError(f"bound h[{i}]={b} outside [{i}, {n}]")
+    if any(h[i] > h[i + 1] for i in range(n - 1)):
+        raise ValueError("bounds must be nondecreasing")
+    return Graph(n, [(i, j) for i in range(1, n + 1)
+                     for j in range(i + 1, h[i - 1] + 1)])
 
 
 def model_from_json(obj):
@@ -262,25 +248,15 @@ def model_from_json(obj):
     bounds = obj["bounds"]
     if not isinstance(bounds, (list, tuple)):
         raise ValueError("model json 'bounds' must be a list")
-    return UnitIntervalModel(_require_int(obj["n"], "vertex count"),
-                             [_require_int(b, "bound") for b in bounds])
+    return unit_interval_graph(_require_int(obj["n"], "vertex count"),
+                               [_require_int(b, "bound") for b in bounds])
 
 
-def unit_interval_graph(model):
-    edges = [(i, j) for i in range(1, model.n + 1)
-             for j in range(i + 1, model.h[i - 1] + 1)]
-    return Graph(model.n, edges)
-
-
-def natural_unit_interval_model(g):
-    """The bounds model realizing g under its given labels, or None."""
-    h = []
-    for i in g.vertices():
-        above = [j for j in mask_vertices(g.adj[i]) if j > i]
-        hi = max(above) if above else i
-        if above != list(range(i + 1, hi + 1)):
-            return None
-        h.append(hi)
+def unit_interval_bounds(g):
+    """The bounds h with unit_interval_graph(g.n, h) == g under g's own
+    labels, or None if there are none."""
+    # the only candidate: each vertex reaches up to its highest neighbour
+    h = tuple(max(i, g.adj[i].bit_length()) for i in g.vertices())
     if any(h[i] > h[i + 1] for i in range(g.n - 1)):
         return None
-    return UnitIntervalModel(g.n, h)
+    return h if unit_interval_graph(g.n, h) == g else None

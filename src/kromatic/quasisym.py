@@ -157,7 +157,7 @@ def kromatic_q_via_clans(g, N, M):
     for alpha in product(range(1, N - g.n + 2), repeat=g.n):
         if sum(alpha) > N:
             continue
-        cg, _ = clan_graph(g, alpha)
+        cg = clan_graph(g, alpha)
         fac = q_factorial(alpha)
         for vec, poly in kromatic_q_vectors(cg, cg.n, M).items():
             acc[vec] = acc.get(vec, QPoly()) + poly.divexact(fac)

@@ -88,10 +88,28 @@ def test_qexpand_vars_is_report_only(capsys):
     assert {**wide, "M": 5} == base
 
 
-def test_qexpand_rejects_non_unit_interval():
+@pytest.mark.parametrize("model", BUNDLED_MODELS)
+@pytest.mark.parametrize("options", [(), ("--basis", "pbar", "--omega")])
+def test_qexpand_model_and_graph_give_the_same_series(capsys, model,
+                                                      options):
+    # each bundled model ui-x is the bundled graph x under the same labels
+    rc, by_model = run_json(capsys, ["qexpand", "--model", model,
+                                     "--degree", "5", *options])
+    assert rc == 0
+    rc, by_graph = run_json(capsys, ["qexpand", "--graph", model[3:],
+                                     "--degree", "5", *options])
+    assert rc == 0
+    assert by_model["graph"] == model
+    assert {**by_graph, "graph": model} == by_model
+
+
+def test_qexpand_rejects_non_unit_interval(capsys):
     with pytest.raises(SystemExit) as e:
         main(["qexpand", "--graph", "c4", "--degree", "4"])
     assert e.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: graph C4 has no natural unit-interval model; "
+        "its q-refined series is not symmetric\n")
 
 
 def test_lyndon_words(capsys):
@@ -422,6 +440,20 @@ def test_malformed_input_file_exits_two(tmp_path, capsys):
     assert err.count("error: vertex count") == 2
     assert "must be an integer" in err
     assert "vertex count" in err
+
+
+@pytest.mark.parametrize("n, bounds, message", [
+    (3, [3, 2, 3], "bounds must be nondecreasing"),
+    (2, [0, 2], "bound h[1]=0 outside [1, 2]"),
+    (2, [2], "bounds length must equal n"),
+])
+def test_invalid_model_bounds_exit_two(tmp_path, capsys, n, bounds, message):
+    model = tmp_path / "bad-model.json"
+    model.write_text(json.dumps({"n": n, "bounds": bounds}))
+    assert main(["qexpand", "--model", str(model), "--degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_graph_directory_exits_two(tmp_path):

@@ -3,13 +3,13 @@ import json
 
 import pytest
 
-from kromatic import bundled_graph, bundled_model
+from kromatic import BUNDLED_MODELS, _load_data, bundled_graph, bundled_model
 from kromatic.core import chromatic_p_expansion_oracles
 from kromatic.graphs import (
     Graph, acyclic_orientations, clan_graph,
     graph_from_json, independence_polynomial, mask_of, mask_vertices,
-    natural_unit_interval_model, model_from_json, popcount, source_components,
-    unit_interval_graph, UnitIntervalModel,
+    model_from_json, popcount, source_components, unit_interval_bounds,
+    unit_interval_graph,
 )
 
 from helpers import has_induced_c4_or_claw, induced_subgraph
@@ -55,12 +55,11 @@ def test_induced_subgraph():
 
 
 def test_clan_graph():
-    cg, piece_vertex = clan_graph(P3, (2, 0, 1))
+    cg = clan_graph(P3, (2, 0, 1))
     # two copies of vertex 1 (a K2) plus one copy of vertex 3, no cross edges
-    assert piece_vertex == (1, 1, 3)
+    assert cg.n == 3
     assert cg.edges == ((1, 2),)
-    cg2, pv2 = clan_graph(K2, (1, 2))
-    assert pv2 == (1, 2, 2)
+    cg2 = clan_graph(K2, (1, 2))
     assert cg2.edges == ((1, 2), (1, 3), (2, 3))
     with pytest.raises(ValueError):
         clan_graph(K2, (1,))
@@ -107,34 +106,33 @@ def test_source_components():
 
 
 def test_unit_interval_models():
-    assert unit_interval_graph(UnitIntervalModel(3, (2, 3, 3))) == P3
-    assert unit_interval_graph(bundled_model("ui-k2")) == K2
-    assert unit_interval_graph(bundled_model("ui-p4")) == P4
-    assert unit_interval_graph(bundled_model("ui-paw")) == PAW
-    with pytest.raises(ValueError):
-        UnitIntervalModel(3, (3, 2, 3))
-    with pytest.raises(ValueError):
-        UnitIntervalModel(2, (0, 2))
-    with pytest.raises(ValueError):
+    assert unit_interval_graph(3, (2, 3, 3)) == P3
+    for name in BUNDLED_MODELS:
+        assert bundled_model(name) == bundled_graph(name[3:])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        unit_interval_graph(3, (3, 2, 3))
+    with pytest.raises(ValueError, match=r"h\[1\]=0 outside \[1, 2\]"):
+        unit_interval_graph(2, (0, 2))
+    with pytest.raises(ValueError, match="length"):
         model_from_json({"n": 2, "bounds": [2]})
 
 
 def test_natural_unit_interval_recognition():
-    assert natural_unit_interval_model(K2).h == (2, 2)
-    assert natural_unit_interval_model(P3).h == (2, 3, 3)
-    assert natural_unit_interval_model(PAW).h == (3, 3, 4, 4)
-    assert natural_unit_interval_model(C4) is None
-    for name in ("ui-k2", "ui-k3", "ui-p3", "ui-p4", "ui-paw"):
-        m = bundled_model(name)
-        assert natural_unit_interval_model(unit_interval_graph(m)).h == m.h
+    assert unit_interval_bounds(K2) == (2, 2)
+    assert unit_interval_bounds(P3) == (2, 3, 3)
+    assert unit_interval_bounds(PAW) == (3, 3, 4, 4)
+    assert unit_interval_bounds(C4) is None
+    for name in BUNDLED_MODELS:
+        h = tuple(_load_data(name)["bounds"])
+        assert unit_interval_bounds(bundled_model(name)) == h
 
 
 def test_unit_interval_pattern_freeness():
     # graphs with a natural unit-interval model contain no induced C4 or claw
     for g in ALL:
-        if natural_unit_interval_model(g) is not None:
+        if unit_interval_bounds(g) is not None:
             assert not has_induced_c4_or_claw(g)
     assert has_induced_c4_or_claw(C4)
     claw = Graph(4, [(1, 2), (1, 3), (1, 4)])
     assert has_induced_c4_or_claw(claw)
-    assert natural_unit_interval_model(claw) is None
+    assert unit_interval_bounds(claw) is None

@@ -10,7 +10,7 @@ import kromatic.symfunc as symfunc
 from helpers import ascent_polynomial_by_lists, clear_caches, small_graphs
 from kromatic import BUNDLED_MODELS, bundled_graph, bundled_model
 from kromatic.core import kromatic, theorem_coefficient
-from kromatic.graphs import Graph, UnitIntervalModel, unit_interval_graph
+from kromatic.graphs import Graph, unit_interval_bounds, unit_interval_graph
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import QPoly, partitions_of, partitions_up_to, z_lambda
 from kromatic.quasisym import (
@@ -88,7 +88,7 @@ def test_transfer_matrix_matches_set_colorings(g, N):
         assert vectors.get(alpha + (0,) * (N - len(alpha))) == poly, alpha
 
 
-MODELS = [unit_interval_graph(bundled_model(name)) for name in BUNDLED_MODELS]
+MODELS = [bundled_model(name) for name in BUNDLED_MODELS]
 
 
 def test_kromatic_q_enumerates_no_set_colorings(monkeypatch):
@@ -202,29 +202,30 @@ def test_rule_coefficients_match_extraction():
 
 @st.composite
 def unit_interval_models(draw, max_n=5):
-    """Random natural unit interval models on at most max_n vertices."""
+    """Random natural unit interval graphs on at most max_n vertices, drawn
+    as their bounds."""
     n = draw(st.integers(0, max_n))
     h = []
     for i in range(1, n + 1):
         h.append(draw(st.integers(max([i] + h[-1:]), n)))
-    return UnitIntervalModel(n, h)
+    g = unit_interval_graph(n, h)
+    assert unit_interval_bounds(g) == tuple(h)
+    return g
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(unit_interval_models(),
        st.integers(1, 5).flatmap(lambda n: st.sampled_from(
            list(partitions_of(n)))))
-def test_rule_coefficients_match_extraction_on_random_models(model, lam):
-    g = unit_interval_graph(model)
+def test_rule_coefficients_match_extraction_on_random_models(g, lam):
     tgt = q_extraction_targets(g, sum(lam))
     for rule in RULES_Q:
         got = power_sum_coefficient_q(g, lam, rule)
-        assert got == tgt[rule].coeff(lam), (model, lam, rule)
+        assert got == tgt[rule].coeff(lam), (g, lam, rule)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
-@given(st.one_of(unit_interval_models(max_n=4).map(unit_interval_graph),
-                 small_graphs(max_n=4)))
+@given(st.one_of(unit_interval_models(max_n=4), small_graphs(max_n=4)))
 @example(C4)
 def test_ascent_polynomial_matches_pyramid_lists(g):
     # every partition up to two past the vertex count, so that pyramids

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, \
     bundled_model
 from kromatic.core import kromatic, omega_kromatic
-from kromatic.graphs import independence_polynomial, unit_interval_graph
+from kromatic.graphs import independence_polynomial
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import partitions_of, partitions_up_to, QPoly
 from kromatic.quasisym import kromatic_q
@@ -375,4 +375,4 @@ def test_stored_values_are_ints():
         for lam in partitions_up_to(N):
             assert ints(basis_element(basis, lam, N))
     for name in BUNDLED_MODELS:
-        assert ints(kromatic_q(unit_interval_graph(bundled_model(name)), 6))
+        assert ints(kromatic_q(bundled_model(name), 6))
