@@ -22,8 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, bundled_model
-from .core import (CLAIMS, RULES, brute_force_kromatic,
-                   chromatic_p_expansion_oracles, exponent,
+from .core import (CLAIMS, RULES, chromatic_p_expansion_oracles, exponent,
                    independence_multiset, kromatic, kromatic_expansion,
                    kromatic_from_multiset, omega_kromatic,
                    recover_signed_exponent_multiset, rule_sign,
@@ -39,7 +38,7 @@ from .numbers import (QPoly, divisors, mu_hat, partition_of_multiplicities,
 from .quasisym import (RULES_Q, kromatic_q, kromatic_q_vectors,
                        kromatic_q_via_clans, power_sum_coefficient_q,
                        pyramid_p_expansion_q, specialize_q)
-from .symfunc import (Expansion, extract, omega,
+from .symfunc import (Expansion, extract, omega, sympoly_from_vector_counts,
                       verify_omega_basis_identities)
 
 DISPLAY = {"k1": "K1", "k2": "K2", "k3": "K3", "p3": "P3", "p4": "P4",
@@ -248,13 +247,21 @@ def build_checks(named_graphs, N, suites):
             {"direct": kromatic(g, N), "omega": omega_kromatic(g, N)},
             CLAIMS.values())
 
+    @functools.cache
+    def theorem_expansions(g):
+        ms = independence_multiset(g)
+        return {rule: kromatic_expansion(ms, N, *RULES[rule])
+                for rule in CLAIMS.values()}
+
     def theorem_check(g, lam, rule):
         count = theorem_coefficient(g, lam, rule)
         subsets = theorem_coefficient_subsets(g, lam, rule)
-        got = rule_sign(rule, lam) * theorem_targets(g)[rule].coeff(lam)
-        if not 0 <= count == subsets == got:
-            raise AssertionError(
-                f"counted {count}, subsets {subsets}, extracted {got}")
+        sign = rule_sign(rule, lam)
+        got = sign * theorem_targets(g)[rule].coeff(lam)
+        expanded = sign * theorem_expansions(g)[rule].coeff(lam)
+        if not 0 <= count == subsets == got == expanded:
+            raise AssertionError(f"counted {count}, subsets {subsets}, "
+                                 f"extracted {got}, expanded {expanded}")
         return True
 
     for name, g in named_graphs:
@@ -292,7 +299,9 @@ def build_checks(named_graphs, N, suites):
     for name, g in named_graphs:
         def roundtrip(g=g):
             ms = independence_multiset(g)
-            F = brute_force_kromatic(g, 4, 4)
+            F = sympoly_from_vector_counts(
+                {v: p(1) for v, p in kromatic_q_vectors(g, 4, 4).items()},
+                4, 4)
             return (kromatic_from_multiset(ms, 4) == F
                     and kromatic_from_multiset(ms, 4, image="omega")
                     == omega(F))
@@ -404,10 +413,9 @@ def make_parser():
                     "symmetric functions.")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p, graph=True, model=False, basis=None, q=False):
-        if graph:
-            p.add_argument("--graph", help="bundled graph name "
-                           f"({', '.join(BUNDLED_GRAPHS)}) or JSON path")
+    def common(p, model=False, basis=None, q=False):
+        p.add_argument("--graph", help="bundled graph name "
+                       f"({', '.join(BUNDLED_GRAPHS)}) or JSON path")
         if model:
             p.add_argument("--model", help="bundled unit-interval model name "
                            f"({', '.join(BUNDLED_MODELS)}) or JSON path")

@@ -9,7 +9,7 @@ the independence polynomial of the induced subgraph on W; its omega image
 swaps I_W for H_W(t) = 1 / I_W(-t).
 
 Everything here is exact and truncated to total degree N; only the
-brute-force oracles, which enumerate colorings, take a number M of colors.
+coloring enumeration proper_set_colorings takes a number M of colors.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .numbers import (binomial, multiplicities, partition_of_multiplicities,
 from .symfunc import (
     Expansion, SymPoly, generator_series, product_over_variables,
     series_log_derivative, series_neg_sub, series_reciprocal,
-    sympoly_from_vector_counts,
 )
 
 
@@ -111,15 +110,15 @@ def omega_kromatic(g, N):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# brute-force enumeration
 
 def proper_set_colorings(g, budget, M):
     """Yield proper set colorings as tuples of color bitmasks (bit c-1 for
     color c), one per vertex, with total size <= budget.
 
-    Oracle: the enumeration behind brute_force_kromatic (the
-    multiset-roundtrip-* checks) and quasisym.kromatic_q_vectors (the
-    clans-vs-brute-* checks), and the tests that compare against them."""
+    Oracle: callers reach it through quasisym.kromatic_q_vectors, whose
+    value at q = 1 is the brute-force series of the multiset-roundtrip-*
+    checks and which is itself both sides of the clans-vs-brute-* checks."""
     nonempty = [m for m in range(1, 1 << M)]
     nonempty.sort(key=popcount)
 
@@ -146,28 +145,6 @@ def proper_set_colorings(g, budget, M):
         yield ()
         return
     yield from rec(1, budget, [])
-
-
-def _coloring_exponent_vector(coloring, M):
-    vec = [0] * M
-    for m in coloring:
-        c = 1
-        while m:
-            if m & 1:
-                vec[c - 1] += 1
-            m >>= 1
-            c += 1
-    return tuple(vec)
-
-
-def brute_force_kromatic(g, N, M):
-    """Direct enumeration of proper set colorings (independent oracle for
-    kromatic)."""
-    counts = {}
-    for coloring in proper_set_colorings(g, N, M):
-        vec = _coloring_exponent_vector(coloring, M)
-        counts[vec] = counts.get(vec, 0) + 1
-    return sympoly_from_vector_counts(counts, M, N)
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,6 @@ def _prenecklaces(g, n):
                  if v >= w[-p] and _extends_canonically(dep, w, v))
 
 
-@cache
 def enumerate_lyndon(g, n):
     """Lyndon heaps of size n, sorted by canonical word: the canonical
     Lyndon words of _prenecklaces.  A canonical Lyndon word is a pyramid:

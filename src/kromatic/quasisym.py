@@ -8,7 +8,7 @@ general and symmetric when the graph comes from a unit interval model.
 Routes implemented here:
   * one transfer matrix over colors (for kromatic_q) and pyramid lists;
   * direct enumeration over set colorings (exponent-vector level), kept as
-    the oracle;
+    the oracle, also of the set-coloring series itself at q = 1;
   * the clan-graph route: blow vertices into cliques, give each piece one
     color, divide out the q-factorial of the clique sizes;
   * pyramid expansions: coefficients of p_lambda / z_lambda are ascent
@@ -22,8 +22,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add, mul
 
-from .core import (RULES, _coloring_exponent_vector, proper_set_colorings,
-                   rule_sign)
+from .core import RULES, proper_set_colorings, rule_sign
 from .graphs import clan_graph, independent_sets, mask_vertices, popcount
 from .heaps import pyramid_classes
 from .numbers import QPoly, mobius, mu_hat, q_factorial, z_lambda
@@ -66,11 +65,12 @@ def kromatic_q_vectors(g, N, M):
 
     Oracle: its cost grows with M, and no production route goes through it.
     The clans-vs-brute-* checks call it on both sides, directly and through
-    kromatic_q_via_clans on each clan graph; the tests hold
-    composition_coefficients and kromatic_q to it."""
+    kromatic_q_via_clans on each clan graph; at q = 1 it is the brute-force
+    side of multiset-roundtrip-*.  The tests hold composition_coefficients
+    and kromatic_q to it."""
     acc = {}
     for coloring in proper_set_colorings(g, N, M):
-        vec = _coloring_exponent_vector(coloring, M)
+        vec = tuple(sum(m >> c & 1 for m in coloring) for c in range(M))
         _q_shift_add(acc.setdefault(vec, []), (1,),
                      coloring_ascents(g, coloring))
     return {vec: QPoly(lst) for vec, lst in acc.items() if any(lst)}

@@ -15,8 +15,9 @@ The product is the union of partitions, with the stored values multiplied
 by C(|lambda| + |mu|, |lambda|); omega is a sign on each p_lambda; and a
 product over variables prod_i f(x_i) is exp(sum_k c_k p_k) with
 sum_k c_k t^k = log f(t), so no number of variables enters.  Monomials
-appear only in sympoly_from_vector_counts, which reads the exponent-vector
-counts of the brute-force oracles.
+appear only in sympoly_from_vector_counts, which reads exponent-vector
+coefficients: the q-refined series' and, at q = 1, the brute-force
+set-coloring counts of quasisym.kromatic_q_vectors.
 
 USeries values are plain tuples of coefficients, index = degree.
 """

@@ -19,6 +19,7 @@ from kromatic.heaps import (_deps, _extends_canonically, ascent_count,
                             enumerate_pyramids, heap_from_word)
 from kromatic.numbers import (QPoly, divisors, multiplicities,
                               partition_sort_key, partitions_of)
+from kromatic.quasisym import kromatic_q_vectors
 from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
                               generator_series, series_truncate,
                               sympoly_from_vector_counts)
@@ -93,6 +94,14 @@ def brute_force_chromatic(g, M):
         vec = tuple(vec)
         counts[vec] = counts.get(vec, 0) + 1
     return sympoly_from_vector_counts(counts, M, g.n)
+
+
+def brute_force_kromatic(g, N, M):
+    """The set-coloring series from every proper set coloring with M
+    colors: the brute-force q-refined vectors at q = 1, as the
+    multiset-roundtrip-* checks build it."""
+    return sympoly_from_vector_counts(
+        {v: p(1) for v, p in kromatic_q_vectors(g, N, M).items()}, M, N)
 
 
 def assemble(expansion, N):

@@ -4,11 +4,12 @@ per criterion.  Run with `pytest -v` for the per-criterion pass/fail lines."""
 import itertools
 import random
 
-from helpers import assemble, check_canonical_invariance
+from helpers import (assemble, brute_force_kromatic,
+                     check_canonical_invariance)
 
 from kromatic import bundled_graph
-from kromatic.core import (brute_force_kromatic, chromatic_p_expansion_oracles,
-                           exponent, independence_multiset, kromatic,
+from kromatic.core import (chromatic_p_expansion_oracles, exponent,
+                           independence_multiset, kromatic,
                            kromatic_from_multiset, omega_kromatic,
                            recover_signed_exponent_multiset,
                            signed_exponent_family, theorem_coefficient,

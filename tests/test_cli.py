@@ -6,7 +6,7 @@ import pytest
 
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph
 from kromatic.cli import build_checks, main
-from kromatic.symfunc import basis_element
+from kromatic.symfunc import Expansion, basis_element
 
 from helpers import clear_caches
 
@@ -557,7 +557,7 @@ def test_verify_fail_lines_show_values(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert ("FAIL thm-1.2-K2-lambda-2 (AssertionError: counted 99, "
-            "subsets 1, extracted 1)") in out
+            "subsets 1, extracted 1, expanded 1)") in out
     assert "0/12 checks passed" in out
 
     monkeypatch.setattr(cli, "power_sum_coefficient_q",
@@ -580,6 +580,56 @@ def test_verify_fail_lines_show_values(capsys, monkeypatch):
     assert ("FAIL claim-a-K2-N3 (AssertionError: factorization variant 'a' "
             "fails on Graph(n=2, edges=[(1, 2)]) at N=3: at t^2, the series "
             "gives e(2) = -1 but the Lyndon heap count gives 0)") in out
+
+
+def test_thm_checks_hold_expand_to_the_counts(capsys, monkeypatch):
+    # expand's own route is one side of every thm-* check
+    import kromatic.cli as cli
+    expansion = cli.kromatic_expansion
+
+    def off_by_one(ms, N, image, basis):
+        exp = expansion(ms, N, image, basis)
+        return Expansion(basis, N, {**exp.coeffs, (2,): exp.coeff((2,)) + 1})
+
+    monkeypatch.setattr(cli, "kromatic_expansion", off_by_one)
+    rc = main(["verify", "--graph", "k2", "--suite", "theorems",
+               "--degree", "2"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert ("FAIL thm-1.2-K2-lambda-2 (AssertionError: counted 1, "
+            "subsets 1, extracted 1, expanded 0)") in out
+    assert "PASS thm-1.2-K2-lambda-11" in out
+
+
+def test_multiset_roundtrip_fails_on_either_side(capsys, monkeypatch):
+    # the brute-force set colorings and the independence multiset are two
+    # routes: perturbing either one fails multiset-roundtrip-*
+    import kromatic.cli as cli
+    argv = ["verify", "--graph", "p3", "--suite", "recovery"]
+    assert main(argv) == 0
+    assert "PASS multiset-roundtrip-P3" in capsys.readouterr().out
+
+    vectors, from_multiset = cli.kromatic_q_vectors, cli.kromatic_from_multiset
+
+    def drop_one(g, N, M):
+        # the largest vector is nonincreasing, so its rearrangements are
+        # compared with it; sympoly_from_vector_counts cannot see a missing
+        # rearrangement
+        out = vectors(g, N, M)
+        del out[max(out)]
+        return out
+
+    def doubled(ms, N, image="direct"):
+        return from_multiset(ms, N, image).scale(2)
+
+    for name, fake in (("kromatic_q_vectors", drop_one),
+                       ("kromatic_from_multiset", doubled)):
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, fake)
+            rc = main(argv)
+        out = capsys.readouterr().out
+        assert rc == 1, name
+        assert "FAIL multiset-roundtrip-P3" in out, name
 
 
 def test_config_errors_exit_two():

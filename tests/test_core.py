@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kromatic import bundled_graph
 import kromatic.core as core
 from kromatic.core import (
-    brute_force_kromatic, chromatic_p_expansion_oracles, exponent,
+    chromatic_p_expansion_oracles, exponent,
     independence_multiset, kromatic, kromatic_expansion,
     kromatic_from_multiset, omega_kromatic, proper_set_colorings,
     recover_signed_exponent_multiset, rule_sign, signed_exponent_family,
@@ -20,8 +20,9 @@ from kromatic.heaps import lyndon_support_counts
 from kromatic.numbers import partition_of_multiplicities, partitions_up_to
 from kromatic.symfunc import Expansion, extract, omega
 
-from helpers import (brute_force_chromatic, clear_caches, induced_subgraph,
-                     small_graphs, theorem_coefficient_by_products)
+from helpers import (brute_force_chromatic, brute_force_kromatic,
+                     clear_caches, induced_subgraph, small_graphs,
+                     theorem_coefficient_by_products)
 
 K1 = bundled_graph("k1")
 K2 = bundled_graph("k2")

@@ -54,3 +54,17 @@ def test_heap_words_stay_in_the_heap_layer():
         names = {name for name, home in _imported_names(tree).items()
                  if home == "heaps"}
         assert names <= tables, (mod, sorted(names - tables))
+
+
+def test_private_names_stay_in_their_module():
+    # a module imports only the public names of another; a private helper
+    # that two modules need is public, or the code that needs it moves
+    leaks = sorted(
+        f"{path.stem} imports {node.module or '__init__'}.{alias.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_") and not (
+            alias.name.startswith("__") and alias.name.endswith("__")))
+    assert leaks == []
