@@ -3,7 +3,7 @@
 from importlib import resources
 import json
 
-from .graphs import Graph, graph_from_json, model_from_json
+from .graphs import Graph, graph_from_json
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,8 @@ def bundled_graph(name):
 
 
 def bundled_model(name):
-    """Load a unit-interval model shipped with the package, as its graph."""
+    """A unit-interval model shipped with the package, as its graph: the
+    model ui-x is the bundled graph x, whose labels are already natural."""
     if name not in BUNDLED_MODELS:
         raise KeyError(f"no bundled model {name!r}; have {BUNDLED_MODELS}")
-    return model_from_json(_load_data(name))
+    return bundled_graph(name[3:])

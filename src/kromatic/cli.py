@@ -45,23 +45,17 @@ DISPLAY = {"k1": "K1", "k2": "K2", "k3": "K3", "p3": "P3", "p4": "P4",
            "c4": "C4", "paw": "paw"}
 
 
-def _load_graph(spec):
-    """Bundled name or path to a graph JSON file."""
+def _load(spec, model=False):
+    """(display name, graph) for a bundled name or a path to a JSON file:
+    a graph, or with model a unit-interval model."""
+    names, bundled, from_json = (
+        (BUNDLED_MODELS, bundled_model, model_from_json) if model
+        else (BUNDLED_GRAPHS, bundled_graph, graph_from_json))
     key = spec.lower()
-    if key in BUNDLED_GRAPHS:
-        return DISPLAY[key], bundled_graph(key)
+    if key in names:
+        return DISPLAY.get(key, key), bundled(key)
     path = Path(spec)
-    data = json.loads(path.read_text())
-    return path.stem, graph_from_json(data)
-
-
-def _load_model(spec):
-    """Bundled model name or path to a model JSON file, as a graph."""
-    key = spec.lower()
-    if key in BUNDLED_MODELS:
-        return key, bundled_model(key)
-    path = Path(spec)
-    return path.stem, model_from_json(json.loads(path.read_text()))
+    return path.stem, from_json(json.loads(path.read_text()))
 
 
 def _coeff_json(c):
@@ -95,7 +89,7 @@ def _emit(obj, out_path):
 # modes
 
 def run_expand(args, parser):
-    name, g = _load_graph(args.graph)
+    name, g = _load(args.graph)
     N, M = args.degree, args.vars or args.degree
     ms, image = independence_multiset(g), "omega" if args.omega else "direct"
     if args.basis == "p":
@@ -107,25 +101,24 @@ def run_expand(args, parser):
 
 
 def run_qexpand(args, parser):
-    name, g = (_load_model(args.model) if args.model
-               else _load_graph(args.graph))
+    name, g = (_load(args.model, model=True) if args.model
+               else _load(args.graph))
     if unit_interval_bounds(g) is None:
         parser.error(f"graph {name} has no natural unit-interval model; "
                      "its q-refined series is not symmetric")
     N, M = args.degree, args.vars or args.degree
     F = kromatic_q(g, N)
-    q_value = Fraction(args.q) if args.q is not None else None
-    if q_value is not None:
-        F = specialize_q(F, q_value)
+    if args.q is not None:
+        F = specialize_q(F, args.q)
     if args.omega:
         F = omega(F)
     exp = extract(F, args.basis)
-    _emit(_expansion_json(exp, name, M, args.omega, q_value), args.out)
+    _emit(_expansion_json(exp, name, M, args.omega, args.q), args.out)
     return 0
 
 
 def run_lyndon(args, parser):
-    name, g = _load_graph(args.graph)
+    name, g = _load(args.graph)
     sizes = {}
     counts = {}
     for n in range(1, args.degree + 1):
@@ -138,7 +131,7 @@ def run_lyndon(args, parser):
 
 
 def run_independence(args, parser):
-    name, g = _load_graph(args.graph)
+    name, g = _load(args.graph)
     entries = [{"independence": list(poly), "size": size}
                for poly, size in independence_multiset(g)]
     _emit({"graph": name, "n": g.n, "entries": entries}, args.out)
@@ -372,10 +365,8 @@ SUITES = ("numbers", "heaps", "factorization", "theorems", "classical",
 
 
 def run_verify(args, parser):
-    if args.graph:
-        named = [_load_graph(args.graph)]
-    else:
-        named = [(DISPLAY[k], bundled_graph(k)) for k in BUNDLED_GRAPHS]
+    named = [_load(spec) for spec in
+             ([args.graph] if args.graph else BUNDLED_GRAPHS)]
     suites = {args.suite}
     checks = build_checks(named, args.degree, suites)
     if not checks:
@@ -406,6 +397,23 @@ def run_verify(args, parser):
 
 # ---------------------------------------------------------------------------
 
+def positive_int(text):
+    """An argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def rational(text):
+    """An argparse type: a Fraction.  argparse reports a ValueError as an
+    invalid value, so a zero denominator is turned into one."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="kromatic",
@@ -414,11 +422,16 @@ def make_parser():
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def common(p, model=False, basis=None, q=False):
-        p.add_argument("--graph", help="bundled graph name "
-                       f"({', '.join(BUNDLED_GRAPHS)}) or JSON path")
+        graph_help = (f"bundled graph name ({', '.join(BUNDLED_GRAPHS)}) "
+                      "or JSON path")
         if model:
-            p.add_argument("--model", help="bundled unit-interval model name "
-                           f"({', '.join(BUNDLED_MODELS)}) or JSON path")
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--graph", help=graph_help)
+            source.add_argument("--model", help="bundled unit-interval model "
+                                f"name ({', '.join(BUNDLED_MODELS)}) or JSON "
+                                "path")
+        else:
+            p.add_argument("--graph", required=True, help=graph_help)
         if basis:
             p.add_argument("--basis", choices=("p", "pbar", "pbarprime"),
                            default=basis)
@@ -429,14 +442,14 @@ def make_parser():
                            "(default: degree); the result does not depend "
                            "on it")
         if q:
-            p.add_argument("--q", default=None,
+            p.add_argument("--q", type=rational, default=None,
                            help="evaluate q-polynomials at this rational; "
                            "give a negative fraction as --q=-2/3")
-        p.add_argument("--degree", type=int, default=5,
+        p.add_argument("--degree", type=positive_int, default=5,
                        help="truncation degree N (default 5)")
         p.add_argument("--out", default=None, help="write JSON here "
                        "instead of stdout")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=positive_int, default=1,
                        help="parallelism hint (accepted; runs sequentially)")
 
     pe = sub.add_parser("expand", help="basis coefficients of the series")
@@ -449,9 +462,9 @@ def make_parser():
     pv.add_argument("--graph", help="restrict to one graph (bundled name or "
                     "JSON path); default: all bundled graphs")
     pv.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    pv.add_argument("--degree", type=int, default=5)
+    pv.add_argument("--degree", type=positive_int, default=5)
     pv.add_argument("--out", default=None)
-    pv.add_argument("--jobs", type=int, default=1,
+    pv.add_argument("--jobs", type=positive_int, default=1,
                     help="parallelism hint (accepted; runs sequentially)")
 
     pl = sub.add_parser("lyndon", help="Lyndon heap counts and words")
@@ -467,31 +480,13 @@ RUNNERS = {"expand": run_expand, "qexpand": run_qexpand,
            "independence": run_independence}
 
 
-def validate(args, parser):
-    if args.degree < 1:
-        parser.error("--degree must be at least 1")
-    if getattr(args, "vars", None) is not None and args.vars < args.degree:
-        parser.error("--vars, the variable count reported in the JSON, "
-                     "must be at least --degree")
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be positive")
-    if args.mode in ("expand", "lyndon", "independence") and not args.graph:
-        parser.error("--graph is required")
-    if args.mode == "qexpand" and not (args.graph or args.model):
-        parser.error("qexpand needs --graph or --model")
-    if args.mode == "qexpand" and args.graph and args.model:
-        parser.error("qexpand takes --graph or --model, not both")
-    if getattr(args, "q", None) is not None:
-        try:
-            Fraction(args.q)
-        except (ValueError, ZeroDivisionError):
-            parser.error(f"--q must be a rational, got {args.q!r}")
-
-
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    validate(args, parser)
+    # the one rule across two options; the parser states every other one
+    if getattr(args, "vars", None) is not None and args.vars < args.degree:
+        parser.error("--vars, the variable count reported in the JSON, "
+                     "must be at least --degree")
     try:
         return RUNNERS[args.mode](args, parser)
     except OSError as e:

@@ -644,7 +644,12 @@ def test_config_errors_exit_two():
                  ["verify", "--suite", "nosuchsuite"],
                  ["verify", "--degree", "0"],
                  ["verify", "--graph", "k2", "--degree", "-1"],
-                 ["expand", "--graph", "k2", "--jobs", "0"]):
+                 ["expand", "--graph", "k2", "--jobs", "0"],
+                 ["lyndon", "--degree", "3"],
+                 ["independence"],
+                 ["verify", "--jobs", "0"],
+                 ["expand", "--graph", "k2", "--degree", "x"],
+                 ["qexpand", "--model", "ui-k2", "--q", "abc"]):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2, argv

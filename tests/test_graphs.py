@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from kromatic import BUNDLED_MODELS, _load_data, bundled_graph, bundled_model
+from kromatic import (BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph,
+                      bundled_model)
 from kromatic.core import chromatic_p_expansion_oracles
 from kromatic.graphs import (
     Graph, acyclic_orientations, clan_graph,
@@ -21,6 +22,10 @@ P4 = bundled_graph("p4")
 C4 = bundled_graph("c4")
 PAW = bundled_graph("paw")
 ALL = [bundled_graph(n) for n in ("k1", "k2", "k3", "p3", "p4", "c4", "paw")]
+# the natural unit-interval bounds of each bundled model, written down apart
+# from the code that builds or recognizes them
+MODEL_BOUNDS = {"ui-k2": (2, 2), "ui-k3": (3, 3, 3), "ui-p3": (2, 3, 3),
+                "ui-p4": (2, 3, 4, 4), "ui-paw": (3, 3, 4, 4)}
 
 
 def test_masks():
@@ -107,8 +112,9 @@ def test_source_components():
 
 def test_unit_interval_models():
     assert unit_interval_graph(3, (2, 3, 3)) == P3
-    for name in BUNDLED_MODELS:
-        assert bundled_model(name) == bundled_graph(name[3:])
+    assert set(MODEL_BOUNDS) == set(BUNDLED_MODELS)
+    for name, h in MODEL_BOUNDS.items():
+        assert unit_interval_graph(len(h), h) == bundled_model(name)
     with pytest.raises(ValueError, match="nondecreasing"):
         unit_interval_graph(3, (3, 2, 3))
     with pytest.raises(ValueError, match=r"h\[1\]=0 outside \[1, 2\]"):
@@ -122,9 +128,19 @@ def test_natural_unit_interval_recognition():
     assert unit_interval_bounds(P3) == (2, 3, 3)
     assert unit_interval_bounds(PAW) == (3, 3, 4, 4)
     assert unit_interval_bounds(C4) is None
-    for name in BUNDLED_MODELS:
-        h = tuple(_load_data(name)["bounds"])
+    for name, h in MODEL_BOUNDS.items():
         assert unit_interval_bounds(bundled_model(name)) == h
+
+
+def test_bundled_models_are_bundled_graphs():
+    # each model ui-x is the bundled graph x, which must have natural
+    # unit-interval labels (an alias such as ui-c4 would have none)
+    for name in BUNDLED_MODELS:
+        assert name.startswith("ui-") and name[3:] in BUNDLED_GRAPHS, name
+        assert bundled_model(name) == bundled_graph(name[3:])
+        assert unit_interval_bounds(bundled_graph(name[3:])) is not None, name
+    with pytest.raises(KeyError, match="no bundled model"):
+        bundled_model("ui-c4")
 
 
 def test_unit_interval_pattern_freeness():

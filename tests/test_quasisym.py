@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,26 @@ def test_transfer_matrix_matches_set_colorings(g, N):
         assert comps.get(tuple(a for a in vec if a)) == poly, vec
     for alpha, poly in comps.items():
         assert vectors.get(alpha + (0,) * (N - len(alpha))) == poly, alpha
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_graphs(max_n=4))
+@example(P3)
+@example(PAW)
+def test_set_coloring_vectors_cover_every_placement(g):
+    # relabelling the colors in order keeps every ascent, so a composition
+    # has one coefficient at each of its C(M, len) placements among zeros;
+    # multiset-roundtrip-* reads only the nonincreasing vectors and cannot
+    # see a missing one
+    for N, M in itertools.product(range(5), range(1, 5)):
+        vectors = kromatic_q_vectors(g, N, M)
+        for vec, poly in vectors.items():
+            alpha = [a for a in vec if a]
+            for cols in itertools.combinations(range(M), len(alpha)):
+                placed = [0] * M
+                for c, a in zip(cols, alpha):
+                    placed[c] = a
+                assert vectors.get(tuple(placed)) == poly, (N, M, vec, placed)
 
 
 MODELS = [bundled_model(name) for name in BUNDLED_MODELS]
