@@ -293,8 +293,7 @@ def build_checks(named_graphs, N, suites):
         def roundtrip(g=g):
             ms = independence_multiset(g)
             F = sympoly_from_vector_counts(
-                {v: p(1) for v, p in kromatic_q_vectors(g, 4, 4).items()},
-                4, 4)
+                {v: p(1) for v, p in kromatic_q_vectors(g, 4, 4).items()}, 4)
             return (kromatic_from_multiset(ms, 4) == F
                     and kromatic_from_multiset(ms, 4, image="omega")
                     == omega(F))
@@ -420,8 +419,16 @@ def make_parser():
         description="Exact expansions and verification for set-coloring "
                     "symmetric functions.")
     sub = parser.add_subparsers(dest="mode", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # every mode's options
+    shared.add_argument("--degree", type=positive_int, default=5,
+                        help="truncation degree N (default 5)")
+    shared.add_argument("--out", default=None, help="write JSON here "
+                        "instead of stdout")
+    shared.add_argument("--jobs", type=positive_int, default=1,
+                        help="parallelism hint (accepted; runs sequentially)")
 
-    def common(p, model=False, basis=None, q=False):
+    def mode(name, help, model=False, basis=None, q=False):
+        p = sub.add_parser(name, parents=[shared], help=help)
         graph_help = (f"bundled graph name ({', '.join(BUNDLED_GRAPHS)}) "
                       "or JSON path")
         if model:
@@ -445,33 +452,19 @@ def make_parser():
             p.add_argument("--q", type=rational, default=None,
                            help="evaluate q-polynomials at this rational; "
                            "give a negative fraction as --q=-2/3")
-        p.add_argument("--degree", type=positive_int, default=5,
-                       help="truncation degree N (default 5)")
-        p.add_argument("--out", default=None, help="write JSON here "
-                       "instead of stdout")
-        p.add_argument("--jobs", type=positive_int, default=1,
-                       help="parallelism hint (accepted; runs sequentially)")
 
-    pe = sub.add_parser("expand", help="basis coefficients of the series")
-    common(pe, basis="pbar")
+    mode("expand", "basis coefficients of the series", basis="pbar")
+    mode("qexpand", "basis coefficients, q-refined", model=True,
+         basis="pbarprime", q=True)
 
-    pq = sub.add_parser("qexpand", help="basis coefficients, q-refined")
-    common(pq, model=True, basis="pbarprime", q=True)
-
-    pv = sub.add_parser("verify", help="run named invariant checks")
+    pv = sub.add_parser("verify", parents=[shared],
+                        help="run named invariant checks")
     pv.add_argument("--graph", help="restrict to one graph (bundled name or "
                     "JSON path); default: all bundled graphs")
     pv.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    pv.add_argument("--degree", type=positive_int, default=5)
-    pv.add_argument("--out", default=None)
-    pv.add_argument("--jobs", type=positive_int, default=1,
-                    help="parallelism hint (accepted; runs sequentially)")
 
-    pl = sub.add_parser("lyndon", help="Lyndon heap counts and words")
-    common(pl)
-
-    pi = sub.add_parser("independence", help="independence multiset dump")
-    common(pi)
+    mode("lyndon", "Lyndon heap counts and words")
+    mode("independence", "independence multiset dump")
     return parser
 
 

@@ -130,16 +130,13 @@ def composition_coefficients(g, N):
 
 def kromatic_q(g, N):
     """The q-refined series as a SymPoly with QPoly coefficients, to degree
-    N, from composition_coefficients.  An order-preserving relabelling of
-    the colors keeps every ascent, so an exponent vector's coefficient is
-    that of its composition (the vector with its zeros removed).  The
-    compositions padded with zeros to length N thus carry every coefficient
-    that the conversion over N variables reads, the rearrangements that its
-    symmetry check compares included.  Raises ValueError if the
-    coefficients are not symmetric (graphs with no unit interval model)."""
-    vectors = {alpha + (0,) * (N - len(alpha)): poly
-               for alpha, poly in composition_coefficients(g, N).items()}
-    return sympoly_from_vector_counts(vectors, N, N)
+    N: sympoly_from_vector_counts of composition_coefficients.  An
+    order-preserving relabelling of the colors keeps every ascent, so an
+    exponent vector's coefficient is that of its composition (the vector
+    with its zeros removed), and the compositions alone carry the series.
+    Raises ValueError if the coefficients are not symmetric (graphs with
+    no unit interval model)."""
+    return sympoly_from_vector_counts(composition_coefficients(g, N), N)
 
 
 def kromatic_q_via_clans(g, N, M):

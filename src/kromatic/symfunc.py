@@ -16,8 +16,10 @@ by C(|lambda| + |mu|, |lambda|); omega is a sign on each p_lambda; and a
 product over variables prod_i f(x_i) is exp(sum_k c_k p_k) with
 sum_k c_k t^k = log f(t), so no number of variables enters.  Monomials
 appear only in sympoly_from_vector_counts, which reads exponent-vector
-coefficients: the q-refined series' and, at q = 1, the brute-force
-set-coloring counts of quasisym.kromatic_q_vectors.
+coefficients by complete orbits (every rearrangement of a key must carry
+its coefficient) and takes no variable count: the compositions of the
+q-refined series and, at q = 1, the brute-force set-coloring counts of
+quasisym.kromatic_q_vectors.
 
 USeries values are plain tuples of coefficients, index = degree.
 """
@@ -291,32 +293,38 @@ def p_decompose_homogeneous(slice_coeffs, n):
     return out
 
 
-def sympoly_from_vector_counts(counts, M, N):
-    """Build a SymPoly from exponent-vector coefficients over M variables.
+def sympoly_from_vector_counts(counts, N):
+    """Build a SymPoly, to degree N, from exponent-vector coefficients.
 
-    The coefficient of m_lambda is read off the canonical vector (lambda
-    padded with zeros); every vector's coefficient must agree with its
-    canonical representative's.  Each degree is then converted to power
-    sums, which is exact only when M >= N: with fewer variables the m_lambda
-    with more than M parts vanish and distinct functions coincide."""
-    if M < N:
-        raise ValueError(
-            f"need at least as many variables as the degree (M={M} < N={N})")
+    Each key is a composition, or a vector over len(key) variables with its
+    zeros kept; an absent key has coefficient 0.  Keys that rearrange into
+    one another form an orbit, which must give one coefficient to all of
+    its rearrangements: each key is compared with the keys that swap two
+    adjacent entries, and these swaps reach every rearrangement.  The
+    orbit's coefficient is that of m_lambda, lambda its nonzero parts,
+    read at its nonincreasing key.  A key that holds a zero must have at
+    least N entries, since with fewer variables the m_lambda with more
+    parts vanish and distinct functions coincide; and no two orbits may
+    give one lambda, as they do when a table mixes lengths.  Each degree
+    up to N is then converted to power sums."""
     by_degree = {}
-    for vec, c in counts.items():
-        if len(vec) != M:
-            raise ValueError(f"vector {vec} is not over {M} variables")
-        lam = tuple(sorted((x for x in vec if x), reverse=True))
-        if sum(lam) > N:
-            continue
-        rep = lam + (0,) * (M - len(lam))
-        rep_val = counts.get(rep, 0)
-        if c != rep_val:
-            raise ValueError(
-                f"not symmetric: coefficient at {vec} ({c!r}) differs from "
-                f"canonical {rep} ({rep_val!r})")
-        if rep_val:
-            by_degree.setdefault(sum(lam), {})[lam] = rep_val
+    for key, c in counts.items():
+        if 0 in key and len(key) < N:
+            raise ValueError(f"vector {key} has a zero and fewer entries "
+                             f"than the degree N={N}")
+        for i in range(len(key) - 1):
+            swap = (*key[:i], key[i + 1], key[i], *key[i + 2:])
+            if counts.get(swap, 0) != c:
+                raise ValueError(
+                    f"not symmetric: coefficient at {key} ({c!r}) differs "
+                    f"from the one at {swap} ({counts.get(swap, 0)!r})")
+        if c and sum(key) <= N and key == tuple(sorted(key, reverse=True)):
+            lam = tuple(x for x in key if x)
+            sl = by_degree.setdefault(sum(lam), {})
+            if lam in sl:
+                raise ValueError(f"two orbits give m_{lam}: the keys mix "
+                                 "lengths")
+            sl[lam] = c
     out = {}
     for n, sl in by_degree.items():
         out.update(p_decompose_homogeneous(sl, n))

@@ -80,28 +80,28 @@ def clear_caches():
 # ---------------------------------------------------------------------------
 # oracles only tests call
 
-def brute_force_chromatic(g, M):
-    """The classical proper-coloring generating function with M colors
+def brute_force_chromatic(g):
+    """The classical proper-coloring generating function with n colors
     (homogeneous of degree n)."""
     counts = {}
-    for assignment in itertools.product(range(M), repeat=g.n):
+    for assignment in itertools.product(range(g.n), repeat=g.n):
         ok = all(assignment[u - 1] != assignment[v - 1] for u, v in g.edges)
         if not ok:
             continue
-        vec = [0] * M
+        vec = [0] * g.n
         for c in assignment:
             vec[c] += 1
         vec = tuple(vec)
         counts[vec] = counts.get(vec, 0) + 1
-    return sympoly_from_vector_counts(counts, M, g.n)
+    return sympoly_from_vector_counts(counts, g.n)
 
 
-def brute_force_kromatic(g, N, M):
-    """The set-coloring series from every proper set coloring with M
+def brute_force_kromatic(g, N):
+    """The set-coloring series from every proper set coloring with N
     colors: the brute-force q-refined vectors at q = 1, as the
     multiset-roundtrip-* checks build it."""
     return sympoly_from_vector_counts(
-        {v: p(1) for v, p in kromatic_q_vectors(g, N, M).items()}, M, N)
+        {v: p(1) for v, p in kromatic_q_vectors(g, N, N).items()}, N)
 
 
 def assemble(expansion, N):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -5,7 +6,8 @@ import sys
 import pytest
 
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph
-from kromatic.cli import build_checks, main
+from kromatic.cli import (build_checks, main, make_parser, positive_int,
+                          rational)
 from kromatic.symfunc import Expansion, basis_element
 
 from helpers import clear_caches
@@ -611,18 +613,20 @@ def test_multiset_roundtrip_fails_on_either_side(capsys, monkeypatch):
 
     vectors, from_multiset = cli.kromatic_q_vectors, cli.kromatic_from_multiset
 
-    def drop_one(g, N, M):
-        # the largest vector is nonincreasing, so its rearrangements are
-        # compared with it; sympoly_from_vector_counts cannot see a missing
-        # rearrangement
-        out = vectors(g, N, M)
-        del out[max(out)]
-        return out
+    def dropping(vec):
+        # sympoly_from_vector_counts reads by complete orbits, so a missing
+        # rearrangement fails as a missing nonincreasing vector does
+        def fake(g, N, M):
+            out = vectors(g, N, M)
+            del out[vec]
+            return out
+        return fake
 
     def doubled(ms, N, image="direct"):
         return from_multiset(ms, N, image).scale(2)
 
-    for name, fake in (("kromatic_q_vectors", drop_one),
+    for name, fake in (("kromatic_q_vectors", dropping((2, 1, 1, 0))),
+                       ("kromatic_q_vectors", dropping((0, 0, 1, 2))),
                        ("kromatic_from_multiset", doubled)):
         with monkeypatch.context() as m:
             m.setattr(cli, name, fake)
@@ -630,6 +634,39 @@ def test_multiset_roundtrip_fails_on_either_side(capsys, monkeypatch):
         out = capsys.readouterr().out
         assert rc == 1, name
         assert "FAIL multiset-roundtrip-P3" in out, name
+
+
+COMMON_OPTIONS = {"-h/--help": (None, argparse.SUPPRESS, False),
+                  "--degree": (positive_int, 5, False),
+                  "--out": (None, None, False),
+                  "--jobs": (positive_int, 1, False)}
+BASIS_OPTIONS = {"--omega": (None, False, False),
+                 "--vars": (int, None, False)}
+MODE_OPTIONS = {
+    "expand": {**COMMON_OPTIONS, **BASIS_OPTIONS,
+               "--graph": (None, None, True),
+               "--basis": (None, "pbar", False)},
+    "qexpand": {**COMMON_OPTIONS, **BASIS_OPTIONS,
+                "--graph": (None, None, False),
+                "--model": (None, None, False),
+                "--basis": (None, "pbarprime", False),
+                "--q": (rational, None, False)},
+    "verify": {**COMMON_OPTIONS, "--graph": (None, None, False),
+               "--suite": (None, "all", False)},
+    "lyndon": {**COMMON_OPTIONS, "--graph": (None, None, True)},
+    "independence": {**COMMON_OPTIONS, "--graph": (None, None, True)},
+}
+
+
+def test_each_mode_keeps_its_options():
+    # (type, default, required) of every option string of every mode: an
+    # added, dropped or changed option fails here
+    modes = next(a for a in make_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    got = {mode: {"/".join(a.option_strings): (a.type, a.default, a.required)
+                  for a in p._actions}
+           for mode, p in modes.items()}
+    assert got == MODE_OPTIONS
 
 
 def test_config_errors_exit_two():

@@ -95,9 +95,7 @@ def test_transfer_matrix_matches_set_colorings(g, N):
 @example(PAW)
 def test_set_coloring_vectors_cover_every_placement(g):
     # relabelling the colors in order keeps every ascent, so a composition
-    # has one coefficient at each of its C(M, len) placements among zeros;
-    # multiset-roundtrip-* reads only the nonincreasing vectors and cannot
-    # see a missing one
+    # has one coefficient at each of its C(M, len) placements among zeros
     for N, M in itertools.product(range(5), range(1, 5)):
         vectors = kromatic_q_vectors(g, N, M)
         for vec, poly in vectors.items():
@@ -126,7 +124,7 @@ def test_kromatic_q_enumerates_no_set_colorings(monkeypatch):
 def test_kromatic_q_matches_set_colorings_on_models():
     for g in MODELS:
         assert kromatic_q(g, 6) == sympoly_from_vector_counts(
-            kromatic_q_vectors(g, 6, 6), 6, 6), g
+            kromatic_q_vectors(g, 6, 6), 6), g
 
 
 def test_edgeless_graph_has_constant_coefficients():

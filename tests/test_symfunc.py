@@ -58,9 +58,16 @@ def _monomials(coeffs, M):
     return {v: c for v, c in out.items() if c}
 
 
+def _compositions(coeffs):
+    """The compositions of a monomial-basis dict: each mu at every distinct
+    rearrangement, with no zeros (oracle)."""
+    return {alpha: c for mu, c in coeffs.items()
+            for alpha in set(itertools.permutations(mu))}
+
+
 def _m(coeffs, N):
     """The SymPoly of a monomial-basis dict, through the one conversion."""
-    return sympoly_from_vector_counts(_monomials(coeffs, N), N, N)
+    return sympoly_from_vector_counts(_monomials(coeffs, N), N)
 
 
 def _dense(F, M):
@@ -104,7 +111,33 @@ def test_monomial_products_against_dense_oracle():
                          for lam in rng.sample(pool, 4)})
         product = _dense(fa * fb, M)
         assert product == _dense_mul(_dense(fa, M), _dense(fb, M), N)
-        assert sympoly_from_vector_counts(product, M, N) == fa * fb
+        assert sympoly_from_vector_counts(product, N) == fa * fb
+
+
+def test_vector_counts_read_complete_orbits():
+    # a dropped or changed key fails whichever key it is, unless it is its
+    # orbit's only key; a composition table and a vector table of one
+    # function agree, and a table mixing the two is refused
+    rng = random.Random(19)
+    N = 4
+    pool = [lam for lam in partitions_up_to(N) if lam]
+    q = QPoly((0, 1))
+    for values in ((1, 2, -3), (q, 1 + q, 2 * q)):
+        for _ in range(5):
+            coeffs = {lam: rng.choice(values) for lam in rng.sample(pool, 4)}
+            assert sympoly_from_vector_counts(_compositions(coeffs), N) == \
+                _m(coeffs, N)
+            for table in (_monomials(coeffs, N), _compositions(coeffs)):
+                for key, c in table.items():
+                    if len(set(key)) == 1:
+                        continue
+                    dropped = {k: v for k, v in table.items() if k != key}
+                    for bad in (dropped, {**table, key: c + 1}):
+                        with pytest.raises(ValueError, match="not symmetric"):
+                            sympoly_from_vector_counts(bad, N)
+    mixed = {**_monomials({(1, 1): 1}, N), **_compositions({(1, 1): 1})}
+    with pytest.raises(ValueError, match="mix lengths"):
+        sympoly_from_vector_counts(mixed, N)
 
 
 def test_specific_monomial_products():
@@ -190,8 +223,8 @@ def test_omega_involution_randomized():
     for _ in range(25):
         F = _m({lam: rng.randint(-3, 3) for lam in rng.sample(pool, 6)}, N)
         assert omega(omega(F)) == F
-    with pytest.raises(ValueError):  # M < N refused
-        sympoly_from_vector_counts(_monomials({(1,): 1}, 3), 3, 5)
+    with pytest.raises(ValueError):  # a zero and fewer than N entries
+        sympoly_from_vector_counts(_monomials({(1,): 1}, 3), 5)
 
 
 def test_omega_multiplicativity_lemma():
@@ -223,12 +256,12 @@ def test_extract_round_trip():
 def test_extract_fractional_coefficients():
     # extraction is total on symmetric input: m_11 alone expands with
     # rational coefficients and still round-trips exactly
-    F = sympoly_from_vector_counts(_monomials({(1, 1): 1}, 5), 5, 2)
+    F = sympoly_from_vector_counts(_monomials({(1, 1): 1}, 5), 2)
     exp = extract(F, "pbar")
     assert exp.coeffs == {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}
     assert assemble(exp, 2) == F
-    with pytest.raises(ValueError):  # M < N refused
-        sympoly_from_vector_counts(_monomials({(1,): 1}, 3), 3, 5)
+    with pytest.raises(ValueError):  # a zero and fewer than N entries
+        sympoly_from_vector_counts(_monomials({(1,): 1}, 3), 5)
 
 
 def test_omega_basis_identities():
@@ -265,7 +298,7 @@ def test_qpoly_coefficients_supported():
     assert omega(F) == SymPoly(N, {(1,): 1 + q, (1, 1): q})
     # monomial coefficients in q convert too: q m_2 = q p_2
     assert sympoly_from_vector_counts(
-        _monomials({(2,): q}, N), N, N) == SymPoly(N, {(2,): q})
+        _monomials({(2,): q}, N), N) == SymPoly(N, {(2,): q})
 
 
 def test_pyramid_counts_from_log_of_heap_series():
