@@ -167,12 +167,13 @@ def _invariant_word_shuffles(g):
     return True
 
 
-def build_checks(named_graphs, N, suites):
-    """List of (suite, check-name, thunk).  Thunks return truthy on pass."""
+def build_checks(named_graphs, N, selection):
+    """List of (suite, check-name, thunk) for the suite named by selection,
+    or for every suite if it is "all".  Thunks return truthy on pass."""
     checks = []
 
     def add(suite, name, fn):
-        if "all" in suites or suite in suites:
+        if selection in ("all", suite):
             checks.append((suite, name, fn))
 
     K2 = bundled_graph("k2")
@@ -366,8 +367,7 @@ SUITES = ("numbers", "heaps", "factorization", "theorems", "classical",
 def run_verify(args, parser):
     named = [_load(spec) for spec in
              ([args.graph] if args.graph else BUNDLED_GRAPHS)]
-    suites = {args.suite}
-    checks = build_checks(named, args.degree, suites)
+    checks = build_checks(named, args.degree, args.suite)
     if not checks:
         parser.error(f"no checks selected for suite {args.suite!r}")
     failed = 0
@@ -484,7 +484,7 @@ def main(argv=None):
         return RUNNERS[args.mode](args, parser)
     except OSError as e:
         parser.error(f"cannot access file: {e}")
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -150,42 +150,27 @@ def proper_set_colorings(g, budget, M):
 # ---------------------------------------------------------------------------
 # classical power-sum oracles
 
-def _edge_subset_components(g, edge_subset):
-    parent = list(range(g.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edge_subset:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    sizes = {}
-    for v in g.vertices():
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
-
-
 def chromatic_p_expansion_oracles(g):
     """Two independent power-sum expansions of the chromatic symmetric
     function: the signed edge-subset sum, and the acyclic-orientation count
     by source-component sizes.  Returns (edge_expansion, orientation_expansion),
-    both over basis 'p'."""
+    both over basis 'p'.  Both read component sizes from
+    graphs.source_components: an edge subset's components are the floods
+    of its edges taken both ways."""
+    def sizes(oriented):
+        return tuple(sorted(map(len, source_components(g, oriented)),
+                            reverse=True))
+
     edge_coeffs = {}
     for r in range(len(g.edges) + 1):
         for sub in itertools.combinations(g.edges, r):
-            lam = _edge_subset_components(g, sub)
+            lam = sizes(sub + tuple((v, u) for u, v in sub))
             edge_coeffs[lam] = edge_coeffs.get(lam, 0) + (-1) ** r
     edge_coeffs = {l: v for l, v in edge_coeffs.items() if v}
 
     ao_coeffs = {}
     for orient in acyclic_orientations(g):
-        comps = source_components(g, orient)
-        lam = tuple(sorted((len(c) for c in comps), reverse=True))
+        lam = sizes(orient)
         sign = -1 if (g.n - len(lam)) % 2 else 1
         ao_coeffs[lam] = ao_coeffs.get(lam, 0) + sign
     ao_coeffs = {l: v for l, v in ao_coeffs.items() if v}
@@ -376,7 +361,7 @@ def recover_signed_exponent_multiset(expansion, caps):
     for u in box:
         acc = expansion.coeff(partition_of_multiplicities(u))
         for v, w in support.items():
-            if v == u or any(vk < uk for vk, uk in zip(v, u)):
+            if any(vk < uk for vk, uk in zip(v, u)):
                 continue
             prod = w
             for vk, uk in zip(v, u):

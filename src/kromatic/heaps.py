@@ -3,8 +3,11 @@
 A heap over graph G is an equivalence class of words on the vertex alphabet,
 where two neighbouring letters may be swapped iff their vertices are distinct
 and non-adjacent.  A heap is its canonical word, a tuple of vertices: the
-lexicographically largest member, computed greedily by always emitting the
-largest-vertex piece among those with no unemitted earlier dependency.
+lexicographically largest member, which is the greedy word that always
+takes the largest piece with nothing untaken below it.  Canonical words
+have one encoding, the growth step _extends_canonically: the enumerations
+grow by it, and canonical_word inserts each letter of any word at the last
+place it allows.
 Pieces are referred to by their index (0-based) in the canonical word.
 Every function that needs the graph takes it first, as (g, w).
 
@@ -33,29 +36,27 @@ def _deps(g):
 
 def canonical_word_with_perm(g, word):
     """Canonical (lex-max) word of the trace of `word`, plus the permutation
-    perm with perm[k] = index in `word` of the piece at canonical slot k."""
+    perm with perm[k] = index in `word` of the piece at canonical slot k.
+
+    Built by insertion, letter by letter.  The lex-max word is the greedy
+    one, which always takes the largest piece with nothing unplaced below
+    it.  Nothing lies above the newest piece v, so deleting it leaves the
+    greedy order of the others unchanged: v goes somewhere into the
+    canonical word out of the others.  It goes at the last place p where
+    out[:p] + (v,) is canonical (p = 0 always is).  Every piece after v's
+    place commutes with v, and the greedy took v before the first of them,
+    which is smaller than v, so no later place passes
+    _extends_canonically; v's own place does, as a prefix of a canonical
+    word.
+    """
     dep = _deps(g)
-    n = len(word)
-    preds = []  # preds[i]: bitmask of earlier positions that block i
+    out, perm = [], []
     for i, v in enumerate(word):
-        d = dep[v]
-        m = 0
-        for j in range(i):
-            if d >> (word[j] - 1) & 1:
-                m |= 1 << j
-        preds.append(m)
-    left = (1 << n) - 1
-    out = []
-    perm = []
-    for _ in range(n):
-        best = -1
-        for i in range(n):
-            if (left >> i & 1 and not preds[i] & left
-                    and (best < 0 or word[i] > word[best])):
-                best = i
-        left ^= 1 << best
-        out.append(word[best])
-        perm.append(best)
+        p = len(out)
+        while not _extends_canonically(dep, out[:p], v):
+            p -= 1
+        out.insert(p, v)
+        perm.insert(p, i)
     return tuple(out), tuple(perm)
 
 

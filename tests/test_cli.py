@@ -444,6 +444,19 @@ def test_malformed_input_file_exits_two(tmp_path, capsys):
     assert "vertex count" in err
 
 
+def test_internal_key_error_is_not_a_configuration_error(monkeypatch):
+    # exit code 2 is for bad configuration, which raises ValueError only;
+    # a KeyError from inside the computation is a fault and propagates
+    import kromatic.cli as cli
+
+    def broken(g):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "independence_multiset", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["expand", "--graph", "k2"])
+
+
 @pytest.mark.parametrize("n, bounds, message", [
     (3, [3, 2, 3], "bounds must be nondecreasing"),
     (2, [0, 2], "bound h[1]=0 outside [1, 2]"),
@@ -517,7 +530,7 @@ def test_verify_check_names_mirror_anchors(capsys):
 
 def test_check_names_split_parts_of_ten_and_more():
     names = {name for _, name, _ in build_checks(
-        [("K1", bundled_graph("k1"))], 11, {"theorems"})}
+        [("K1", bundled_graph("k1"))], 11, "theorems")}
     assert "thm-1.2-K1-lambda-11" in names
     assert "thm-1.2-K1-lambda-10-1" in names
 
@@ -535,7 +548,7 @@ def test_verify_report_out(tmp_path, capsys):
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
     import kromatic.cli as cli
 
-    def fake_checks(named, N, suites):
+    def fake_checks(named, N, selection):
         return [("numbers", "always-true", lambda: True),
                 ("numbers", "always-false", lambda: False),
                 ("numbers", "raises", lambda: 1 / 0)]

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kromatic import bundled_graph
@@ -264,14 +264,27 @@ def test_signed_exponent_family_matches_subset_loop(g):
                 key: w for key, w in want.items() if w}, (g, rule, parts)
 
 
+def _check_classical_p_oracles(g):
+    edges_exp, ao_exp = chromatic_p_expansion_oracles(g)
+    assert edges_exp.coeffs == ao_exp.coeffs
+    direct = extract(brute_force_chromatic(g), "p")
+    assert direct.coeffs == edges_exp.coeffs
+
+
 def test_classical_p_oracles():
     for g in (K1, K2, K3, P3, P4, C4, PAW):
-        edges_exp, ao_exp = chromatic_p_expansion_oracles(g)
-        assert edges_exp.coeffs == ao_exp.coeffs
-        direct = extract(brute_force_chromatic(g), "p")
-        assert direct.coeffs == edges_exp.coeffs
+        _check_classical_p_oracles(g)
     # frozen spec example
     assert chromatic_p_expansion_oracles(K2)[0].coeffs == {(1, 1): 1, (2,): -1}
+
+
+@DIFFERENTIAL
+@given(small_graphs(max_n=5))
+@example(Graph(0, []))
+@example(Graph(3, []))  # isolated vertices
+@example(Graph(5, [(1, 2), (3, 4), (3, 5)]))  # disconnected
+def test_classical_p_oracles_random_graphs(g):
+    _check_classical_p_oracles(g)
 
 
 def _check_kromatic_expansion(g, N):

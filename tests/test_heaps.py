@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from kromatic import BUNDLED_GRAPHS, bundled_graph, heaps
 from kromatic.graphs import Graph, independence_polynomial, mask_of
 from kromatic.heaps import (
-    ascent_count, canonical_word, canonical_word_with_perm,
-    enumerate_lyndon, enumerate_pyramids,
+    _deps, _extends_canonically, ascent_count, canonical_word,
+    canonical_word_with_perm, enumerate_lyndon, enumerate_pyramids,
     heap_from_word, is_lyndon, is_pyramid, lyndon_count,
     lyndon_mobius_check, lyndon_support_counts, rotate, rotate_to_source,
     rotation_class, sources, word_str,
@@ -271,13 +271,25 @@ def test_canonical_word_is_lex_max_of_class(gw):
 
 
 @DIFFERENTIAL
+@given(graph_and_word(max_len=7))
+def test_growth_step_is_lex_max_by_swaps(gw):
+    # the growth step is the one encoding of canonical words: hold it to
+    # the swap search for every letter after a canonical word
+    g, word = gw
+    w = _lex_max_by_swaps(g, word)
+    for v in g.vertices():
+        assert (_extends_canonically(_deps(g), w, v)
+                == (_lex_max_by_swaps(g, w + (v,)) == w + (v,))), (w, v)
+
+
+@DIFFERENTIAL
 @given(small_graphs())
 def test_enumerate_heaps_matches_all_words(g):
     for k in range(4):
         clear_caches()
         fast = list(enumerate_heaps(g, k))
         words = itertools.product(range(1, g.n + 1), repeat=k)
-        assert fast == sorted({canonical_word(g, w) for w in words})
+        assert fast == sorted({_lex_max_by_swaps(g, w) for w in words})
 
 
 def _check_lyndon_routes(g, k):
