@@ -375,6 +375,14 @@ def test_verify_stdout_digest_degree_9(capsys):
         "45ecb7ac7480f2bac40cd6b1ef40cfae493e1bdacda7d2f8dbea56be6fb07a6c"
 
 
+def test_verify_stdout_digest_degree_10(capsys):
+    # the same at degree 10 (4043 PASS lines), recorded while independence
+    # polynomials were still counted over a walk of the independent sets
+    assert _stdout_digest(capsys, ["verify", "--suite", "all",
+                                   "--degree", "10"]) == \
+        "932da0e482a6990e7919c3e759733f8b4a1de387af8f9177888d15bbc0e8d9e4"
+
+
 def test_independence_dump(capsys):
     rc, data = run_json(capsys, ["independence", "--graph", "k2"])
     assert rc == 0

@@ -2,18 +2,19 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from kromatic import (BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph,
                       bundled_model)
 from kromatic.core import chromatic_p_expansion_oracles
 from kromatic.graphs import (
-    Graph, acyclic_orientations, clan_graph,
-    graph_from_json, independence_polynomial, mask_of, mask_vertices,
+    Graph, acyclic_orientations, clan_graph, graph_from_json,
+    independence_polynomial, independent_sets, mask_of, mask_vertices,
     model_from_json, popcount, source_components, unit_interval_bounds,
     unit_interval_graph,
 )
 
-from helpers import has_induced_c4_or_claw, induced_subgraph
+from helpers import has_induced_c4_or_claw, induced_subgraph, small_graphs
 
 K2 = bundled_graph("k2")
 K3 = bundled_graph("k3")
@@ -70,21 +71,26 @@ def test_clan_graph():
         clan_graph(K2, (1,))
 
 
-def test_independence_polynomial():
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_graphs(max_n=7))
+def test_independence_polynomial(g):
     assert independence_polynomial(K2) == (1, 2)
     assert independence_polynomial(P3) == (1, 3, 1)
     assert independence_polynomial(K3) == (1, 3)
     assert independence_polynomial(C4) == (1, 4, 2)
-    # against the direct subset filter
-    for g in ALL:
-        by_filter = [0] * (g.n + 1)
-        for k in range(g.n + 1):
-            for sub in itertools.combinations(g.vertices(), k):
-                if all(not g.adjacent(u, v) for u, v in itertools.combinations(sub, 2)):
-                    by_filter[k] += 1
-        while by_filter and by_filter[-1] == 0:
+    # against the direct subset filter, on every mask
+    independent = [s for s in range(g.full_mask + 1)
+                   if not any(g.adjacent(u, v) for u, v in
+                              itertools.combinations(mask_vertices(s), 2))]
+    assert sorted(independent_sets(g)) == independent
+    for mask in range(g.full_mask + 1):
+        by_filter = [0] * (popcount(mask) + 1)
+        for s in independent:
+            if not s & ~mask:
+                by_filter[popcount(s)] += 1
+        while by_filter[-1] == 0:
             by_filter.pop()
-        assert independence_polynomial(g) == tuple(by_filter)
+        assert independence_polynomial(g, mask) == tuple(by_filter)
 
 
 def test_acyclic_orientation_count_vs_chromatic():
