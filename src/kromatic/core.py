@@ -366,8 +366,6 @@ def recover_signed_exponent_multiset(expansion, caps):
             prod = w
             for vk, uk in zip(v, u):
                 prod *= binomial(vk, uk)
-                if not prod:
-                    break
             acc -= prod
         if acc:
             support[u] = acc

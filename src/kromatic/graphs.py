@@ -5,6 +5,9 @@ so capacity is unbounded.  Graphs are immutable and hashable.
 """
 from __future__ import annotations
 
+from functools import cache
+from itertools import zip_longest
+
 
 def mask_of(vertices):
     m = 0
@@ -129,37 +132,34 @@ def clan_graph(g, alpha):
     return Graph(m, edges)
 
 
-def independent_sets(g, mask=None):
-    """Every independent subset of the vertices in mask (default: all), as
-    a bitmask, the empty set first.  Vertices are added in increasing order,
-    so each set is visited exactly once."""
-    if mask is None:
-        mask = g.full_mask
-    out = []
+@cache
+def _independence_table(g):
+    """The coefficients (i_0, i_1, ...) of I_W, the independence polynomial
+    of g restricted to W, for every mask W, in one ascending pass.  With v
+    the lowest vertex of W, an independent subset of W either misses v or
+    holds v and none of its neighbours, so I_W = I_{W-v} + t I_{W-N[v]},
+    and both masks are smaller than W.  No entry has a trailing zero, as
+    alpha(W) = max(alpha(W-v), alpha(W-N[v]) + 1)."""
+    table = [(1,)]
+    for w in range(1, g.full_mask + 1):
+        low = w & -w
+        table.append(tuple(map(sum, zip_longest(
+            table[w ^ low], (0,) + table[w & ~low & ~g.adj[low.bit_length()]],
+            fillvalue=0))))
+    return tuple(table)
 
-    def walk(avail, chosen):
-        out.append(chosen)
-        m = avail
-        while m:
-            low = m & -m
-            m ^= low
-            # later choices lie above low and avoid its neighbours
-            walk(avail & ~((low << 1) - 1) & ~g.adj[low.bit_length()],
-                 chosen | low)
 
-    walk(mask, 0)
-    return out
+def independent_sets(g):
+    """Every independent set of g as a bitmask, ascending, the empty set
+    first: the masks W whose I_W has degree |W|."""
+    return [w for w, poly in enumerate(_independence_table(g))
+            if len(poly) == popcount(w) + 1]
 
 
 def independence_polynomial(g, mask=None):
     """Coefficients (i_0, i_1, ...) of the independence polynomial of g
     restricted to the vertices in mask (default: all)."""
-    coeffs = [0] * (g.n + 1)
-    for s in independent_sets(g, mask):
-        coeffs[popcount(s)] += 1
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+    return _independence_table(g)[g.full_mask if mask is None else mask]
 
 
 def acyclic_orientations(g):
@@ -210,14 +210,10 @@ def source_components(g, oriented):
         frontier = comp
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                v = low.bit_length()
-                f ^= low
-                nxt |= succ[v] & unused & ~comp
-            comp |= nxt
-            frontier = nxt
+            for v in mask_vertices(frontier):
+                nxt |= succ[v]
+            frontier = nxt & unused & ~comp
+            comp |= frontier
         comps.append(set(mask_vertices(comp)))
         unused &= ~comp
     return comps
