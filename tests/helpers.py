@@ -6,7 +6,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from hypothesis import strategies as st
 
@@ -20,9 +20,8 @@ from kromatic.heaps import (_deps, _extends_canonically, ascent_count,
 from kromatic.numbers import (QPoly, divisors, multiplicities,
                               partition_sort_key, partitions_of)
 from kromatic.quasisym import kromatic_q_vectors
-from kromatic.symfunc import (SymPoly, _p_to_m, basis_element,
-                              generator_series, series_truncate,
-                              sympoly_from_vector_counts)
+from kromatic.symfunc import (SymPoly, basis_element, generator_series,
+                              series_truncate, sympoly_from_vector_counts)
 
 
 @st.composite
@@ -339,7 +338,7 @@ def oracle_product_over_variables(f, N):
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def _oracle_basis_element(basis, lam, N):
     if basis == "p":
         return {lam: 1} if sum(lam) <= N else {}
@@ -367,6 +366,34 @@ def oracle_extract(a, basis, N):
     return coeffs
 
 
+@cache
+def oracle_p_to_m(lam):
+    """p_lam in the monomial basis as {mu: count}: the number of ways to put
+    the parts of lam (told apart by position) into len(mu) boxes whose sums
+    are the parts of mu.  Only coarsenings of lam occur."""
+
+    @cache
+    def fill(i, boxes):  # boxes: sorted remaining capacities
+        if i == len(lam):
+            return 1
+        total = 0
+        for b in set(boxes):
+            if b >= lam[i]:
+                rest = list(boxes)
+                rest.remove(b)
+                rest.append(b - lam[i])
+                total += boxes.count(b) * fill(i + 1, tuple(sorted(rest)))
+        return total
+
+    out = {}
+    for mu in partitions_of(sum(lam)):
+        if len(mu) <= len(lam):
+            count = fill(0, tuple(sorted(mu)))
+            if count:
+                out[mu] = count
+    return out
+
+
 def oracle_p_decompose_homogeneous(slice_coeffs, n):
     """{lam: coefficient of p_lam} of a homogeneous degree-n monomial-basis
     dict, peeling partitions longest first."""
@@ -378,7 +405,7 @@ def oracle_p_decompose_homogeneous(slice_coeffs, n):
         v = residual.get(lam)
         if not v:
             continue
-        row = _p_to_m(lam)
+        row = oracle_p_to_m(lam)
         c = v * Fraction(1, row[lam])
         out[lam] = c
         for mu, m in row.items():

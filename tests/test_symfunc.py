@@ -14,16 +14,16 @@ from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import partitions_of, partitions_up_to, QPoly
 from kromatic.quasisym import kromatic_q
 from kromatic.symfunc import (
-    Expansion, SymPoly, basis_element, extract, omega,
-    p_decompose_homogeneous,
-    product_over_variables, series_log_derivative, series_neg_sub,
-    series_reciprocal, series_truncate, sympoly_from_vector_counts,
-    verify_omega_basis_identities,
+    Expansion, SymPoly, _p_to_m, basis_element, extract, omega,
+    p_decompose_homogeneous, product_over_variables, series_log_derivative,
+    series_neg_sub, series_reciprocal, series_truncate,
+    sympoly_from_vector_counts, verify_omega_basis_identities,
 )
 
 from helpers import (assemble, oracle_add, oracle_extract, oracle_mul,
                      oracle_omega, oracle_p_decompose_homogeneous,
-                     oracle_product_over_variables, oracle_scale, series_log)
+                     oracle_p_to_m, oracle_product_over_variables,
+                     oracle_scale, series_log)
 
 
 def test_series_ops():
@@ -199,6 +199,13 @@ def test_p_decompose_examples():
     # a non-integral input still converts: m_11 / 3 = (p_11 - p_2) / 6
     assert p_decompose_homogeneous({(1, 1): Fraction(1, 3)}, 2) == \
         {(1, 1): Fraction(1, 3), (2,): Fraction(-1, 3)}
+
+
+def test_monomial_rows_match_box_filling_oracle():
+    # every row of the monomial-to-power-sum conversion, against the count
+    # of ways to fill boxes with the parts of lambda
+    for lam in partitions_up_to(9):
+        assert _p_to_m(lam) == oracle_p_to_m(lam), lam
 
 
 def test_omega_small():
