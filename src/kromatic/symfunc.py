@@ -26,11 +26,11 @@ USeries values are plain tuples of coefficients, index = degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial
 
 from .numbers import (QPoly, norm_scalar, partition_sort_key, partitions_of,
-                      scalar_div)
+                      partitions_up_to, scalar_div)
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +236,42 @@ def product_over_variables(f, N):
 
 
 # ---------------------------------------------------------------------------
-# the one conversion from monomials
+# the one triangular peel, and the one conversion from monomials
 
-@lru_cache(maxsize=None)
-def _p_to_m(lam):
-    """p_lam in the monomial basis as {mu: count}: the number of ways to put
-    the parts of lam (told apart by position) into len(mu) boxes whose sums
-    are the parts of mu.  Only coarsenings of lam occur."""
-
-    @lru_cache(maxsize=None)
-    def fill(i, boxes):  # boxes: sorted remaining capacities
-        if i == len(lam):
-            return 1
-        total = 0
-        for b in set(boxes):
-            if b >= lam[i]:
-                rest = list(boxes)
-                rest.remove(b)
-                rest.append(b - lam[i])
-                total += boxes.count(b) * fill(i + 1, tuple(sorted(rest)))
-        return total
-
+def _peel(residual, order, row):
+    """Solve residual = sum_key c_key row(key) and return {key: c_key} over
+    the nonzero c_key, emptying residual.  Walks the keys in `order`; where
+    the residual holds a nonzero v at key, c_key = v / row(key)[key], and
+    c_key row(key) is subtracted.  Precondition: row(key) holds key and
+    otherwise only keys later in `order`, and every key of the residual is
+    in `order`; so each step clears its key for good."""
     out = {}
-    for mu in partitions_of(sum(lam)):
-        if len(mu) <= len(lam):
-            count = fill(0, tuple(sorted(mu)))
-            if count:
-                out[mu] = count
+    for key in order:
+        v = residual.get(key)
+        if not v:
+            continue
+        r = row(key)
+        c = out[key] = scalar_div(v, r[key])
+        for mu, m in r.items():
+            _add_term(residual, mu, c * -m)
+    return out
+
+
+@cache
+def _p_to_m(lam):
+    """p_lam in the monomial basis as {mu: count}: p_(lam_1) times the row
+    of the rest.  p_k m_mu adds k to one part a of mu, or to a new part
+    (a = 0), and m_nu, nu the result, gains the multiplicity of a + k in
+    nu.  Only coarsenings of lam occur."""
+    if not lam:
+        return {(): 1}
+    k = lam[0]
+    out = {}
+    for mu, c in _p_to_m(lam[1:]).items():
+        for a in set(mu) | {0}:
+            i = mu.index(a) if a else len(mu)
+            nu = tuple(sorted(mu[:i] + mu[i + 1:] + (a + k,), reverse=True))
+            _add_term(out, nu, c * nu.count(a + k))
     return out
 
 
@@ -275,19 +284,10 @@ def p_decompose_homogeneous(slice_coeffs, n):
     exactly whenever the monomial coefficients are integral (ints or QPolys
     over the ints)."""
     f = factorial(n)
-    residual = {mu: f * v for mu, v in slice_coeffs.items()}
-    out = {}
-    order = sorted(partitions_of(n), key=lambda l: (-len(l), partition_sort_key(l)))
-    for lam in order:
-        v = residual.get(lam)
-        if not v:
-            continue
-        row = _p_to_m(lam)
-        c = scalar_div(v, row[lam])
-        out[lam] = c
-        for mu, m in row.items():
-            _add_term(residual, mu, c * -m)
-    return out
+    order = sorted(partitions_of(n),
+                   key=lambda l: (-len(l), partition_sort_key(l)))
+    return _peel({mu: f * v for mu, v in slice_coeffs.items()}, order,
+                 _p_to_m)
 
 
 def sympoly_from_vector_counts(counts, N):
@@ -341,7 +341,7 @@ def generator_series(basis, k, N):
     raise ValueError(f"no generator series for basis {basis!r}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def basis_element(basis, lam, N):
     """Multiplicative basis element: p_lam for 'p'; for 'pbar' and
     'pbarprime' the product, over the parts k of lam, of
@@ -399,20 +399,11 @@ class Expansion:
 
 def extract(F, basis):
     """Expand F over the multiplicative basis ('p', 'pbar', 'pbarprime') by
-    peeling degrees in ascending order: each basis element is p_lam plus
-    higher degrees, so the degree-n residual is the degree-n coefficients,
-    each its stored value divided by n!.  Each pass clears its degree and
-    F has none above N, so nothing is left over."""
-    residual = dict(F.scaled)
-    coeffs = {}
-    for n in range(F.N + 1):
-        f = factorial(n)
-        for lam in [l for l in residual if sum(l) == n]:
-            c = scalar_div(residual[lam], f)
-            coeffs[lam] = c
-            for mu, m in basis_element(basis, lam, F.N).scaled.items():
-                _add_term(residual, mu, c * -m)
-    return Expansion(basis, F.N, coeffs)
+    peeling partitions in graded order: each basis element is p_lam plus
+    higher degrees, with stored value |lam|! at lam."""
+    return Expansion(basis, F.N, _peel(
+        dict(F.scaled), partitions_up_to(F.N),
+        lambda lam: basis_element(basis, lam, F.N).scaled))
 
 
 def verify_omega_basis_identities(k, N):
