@@ -18,7 +18,7 @@ Routes implemented here:
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from operator import add, mul
 
@@ -31,15 +31,7 @@ from .symfunc import SymPoly, sympoly_from_vector_counts
 
 def _pairs_below(a, b):
     """Color pairs (i, j) with i in mask a, j in mask b, i < j."""
-    total = 0
-    j = 0
-    rest = b
-    while rest:
-        if rest & 1:
-            total += popcount(a & ((1 << j) - 1))
-        rest >>= 1
-        j += 1
-    return total
+    return sum(popcount(a & ((1 << j - 1) - 1)) for j in mask_vertices(b))
 
 
 def coloring_ascents(g, coloring):
@@ -164,7 +156,7 @@ def kromatic_q_via_clans(g, N, M):
 # ---------------------------------------------------------------------------
 # pyramid expansions
 
-@lru_cache(maxsize=None)
+@cache
 def pyramid_p_expansion_q(g, N):
     """Sum over partitions lam, |lam| <= N, of A_lam(q) p_lam / z_lam:
     A_lam(q) sums q^ascents over the lists of pyramids of sizes lam that
@@ -184,7 +176,7 @@ def pyramid_p_expansion_q(g, N):
 RULES_Q = tuple(rule for rule in RULES if rule.startswith("5."))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _p_over_basis(basis, mu, N):
     """p_mu over the basis ('pbar' or 'pbarprime'), to degree N, as a SymPoly
     whose symbol p_lam stands for the basis element b_lam: SymPoly's product
