@@ -1,12 +1,16 @@
-"""Metamorphic relations on random pairs of small graphs: what a disjoint
-union and a relabelling of the vertices must do to F, its omega image, its
-expansions over the multiplicative bases, the Lyndon counts and the
-factorization exponents."""
+"""Metamorphic relations on random small graphs: what a disjoint union and
+a relabelling of the vertices must do to F, its omega image, its
+expansions over the multiplicative bases, the Lyndon counts, the
+factorization exponents and the theorem coefficients, and what reversing
+the vertex labels does to the q-refined composition coefficients."""
 from hypothesis import given, settings, strategies as st
 
-from kromatic.core import exponent, kromatic, omega_kromatic
-from kromatic.graphs import Graph
-from kromatic.heaps import lyndon_count
+from kromatic.core import exponent, kromatic, omega_kromatic, \
+    theorem_coefficient
+from kromatic.graphs import Graph, mask_of, mask_vertices
+from kromatic.heaps import lyndon_count, lyndon_support_counts
+from kromatic.numbers import partitions_up_to
+from kromatic.quasisym import composition_coefficients
 from kromatic.symfunc import SymPoly, extract
 
 from helpers import small_graphs
@@ -15,6 +19,11 @@ N = 6
 METAMORPHIC = settings(derandomize=True, database=None, max_examples=30,
                        deadline=None)
 PAIRS = (small_graphs(max_n=4), small_graphs(max_n=3))
+
+
+def relabel(g, perm):
+    """g with each vertex v renamed perm[v - 1]."""
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
 
 
 def disjoint_union(g, h):
@@ -44,9 +53,34 @@ def test_disjoint_union_multiplies_series_and_adds_lyndon_counts(g, h):
 def test_relabelling_keeps_series_and_exponents(g, h, data):
     gh = disjoint_union(g, h)
     perm = data.draw(st.permutations(range(1, gh.n + 1)), label="perm")
-    moved = Graph(gh.n, [(perm[u - 1], perm[v - 1]) for u, v in gh.edges])
+    moved = relabel(gh, perm)
     assert kromatic(moved, N) == kromatic(gh, N)
     assert omega_kromatic(moved, N) == omega_kromatic(gh, N)
     for rule in ("1.2", "1.3", "1.4", "1.5"):
         for k in range(1, N + 1):
             assert exponent(moved, k, rule) == exponent(gh, k, rule)
+
+
+@METAMORPHIC
+@given(small_graphs(), st.data())
+def test_relabelling_keeps_theorem_coefficients_and_lyndon_supports(g, data):
+    perm = data.draw(st.permutations(range(1, g.n + 1)), label="perm")
+    moved = relabel(g, perm)
+    for rule in ("1.2", "1.3", "1.4", "1.5"):
+        for lam in partitions_up_to(5):
+            assert theorem_coefficient(moved, lam, rule) == \
+                theorem_coefficient(g, lam, rule), (rule, lam)
+    for k in range(1, 6):
+        assert lyndon_support_counts(moved, k) == {
+            mask_of(perm[v - 1] for v in mask_vertices(s)): c
+            for s, c in lyndon_support_counts(g, k).items()}
+
+
+@METAMORPHIC
+@given(small_graphs())
+def test_reversing_the_labels_reverses_the_compositions(g):
+    # an edge u < v with color(u) < color(v) is an ascent; renaming each
+    # vertex v to n + 1 - v and each color j to l + 1 - j keeps it one
+    reversed_g = relabel(g, range(g.n, 0, -1))
+    assert composition_coefficients(reversed_g, N) == {
+        alpha[::-1]: c for alpha, c in composition_coefficients(g, N).items()}

@@ -1,5 +1,7 @@
-"""Source-level guards over the modules of src/kromatic."""
+"""Source-level guards over the modules of src/kromatic, and a test of the
+code-line counter in tools/."""
 import ast
+import importlib.util
 from pathlib import Path
 
 import kromatic
@@ -68,3 +70,37 @@ def test_private_names_stay_in_their_module():
         if alias.name.startswith("_") and not (
             alias.name.startswith("__") and alias.name.endswith("__")))
     assert leaks == []
+
+
+def test_code_lines_counts_only_code():
+    path = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    text = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function docstring,
+
+        with a blank line inside."""
+        # a comment inside the body
+        y = (x +
+
+             1
+             )
+        return [y,
+                # a comment inside an expression
+                os.sep]
+'''
+    # import, class and def, then the three lines of y = (...) and the two
+    # of the return that hold code, each once; the blank and comment lines
+    # inside those spans do not count
+    assert tool.code_lines(text) == 8
