@@ -20,12 +20,10 @@ from types import MappingProxyType
 from .graphs import (acyclic_orientations, independence_polynomial,
                      mask_vertices, popcount, source_components)
 from .heaps import lyndon_count, lyndon_support_counts
-from .numbers import (binomial, multiplicities, partition_of_multiplicities,
-                      partitions_up_to)
-from .symfunc import (
-    Expansion, SymPoly, generator_series, product_over_variables,
-    series_log_derivative, series_neg_sub, series_reciprocal,
-)
+from .numbers import (binomial, family_sums, multiplicities,
+                      partition_of_multiplicities)
+from .symfunc import (Expansion, generator_series, product_over_variables,
+                      series_log_derivative, series_neg_sub, series_reciprocal)
 
 
 # Every coefficient rule reads the coefficients of one basis in F(G) or in
@@ -317,10 +315,9 @@ def kromatic_from_multiset(ms, N, image="direct"):
     prod_i f(x_i), where f is the entry's independence polynomial I (direct)
     or 1 / I(-t) (omega).  Equal polynomials have their signs summed first:
     many subsets share one."""
-    acc = SymPoly(N, {})
-    for poly, w in signed_subset_sum(ms, max(size for _, size in ms)).items():
-        acc += product_over_variables(image_series(poly, N, image), N).scale(w)
-    return acc
+    family = signed_subset_sum(ms, max(size for _, size in ms))
+    return product_over_variables(
+        [(image_series(poly, N, image), w) for poly, w in family.items()], N)
 
 
 def kromatic_expansion(ms, N, image, basis):
@@ -328,14 +325,12 @@ def kromatic_expansion(ms, N, image, basis):
     pbarprime, with no basis element built.  Each polynomial's image series
     is prod_k g_k^e(k) mod t^(N+1), with e from series_exponents, so its
     product over variables is prod_k (1 + basis_k)^e(k), whose basis_lam
-    coefficient is prod_k C(e(k), m_k(lam))."""
-    family = {}
-    for poly, w in signed_subset_sum(ms, max(size for _, size in ms)).items():
-        e = tuple(series_exponents(image_series(poly, N, image), N, basis))
-        family[e] = family.get(e, 0) + w
-    coeffs = {lam: _binomial_sum(family, [lam.count(k) for k in range(
-        1, max(lam, default=0) + 1)]) for lam in partitions_up_to(N)}
-    return Expansion(basis, N, {lam: c for lam, c in coeffs.items() if c})
+    coefficient is prod_k C(e(k), m_k(lam)); the signed sums over the
+    polynomials come from one family_sums walk."""
+    family = signed_subset_sum(ms, max(size for _, size in ms))
+    return Expansion(basis, N, family_sums((
+        ((0, *series_exponents(image_series(poly, N, image), N, basis)), w)
+        for poly, w in family.items()), N, binomial))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,37 @@ def partition_of_multiplicities(u):
     return tuple(k for k in range(len(u), 0, -1) for _ in range(u[k - 1]))
 
 
+def family_sums(family, N, factor):
+    """{lam: sum of w * prod_k factor(v[k], m_k(lam))} over the (v, w) pairs
+    of a signed family, for every partition lam with |lam| <= N, without
+    the zero sums.  Each v is a tuple indexed by part size, v[0] unused.
+
+    One depth-first walk goes down the parts N, ..., 1 and shares every
+    prefix.  A branch holds each vector, cut to the parts still to come,
+    with its partial product; vectors that the cut makes equal are merged,
+    and a vector leaves the branch once its product is 0.  This needs
+    factor(x, 0) = 1, and factor(x, m) = 0 to imply factor(x, m + 1) = 0,
+    as for pow and binomial."""
+    out = {}
+
+    def walk(lam, room, k, pairs):
+        k, terms = min(k, room), {}
+        for v, w in pairs:
+            terms[v[:k + 1]] = terms.get(v[:k + 1], 0) + w
+        if k == 0:
+            out[lam] = sum(terms.values())
+            return
+        walk(lam, room, k - 1, [(v, w) for v, w in terms.items() if w])
+        for m in range(1, room // k + 1):
+            below = [(v, w * factor(v[k], m)) for v, w in terms.items()]
+            if not (terms := {v: terms[v] for v, p in below if p}):
+                return
+            walk(lam + (k,) * m, room - k * m, k - 1, below)
+
+    walk((), N, N, family)
+    return {lam: s for lam, s in out.items() if s}
+
+
 def z_lambda(lam):
     """Order of the centralizer of a permutation of cycle type lam."""
     z = 1

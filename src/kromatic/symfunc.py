@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .numbers import (QPoly, norm_scalar, partition_sort_key, partitions_of,
-                      partitions_up_to, scalar_div)
+from .numbers import (QPoly, family_sums, norm_scalar, partition_sort_key,
+                      partitions_of, partitions_up_to, scalar_div, z_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +206,19 @@ class SymPoly:
         return f"SymPoly(N={self.N}: {body}{more})"
 
 
-def product_over_variables(f, N):
-    """prod_i f(x_i) truncated to degree N, for a USeries f with constant
-    term 1.  With c = log f, this is exp(sum_k c_k p_k), whose p_lambda
-    coefficient is prod_i c_(lambda_i) / prod_k m_k(lambda)!.  In terms of
-    d = t f'/f, with d_k = k c_k, that is prod_i d_(lambda_i) / z_lambda, so
-    the stored value is (|lambda|! / z_lambda) prod_i d_(lambda_i), where
-    |lambda|! / z_lambda counts the permutations of cycle type lambda.  Only
-    parts k with d_k != 0 occur."""
-    d = series_log_derivative(f, N)
-    parts = [k for k in range(N, 0, -1) if d[k]]
-    out = {}
-
-    def rec(i, lam, room, z, prod):
-        if i == len(parts):
-            out[lam] = norm_scalar(factorial(N - room) // z * prod)
-            return
-        k = parts[i]
-        m = 0
-        while True:
-            rec(i + 1, lam, room, z, prod)
-            if k > room:
-                return
-            m += 1
-            lam, room, z, prod = lam + (k,), room - k, z * k * m, prod * d[k]
-
-    rec(0, (), N, 1, 1)
-    return SymPoly._of(N, out)
+def product_over_variables(family, N):
+    """sum of w prod_i f(x_i) over the (f, w) pairs of a signed family of
+    USeries with constant term 1, truncated to degree N.  With c = log f,
+    prod_i f(x_i) is exp(sum_k c_k p_k), whose p_lambda coefficient is
+    prod_i c_(lambda_i) / prod_k m_k(lambda)!.  In terms of d = t f'/f,
+    with d_k = k c_k, that is prod_i d_(lambda_i) / z_lambda, so the stored
+    value is (|lambda|! / z_lambda) sum_f w prod_i d_(lambda_i), where
+    |lambda|! / z_lambda counts the permutations of cycle type lambda; the
+    sums come from one family_sums walk."""
+    logs = [(series_log_derivative(f, N), w) for f, w in family]
+    return SymPoly._of(N, {
+        lam: norm_scalar(factorial(sum(lam)) // z_lambda(lam) * s)
+        for lam, s in family_sums(logs, N, pow).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +340,8 @@ def basis_element(basis, lam, N):
     if not lam:
         return SymPoly.const(N, 1)
     if len(lam) == 1:
-        return product_over_variables(generator_series(basis, lam[0], N),
-                                      N) - 1
+        return product_over_variables(
+            [(generator_series(basis, lam[0], N), 1)], N) - 1
     return basis_element(basis, lam[:1], N) * basis_element(basis, lam[1:], N)
 
 

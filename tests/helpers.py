@@ -18,7 +18,8 @@ from kromatic.heaps import (_deps, _extends_canonically, ascent_count,
                             canonical_word, enumerate_lyndon,
                             enumerate_pyramids, heap_from_word)
 from kromatic.numbers import (QPoly, divisors, multiplicities,
-                              partition_sort_key, partitions_of)
+                              partition_sort_key, partitions_of,
+                              partitions_up_to)
 from kromatic.quasisym import kromatic_q_vectors
 from kromatic.symfunc import (SymPoly, basis_element, generator_series,
                               series_truncate, sympoly_from_vector_counts)
@@ -101,6 +102,23 @@ def brute_force_kromatic(g, N):
     multiset-roundtrip-* checks build it."""
     return sympoly_from_vector_counts(
         {v: p(1) for v, p in kromatic_q_vectors(g, N, N).items()}, N)
+
+
+def oracle_family_sums(family, N, factor):
+    """numbers.family_sums one partition at a time, as expand summed its
+    pbar coefficients before the walk: for each lam with |lam| <= N, the
+    sum of w * prod_k factor(v[k], m_k(lam)) over the (v, w) pairs, with
+    the zero sums left out."""
+    out = {}
+    for lam in partitions_up_to(N):
+        total = 0
+        for v, w in family:
+            for k in range(1, N + 1):
+                w *= factor(v[k], lam.count(k))
+            total += w
+        if total:
+            out[lam] = total
+    return out
 
 
 def assemble(expansion, N):

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph
+from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, core
 from kromatic.cli import (build_checks, main, make_parser, positive_int,
                           rational)
-from kromatic.symfunc import Expansion, basis_element
+from kromatic.symfunc import Expansion, SymPoly, basis_element
 
 from helpers import clear_caches
 
@@ -300,7 +300,17 @@ def _refuse_heap_layer(monkeypatch, mode):
 
 def test_expand_stays_off_heaps_and_builds_no_basis_element(capsys,
                                                             monkeypatch):
+    # nor does it add, multiply or scale series, or list the partitions in
+    # core: one family_sums walk gives every coefficient
     _refuse_heap_layer(monkeypatch, "expand")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expand did SymPoly arithmetic or listed "
+                             "partitions in core")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "scale"):
+        monkeypatch.setattr(SymPoly, name, refuse)
+    monkeypatch.setattr(core, "partitions_up_to", refuse, raising=False)
     for basis in ("p", "pbar", "pbarprime"):
         for omega in ((), ("--omega",)):
             assert main(["expand", "--graph", "paw", "--basis", basis,
@@ -592,7 +602,6 @@ def test_verify_fail_lines_show_values(capsys, monkeypatch):
         "extracted " in out
     assert "PASS clans-vs-brute-K2" in out
 
-    import kromatic.core as core
     exponent = core.exponent
     monkeypatch.setattr(core, "exponent", lambda g, k, rule, support=None:
                         exponent(g, k, rule, support) + (k == 2))

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kromatic.numbers import (
-    QPoly, binomial, divisors, mobius, mu_hat,
+    QPoly, binomial, divisors, family_sums, mobius, mu_hat,
     multiplicities, partition_sort_key, partitions_of, partitions_up_to,
     q_factorial, q_int, z_lambda,
 )
+
+from helpers import oracle_family_sums
 
 
 def test_z_lambda():
@@ -121,3 +124,35 @@ def test_q_factorial():
     assert q_factorial((2, 2)) == QPoly((1, 2, 1))
     assert q_factorial((3,)) == q_int(2) * q_int(3)
     assert q_factorial((1, 1, 1)) == 1
+
+
+@st.composite
+def _signed_families(draw):
+    """(N, family): vectors over the part sizes 0..N with negative, zero
+    and positive entries, some of them drawn twice with opposite weights
+    so that their sums cancel."""
+    N = draw(st.integers(0, 8))
+    vectors = st.tuples(*[st.integers(-3, 3)] * (N + 1))
+    family = draw(st.lists(st.tuples(vectors, st.integers(-4, 4)),
+                           max_size=8))
+    echoes = draw(st.lists(st.sampled_from(family), max_size=3)
+                  if family else st.just([]))
+    return N, family + [(v, -w) for v, w in echoes]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_signed_families(), st.sampled_from((pow, binomial)))
+def test_family_sums_match_the_per_partition_sums(family_and_N, factor):
+    N, family = family_and_N
+    assert family_sums(family, N, factor) == \
+        oracle_family_sums(family, N, factor)
+
+
+def test_family_sums_examples():
+    # one vector: prod_k v_k^(m_k); the empty partition carries the weight
+    assert family_sums([((0, 2, 3), 1)], 2, pow) == \
+        {(): 1, (1,): 2, (2,): 3, (1, 1): 4}
+    # C(1, 2) = 0 at (1, 1); a vector and its negation cancel everywhere
+    assert family_sums([((0, 1, 5), 2)], 2, binomial) == \
+        {(): 2, (1,): 2, (2,): 10}
+    assert family_sums([((0, 1, 5), 2), ((0, 1, 5), -2)], 2, binomial) == {}

@@ -153,10 +153,10 @@ def test_specific_monomial_products():
 
 
 def test_product_over_variables():
-    F = product_over_variables((1, 2), 3)
+    F = product_over_variables([((1, 2), 1)], 3)
     assert F == _m({(): 1, (1,): 2, (1, 1): 4, (1, 1, 1): 8}, 3)
     with pytest.raises(ValueError):
-        product_over_variables((2, 1), 3)
+        product_over_variables([((2, 1), 1)], 3)
 
 
 def test_bases():
@@ -240,8 +240,9 @@ def test_omega_multiplicativity_lemma():
     N = 5
     for _ in range(10):
         f = (1, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-2, 2))
-        lhs = omega(product_over_variables(f, N))
-        rhs = product_over_variables(series_reciprocal(series_neg_sub(f), N), N)
+        lhs = omega(product_over_variables([(f, 1)], N))
+        rhs = product_over_variables(
+            [(series_reciprocal(series_neg_sub(f), N), 1)], N)
         assert lhs == rhs
 
 
@@ -379,13 +380,30 @@ def test_scaled_arithmetic_matches_fraction_oracle(data):
     assert extract(A, basis).coeffs == oracle_extract(a, basis, N)
     f = (1,) + tuple(data.draw(st.lists(_scalars, min_size=N, max_size=N),
                                label="f"))
-    same(product_over_variables(f, N), oracle_product_over_variables(f, N))
+    same(product_over_variables([(f, 1)], N),
+         oracle_product_over_variables(f, N))
     # values written one by one are stored as ints wherever integral
-    for F in (A, A.scale(x), product_over_variables(f, N),
+    for F in (A, A.scale(x), product_over_variables([(f, 1)], N),
               A.map_coeffs(lambda v: v * x)):
         for v in F.scaled.values():
             for y in (v.c if isinstance(v, QPoly) else (v,)):
                 assert type(y) is int or y.denominator != 1
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_product_over_a_family_matches_the_weighted_oracle_sum(N, data):
+    series = st.tuples(st.just(1), *[_scalars] * N)
+    family = data.draw(st.lists(st.tuples(series, st.integers(-3, 3)),
+                                min_size=2, max_size=4), label="family")
+    # a series repeated with the opposite weight cancels
+    f, w = data.draw(st.sampled_from(family), label="echo")
+    family.append((f, -w))
+    want = {}
+    for f, w in family:
+        want = oracle_add(want, oracle_scale(
+            oracle_product_over_variables(f, N), w))
+    assert product_over_variables(family, N) == SymPoly(N, want)
 
 
 @settings(max_examples=40, deadline=None)
