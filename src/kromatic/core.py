@@ -22,8 +22,10 @@ from .graphs import (acyclic_orientations, independence_polynomial,
 from .heaps import lyndon_count, lyndon_support_counts
 from .numbers import (binomial, family_sums, multiplicities,
                       partition_of_multiplicities)
-from .symfunc import (Expansion, generator_series, product_over_variables,
-                      series_log_derivative, series_neg_sub, series_reciprocal)
+from .symfunc import (
+    Expansion, generator_series, product_over_variables,
+    series_log_derivative, series_neg_sub, series_reciprocal,
+)
 
 
 # Every coefficient rule reads the coefficients of one basis in F(G) or in
@@ -273,14 +275,14 @@ def theorem_coefficient(g, lam, which):
 
 
 def _binomial_sum(family, u):
-    """sum of w * prod_k C(v_k, u_k) over a signed family {v: w}."""
+    """sum of w * prod_k C(v_k, u_k) over a signed family {v: w}, for the
+    positive multiplicities u of the distinct parts of one partition."""
     total = 0
     for v, w in family.items():
         for v_k, u_k in zip(v, u):
-            if u_k:
-                w *= binomial(v_k, u_k)
-                if not w:
-                    break
+            w *= binomial(v_k, u_k)
+            if not w:
+                break
         total += w
     return total
 
