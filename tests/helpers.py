@@ -105,10 +105,10 @@ def brute_force_kromatic(g, N):
 
 
 def oracle_family_sums(family, N, factor):
-    """numbers.family_sums one partition at a time, as expand summed its
-    pbar coefficients before the walk: for each lam with |lam| <= N, the
-    sum of w * prod_k factor(v[k], m_k(lam)) over the (v, w) pairs, with
-    the zero sums left out."""
+    """numbers.family_sums one partition at a time, with no shared
+    prefix, merge or pruning: for each lam with |lam| <= N, the sum of
+    w * prod_k factor(v[k], m_k(lam)) over the (v, w) pairs, with the zero
+    sums left out."""
     out = {}
     for lam in partitions_up_to(N):
         total = 0

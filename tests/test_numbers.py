@@ -142,8 +142,8 @@ def _signed_families(draw):
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(_signed_families(), st.sampled_from((pow, binomial)))
-def test_family_sums_match_the_per_partition_sums(family_and_N, factor):
-    N, family = family_and_N
+def test_family_sums_match_the_per_partition_sums(N_and_family, factor):
+    N, family = N_and_family
     assert family_sums(family, N, factor) == \
         oracle_family_sums(family, N, factor)
 
