@@ -242,6 +242,27 @@ def _menu_sizes(k, which):
     raise ValueError(f"unknown coefficient rule {which!r}")
 
 
+@cache
+def pick_table(g, k, which, i):
+    """{union mask: ways to pick i heaps of the sizes _menu_sizes allows
+    for the part k (with repetition exactly where rule_sign(which, (k,))
+    < 0)}, cached per (graph, k, which, i), so read-only.  A dynamic
+    program over union masks: picks[j] = {union: ways to choose j heaps},
+    grown by one support group of c heaps at a time, t of them in
+    abs(binomial(sign * c, t)) ways, as in _menu_sizes."""
+    sign = rule_sign(which, (k,))
+    picks = [{0: 1}] + [{} for _ in range(i)]
+    for s in _menu_sizes(k, which):
+        for m, c in lyndon_support_counts(g, s).items():
+            for j in range(i, 0, -1):  # picks[j - t] not yet grown
+                dst = picks[j]
+                for t in range(1, j + 1):
+                    w = abs(binomial(sign * c, t))
+                    for u, x in picks[j - t].items():
+                        dst[u | m] = dst.get(u | m, 0) + w * x
+    return MappingProxyType(picks[i])
+
+
 def theorem_coefficient(g, lam, which):
     """The number of ways to pick, for each part value k of lam with
     multiplicity i, i Lyndon heaps of the sizes _menu_sizes allows (with
@@ -249,26 +270,13 @@ def theorem_coefficient(g, lam, which):
     every vertex: rule_sign(which, lam) times the coefficient of basis_lam
     in the image of the set-coloring function, both named by RULES[which].
 
-    Only unions of supports matter, so this is a dynamic program over union
-    masks: picks[j] = {union: ways to choose j heaps of k's menu}, grown by
-    one support group of c heaps at a time (t of them in
-    abs(binomial(sign * c, t)) ways, as in _menu_sizes), is OR-convolved
-    into the running {union: ways}."""
+    Only unions of supports matter, so the cached pick_table of each
+    distinct part is OR-convolved into the running {union: ways}."""
     ways = {0: 1}
     for k, i in multiplicities(lam).items():
-        sign = rule_sign(which, (k,))
-        picks = [{0: 1}] + [{} for _ in range(i)]
-        for s in _menu_sizes(k, which):
-            for m, c in lyndon_support_counts(g, s).items():
-                for j in range(i, 0, -1):  # picks[j - t] not yet grown
-                    dst = picks[j]
-                    for t in range(1, j + 1):
-                        w = abs(binomial(sign * c, t))
-                        for u, x in picks[j - t].items():
-                            dst[u | m] = dst.get(u | m, 0) + w * x
         new = {}
         for u, x in ways.items():
-            for v, y in picks[i].items():
+            for v, y in pick_table(g, k, which, i).items():
                 new[u | v] = new.get(u | v, 0) + x * y
         ways = new
     return ways.get(g.full_mask, 0)
@@ -370,11 +378,20 @@ def recover_signed_exponent_multiset(expansion, caps):
 
 
 @cache
+def exponent_column(g, k, rule):
+    """(e_W(k) for every vertex subset W, by mask): the rule's exponent
+    inside each subset, cached per (graph, k, rule) as a read-only tuple."""
+    return tuple(exponent(g, k, rule, s) for s in range(g.full_mask + 1))
+
+
+@cache
 def signed_exponent_family(g, rule, parts):
     """The ground-truth signed family: for each vertex subset W, the vector
     of the rule's exponents (e_W(k) for k in parts) weighted by
-    (-1)^(n - |W|), aggregated.  Cached per (graph, rule, parts), so the
-    family is read-only."""
-    return MappingProxyType(signed_subset_sum((
-        (tuple(exponent(g, k, rule, mask) for k in parts), popcount(mask))
-        for mask in range(g.full_mask + 1)), g.n))
+    (-1)^(n - |W|), aggregated from the parts' exponent_columns.  Cached
+    per (graph, rule, parts), so the family is read-only."""
+    # sizes lead each row, so that with no parts every subset still counts
+    rows = zip(map(popcount, range(g.full_mask + 1)),
+               *(exponent_column(g, k, rule) for k in parts))
+    return MappingProxyType(signed_subset_sum(
+        ((row[1:], row[0]) for row in rows), g.n))

@@ -174,24 +174,28 @@ class SymPoly:
 
     def __mul__(self, other):
         """p_lam * p_mu = p_(lam union mu), dropping degrees above N; the
-        stored values multiply with C(|lam| + |mu|, |lam|)."""
+        stored values multiply with C(|lam| + |mu|, |lam|), taken only at
+        the degrees |mu| where other has terms."""
         if isinstance(other, (int, Fraction, QPoly)):
             return self.scale(other)
         if not isinstance(other, SymPoly):
             return NotImplemented
         N = self._same_N(other)
-        right = [[] for _ in range(N + 1)]
+        right = {}
         for mu, b in other.scaled.items():
-            right[sum(mu)].append((mu, b))
+            right.setdefault(sum(mu), []).append((mu, b))
+        degrees = sorted(right.items())
         out = {}
         for lam, a in self.scaled.items():
             d = sum(lam)
-            for e in range(N - d + 1):
+            for e, terms in degrees:
+                if d + e > N:
+                    break
                 ca = comb(d + e, d) * a
-                for mu, b in right[e]:
-                    _add_term(out, tuple(sorted(lam + mu, reverse=True)),
-                              ca * b)
-        return SymPoly._of(N, out)
+                for mu, b in terms:
+                    nu = tuple(sorted(lam + mu, reverse=True))
+                    out[nu] = out.get(nu, 0) + ca * b
+        return SymPoly._of(N, {nu: v for nu, v in out.items() if v})
 
     __rmul__ = __mul__
 

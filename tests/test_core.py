@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from kromatic import bundled_graph
 import kromatic.core as core
 from kromatic.core import (
-    chromatic_p_expansion_oracles, exponent,
+    chromatic_p_expansion_oracles, exponent, exponent_column,
     independence_multiset, kromatic, kromatic_expansion,
-    kromatic_from_multiset, omega_kromatic, proper_set_colorings,
+    kromatic_from_multiset, omega_kromatic, pick_table, proper_set_colorings,
     recover_signed_exponent_multiset, rule_sign, signed_exponent_family,
     theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
 )
@@ -220,7 +220,9 @@ def test_theorem_coefficient_counts_without_subset_formula(monkeypatch):
     def refuse(*args):
         raise AssertionError("subset formula called")
 
-    for name in ("signed_subset_sum", "exponent", "_binomial_sum"):
+    clear_caches()  # no pick table built before the patch may hide a call
+    for name in ("signed_subset_sum", "exponent", "exponent_column",
+                 "_binomial_sum"):
         monkeypatch.setattr(core, name, refuse)
     for g in (K2, P3, PAW):
         for lam in partitions_up_to(5):
@@ -245,6 +247,16 @@ def test_clear_caches_recomputes():
 def test_signed_exponent_family_is_read_only():
     with pytest.raises(TypeError):
         signed_exponent_family(K2, "1.3", (1, 2))[(0, 0)] = 0
+
+
+def test_cached_columns_and_tables_are_read_only():
+    # callers share each cached value, so none of them may write to it
+    with pytest.raises(TypeError):
+        exponent_column(PAW, 2, "1.4")[0] = 1
+    with pytest.raises(TypeError):
+        pick_table(PAW, 1, "1.2", 2)[PAW.full_mask] = 0
+    with pytest.raises(TypeError):
+        lyndon_support_counts(PAW, 2)[PAW.full_mask] = 0
 
 
 @DIFFERENTIAL

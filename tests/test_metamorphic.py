@@ -2,13 +2,15 @@
 a relabelling of the vertices must do to F, its omega image, its
 expansions over the multiplicative bases, the Lyndon counts, the
 factorization exponents and the theorem coefficients, and what reversing
-the vertex labels does to the q-refined composition coefficients."""
+the vertex labels does to the q-refined composition coefficients, and
+what a disjoint union does to the pyramid classes."""
 from hypothesis import given, settings, strategies as st
 
 from kromatic.core import exponent, kromatic, omega_kromatic, \
     theorem_coefficient
 from kromatic.graphs import Graph, mask_of, mask_vertices
-from kromatic.heaps import lyndon_count, lyndon_support_counts
+from kromatic.heaps import lyndon_count, lyndon_support_counts, \
+    pyramid_classes
 from kromatic.numbers import partitions_up_to
 from kromatic.quasisym import composition_coefficients
 from kromatic.symfunc import SymPoly, extract
@@ -84,3 +86,17 @@ def test_reversing_the_labels_reverses_the_compositions(g):
     reversed_g = relabel(g, range(g.n, 0, -1))
     assert composition_coefficients(reversed_g, N) == {
         alpha[::-1]: c for alpha, c in composition_coefficients(g, N).items()}
+
+
+@METAMORPHIC
+@given(*PAIRS)
+def test_disjoint_union_keeps_each_sides_pyramid_classes(g, h):
+    # a pyramid's support is connected, so it lies on one side, and the
+    # other side's vertices hold none of its pieces and add no ascents
+    gh = disjoint_union(g, h)
+    for n in range(1, 6):
+        want = {(pieces + (0,) * h.n, asc): c
+                for (pieces, asc), c in pyramid_classes(g, n).items()}
+        want.update({((0,) * g.n + pieces, asc): c
+                     for (pieces, asc), c in pyramid_classes(h, n).items()})
+        assert pyramid_classes(gh, n) == want, n

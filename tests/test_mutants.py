@@ -40,6 +40,14 @@ MUTANTS = [
     ("numbers.py", "terms[v[:k + 1]] = terms.get(v[:k + 1], 0) + w",
      "terms[v[:k]] = terms.get(v[:k], 0) + w",
      "family_sums merges vectors that differ at the next part"),
+    ("core.py", "for s in range(g.full_mask + 1)",
+     "for s in range(g.full_mask)",
+     "an exponent column drops the full vertex set"),
+    ("core.py", "pick_table(g, k, which, i).items()",
+     "pick_table(g, k, which, 1).items()",
+     "the count reads the one-heap pick table at every multiplicity"),
+    ("symfunc.py", "if d + e > N:", "if d + e >= N:",
+     "a product drops its top degree"),
     ("symfunc.py", "family_sums(logs, N, pow)",
      "family_sums(logs, N, lambda x, m: x * m)",
      "a product over variables takes d_k m_k for d_k^m_k"),
