@@ -11,8 +11,6 @@ swaps I_W for H_W(t) = 1 / I_W(-t).
 Everything here is exact and truncated to total degree N; only the
 coloring enumeration proper_set_colorings takes a number M of colors.
 """
-from __future__ import annotations
-
 import itertools
 from functools import cache
 from types import MappingProxyType

@@ -3,8 +3,6 @@
 Vertex subsets are plain Python ints used as bitmasks (bit v-1 for vertex v),
 so capacity is unbounded.  Graphs are immutable and hashable.
 """
-from __future__ import annotations
-
 from functools import cache
 from itertools import zip_longest
 
@@ -119,8 +117,6 @@ def clan_graph(g, alpha):
     """
     if len(alpha) != g.n:
         raise ValueError("composition length must equal vertex count")
-    if any(a < 0 for a in alpha):
-        raise ValueError("composition parts must be nonnegative")
     host = [v for v in g.vertices() for _ in range(alpha[v - 1])]
     m = len(host)
     edges = []

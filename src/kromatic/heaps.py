@@ -17,8 +17,6 @@ enumeration of every heap is a test oracle in tests/helpers.py.  The other
 modules read counts, never words: Lyndon heaps by support and pyramids by
 class, one cached table per (graph, size).
 """
-from __future__ import annotations
-
 from collections import Counter
 from functools import cache
 from types import MappingProxyType
@@ -78,22 +76,6 @@ def heap_from_word(g, word):
     return canonical_word(g, word)
 
 
-def sources(g, w):
-    """Piece indices with no dependent piece before them."""
-    dep = _deps(g)
-    below = 0  # vertices that do not commute with some earlier piece
-    out = []
-    for i, v in enumerate(w):
-        if not below >> (v - 1) & 1:
-            out.append(i)
-        below |= dep[v]
-    return out
-
-
-def is_pyramid(g, w):
-    return len(w) >= 1 and len(sources(g, w)) == 1
-
-
 def _upper_closure(dep, w, p):
     """Bitmask of the piece indices at or above piece p of word w."""
     reach = 1 << p
@@ -103,6 +85,13 @@ def _upper_closure(dep, w, p):
             reach |= 1 << j
             blocked |= dep[w[j]]
     return reach
+
+
+def is_pyramid(g, w):
+    """Whether the heap has one bottom piece.  The first piece of a word is
+    a bottom piece, so the heap is a pyramid iff every piece lies above
+    it."""
+    return bool(w) and _upper_closure(_deps(g), w, 0) == (1 << len(w)) - 1
 
 
 def rotate(g, w, p):

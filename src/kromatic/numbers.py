@@ -3,8 +3,6 @@
 Partitions are plain tuples of ints sorted nonincreasing.  All arithmetic
 is exact (int / fractions.Fraction / QPoly), never floating point.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb
 
@@ -142,8 +140,6 @@ def mu_hat(n):
 def binomial(n, k):
     """C(n, k) for any integer n: for n = -m < 0 it is the coefficient of
     x^k in (1 + x)^(-m), (-1)^k C(m + k - 1, k)."""
-    if k < 0:
-        return 0
     if n < 0:
         return (-1) ** k * comb(k - n - 1, k)
     return comb(n, k)
@@ -224,10 +220,6 @@ class QPoly:
         return QPoly(tuple(-x for x in self.c))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly(other)
-        if not isinstance(other, QPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -240,8 +232,6 @@ class QPoly:
             return QPoly(tuple(x * other for x in self.c))
         if not isinstance(other, QPoly):
             return NotImplemented
-        if not self.c or not other.c:
-            return QPoly()
         out = [0] * (len(self.c) + len(other.c) - 1)
         for i, x in enumerate(self.c):
             if x:
@@ -258,17 +248,10 @@ class QPoly:
         return norm_scalar(acc)
 
     def divexact(self, other):
-        """Exact polynomial division; raises ValueError on nonzero remainder."""
-        if isinstance(other, (int, Fraction)):
-            other = QPoly(other)
-        if not other.c:
-            raise ZeroDivisionError("division of QPoly by zero")
-        if not self.c:
-            return QPoly()
+        """Exact division by a nonzero QPoly; raises ValueError on a nonzero
+        remainder."""
         rem = list(self.c)
         d = other.c
-        if len(rem) < len(d):
-            raise ValueError(f"inexact QPoly division: {self!r} by {other!r}")
         quot = [0] * (len(rem) - len(d) + 1)
         lead = d[-1]
         for i in range(len(quot) - 1, -1, -1):

@@ -23,8 +23,6 @@ quasisym.kromatic_q_vectors.
 
 USeries values are plain tuples of coefficients, index = degree.
 """
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial

@@ -135,6 +135,21 @@ def compose_all(g, words):
     return canonical_word(g, sum(words, ()))
 
 
+def sources(g, w):
+    """Piece indices with no dependent piece before them.
+
+    Oracle: kromatic.heaps.is_pyramid reads the upward closure of the first
+    piece instead, and the rotation tests read the sources of each step."""
+    dep = _deps(g)
+    below = 0  # vertices that do not commute with some earlier piece
+    out = []
+    for i, v in enumerate(w):
+        if not below >> (v - 1) & 1:
+            out.append(i)
+        below |= dep[v]
+    return out
+
+
 def is_aperiodic(g, w):
     """True iff w is not a d-fold power of a smaller heap for any d >= 2."""
     return not any(canonical_word(g, k * d) == w

@@ -28,7 +28,7 @@ def run_json(capsys, argv):
 
 def test_expand_golden_table(capsys):
     rc, data = run_json(capsys, ["expand", "--graph", "k2", "--basis",
-                                 "pbar", "--degree", "5", "--vars", "5"])
+                                 "pbar", "--degree", "5"])
     assert rc == 0
     assert data["basis"] == "pbar" and data["N"] == 5 and data["M"] == 5
     got = {tuple(t["partition"]): t["coeff"] for t in data["terms"]}
@@ -77,17 +77,6 @@ def test_qexpand_q_specialization(capsys):
     got = {tuple(t["partition"]): t["coeff"] for t in data["terms"]}
     # at q=1 these are the distinct-cover counts; zero terms are dropped
     assert got == {(2,): "1", (1, 1): "1", (3,): "2", (2, 1): "4"}
-
-
-def test_qexpand_vars_is_report_only(capsys):
-    rc, base = run_json(capsys, ["qexpand", "--model", "ui-k3",
-                                 "--degree", "5"])
-    assert rc == 0
-    rc, wide = run_json(capsys, ["qexpand", "--model", "ui-k3",
-                                 "--degree", "5", "--vars", "7"])
-    assert rc == 0
-    assert base["M"] == 5 and wide["M"] == 7
-    assert {**wide, "M": 5} == base
 
 
 @pytest.mark.parametrize("model", BUNDLED_MODELS)
@@ -489,6 +478,28 @@ def test_invalid_model_bounds_exit_two(tmp_path, capsys, n, bounds, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("mode, option, obj, message", [
+    ("expand", "--graph", {"n": -1, "edges": []},
+     "vertex count must be nonnegative"),
+    ("expand", "--graph", {"n": 2, "edges": {"1": 2}},
+     "graph json 'edges' must be a list"),
+    ("expand", "--graph", {"n": 3, "edges": [[1, 2, 3]]},
+     "edge [1, 2, 3] must be a list of two vertices"),
+    ("qexpand", "--model", {"n": 2},
+     "model json must have keys 'n' and 'bounds'"),
+    ("qexpand", "--model", {"n": 2, "bounds": 2},
+     "model json 'bounds' must be a list"),
+])
+def test_malformed_json_shape_exits_two(tmp_path, capsys, mode, option, obj,
+                                        message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main([mode, option, str(path), "--degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_graph_directory_exits_two(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["verify", "--graph", str(tmp_path), "--suite", "heaps"])
@@ -670,8 +681,7 @@ COMMON_OPTIONS = {"-h/--help": (None, argparse.SUPPRESS, False),
                   "--degree": (positive_int, 5, False),
                   "--out": (None, None, False),
                   "--jobs": (positive_int, 1, False)}
-BASIS_OPTIONS = {"--omega": (None, False, False),
-                 "--vars": (int, None, False)}
+BASIS_OPTIONS = {"--omega": (None, False, False)}
 MODE_OPTIONS = {
     "expand": {**COMMON_OPTIONS, **BASIS_OPTIONS,
                "--graph": (None, None, True),

@@ -403,3 +403,9 @@ def test_forward_coefficients_match_extraction_low_degree():
             if lam and all(p <= 4 for p in lam):
                 assert theorem_coefficient_subsets(g, lam, "1.3") == \
                     W.coeff(lam), (g, lam)
+
+
+def test_menu_sizes_refuses_an_unknown_rule():
+    # the q rules 5.x have no heap menu
+    with pytest.raises(ValueError, match="unknown coefficient rule"):
+        core._menu_sizes(2, "5.1")

@@ -158,3 +158,12 @@ def test_unit_interval_pattern_freeness():
     claw = Graph(4, [(1, 2), (1, 3), (1, 4)])
     assert has_induced_c4_or_claw(claw)
     assert unit_interval_bounds(claw) is None
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: bundled_graph("x"), KeyError),
+    (lambda: setattr(K2, "n", 3), AttributeError),
+], ids=["unknown-bundled-graph", "graph-is-immutable"])
+def test_direct_calls_raise(call, error):
+    with pytest.raises(error):
+        call()

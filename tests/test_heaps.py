@@ -10,7 +10,7 @@ from kromatic.heaps import (
     canonical_word_with_perm, enumerate_lyndon, enumerate_pyramids,
     heap_from_word, is_lyndon, is_pyramid, lyndon_count,
     lyndon_mobius_check, lyndon_support_counts, rotate, rotate_to_source,
-    rotation_class, sources, word_str,
+    rotation_class, word_str,
 )
 from kromatic.numbers import divisors, mobius
 from kromatic.symfunc import series_neg_sub, series_reciprocal
@@ -18,7 +18,7 @@ from kromatic.symfunc import series_neg_sub, series_reciprocal
 from helpers import (check_canonical_invariance, clear_caches, compose_all,
                      enumerate_heaps, heap_count_identity_defect,
                      is_aperiodic, lyndon_factorize, series_log,
-                     small_graphs)
+                     small_graphs, sources)
 
 K2 = bundled_graph("k2")
 P3 = bundled_graph("p3")
@@ -348,7 +348,7 @@ def test_enumerate_lyndon_does_not_rotate(monkeypatch):
         raise AssertionError("oracle called")
 
     for name in ("rotation_class", "rotate", "rotate_to_source", "is_lyndon",
-                 "is_pyramid", "sources"):
+                 "is_pyramid", "_upper_closure"):
         monkeypatch.setattr(heaps, name, refuse)
     clear_caches()
     for g in BUNDLED:
@@ -395,3 +395,15 @@ def test_rotate_to_source_rejects_split_heap():
     # the pieces 3 and 1 of P3 commute: no rotation joins them
     with pytest.raises(ValueError):
         rotate_to_source(P3, heap_from_word(P3, (3, 1)), 0)
+
+
+@pytest.mark.parametrize("call, error", [
+    # without the guard, index -1 would read the last piece
+    (lambda: rotate(P3, (1, 2), -1), IndexError),
+    # 3 and 1 are two sources: rotate_to_source would still return the
+    # pyramids (3, 2, 1), (1, 2, 3) and (2, 3, 1)
+    (lambda: rotation_class(P3, (3, 1, 2)), ValueError),
+], ids=["rotate-negative-index", "rotation-class-of-two-sources"])
+def test_direct_calls_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -3,7 +3,8 @@ a relabelling of the vertices must do to F, its omega image, its
 expansions over the multiplicative bases, the Lyndon counts, the
 factorization exponents and the theorem coefficients, and what reversing
 the vertex labels does to the q-refined composition coefficients, and
-what a disjoint union does to the pyramid classes."""
+what a disjoint union and an added isolated vertex do to the pyramid
+classes."""
 from hypothesis import given, settings, strategies as st
 
 from kromatic.core import exponent, kromatic, omega_kromatic, \
@@ -100,3 +101,21 @@ def test_disjoint_union_keeps_each_sides_pyramid_classes(g, h):
         want.update({((0,) * g.n + pieces, asc): c
                      for (pieces, asc), c in pyramid_classes(h, n).items()})
         assert pyramid_classes(gh, n) == want, n
+
+
+@METAMORPHIC
+@given(small_graphs())
+def test_an_isolated_vertex_adds_one_lyndon_heap_and_its_own_pyramids(g):
+    # the new vertex commutes with every old one, so it joins no heap of g;
+    # alone, each size k has one pyramid, k copies of it, with no ascent,
+    # and only the single piece is aperiodic
+    plus = Graph(g.n + 1, g.edges)
+    for k in range(1, 6):
+        want = dict(lyndon_support_counts(g, k))
+        if k == 1:
+            want[1 << g.n] = 1
+        assert lyndon_support_counts(plus, k) == want, k
+        want = {(pieces + (0,), asc): c
+                for (pieces, asc), c in pyramid_classes(g, k).items()}
+        want[((0,) * g.n + (k,), 0)] = 1
+        assert pyramid_classes(plus, k) == want, k

@@ -51,6 +51,18 @@ MUTANTS = [
     ("symfunc.py", "family_sums(logs, N, pow)",
      "family_sums(logs, N, lambda x, m: x * m)",
      "a product over variables takes d_k m_k for d_k^m_k"),
+    ("heaps.py", "_upper_closure(_deps(g), w, 0)",
+     "_upper_closure(_deps(g), w, len(w) - 1)",
+     "the pyramid test reads the closure of the last piece"),
+    ("numbers.py", "return (1 << (j - 1)) * mobius(n)",
+     "return (1 << j) * mobius(n)",
+     "mu_hat doubles at even n"),
+    ("core.py", "lam = sizes(sub + tuple((v, u) for u, v in sub))",
+     "lam = sizes(sub)",
+     "the edge-subset oracle reads components along one direction"),
+    ("heaps.py", "        p = len(out)\n",
+     "        p = len(out) - (len(out) > 2)\n",
+     "insertion never tries the last place of a long word"),
 ]
 
 

@@ -101,6 +101,8 @@ def test_qpoly_ring_ops():
     assert (one + q) * (one + q) == QPoly((1, 2, 1))
     assert (one + q) - (one + q) == 0
     assert q * 0 == QPoly()
+    assert QPoly() * q == q * QPoly() == QPoly() * QPoly() == 0
+    assert (one + q) - 1 == q
     assert not QPoly()
     assert (one + q)(1) == 2
     assert (QPoly((1, 2, 1)))(Fraction(1, 2)) == Fraction(9, 4)
@@ -116,6 +118,10 @@ def test_qpoly_divexact():
         QPoly((1, 1, 1)).divexact(QPoly((1, 1)))
     # non-monic but exact
     assert QPoly((2, 2)).divexact(QPoly(2)) == QPoly((1, 1))
+    # a zero dividend divides; a shorter nonzero one leaves a remainder
+    assert QPoly().divexact(QPoly((1, 1))) == 0
+    with pytest.raises(ValueError):
+        QPoly(1).divexact(QPoly((1, 1)))
 
 
 def test_q_factorial():
@@ -156,3 +162,13 @@ def test_family_sums_examples():
     assert family_sums([((0, 1, 5), 2)], 2, binomial) == \
         {(): 2, (1,): 2, (2,): 10}
     assert family_sums([((0, 1, 5), 2), ((0, 1, 5), -2)], 2, binomial) == {}
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: setattr(QPoly((1, 1)), "c", ()), AttributeError),
+    (lambda: mobius(0), ValueError),
+    (lambda: mu_hat(0), ValueError),
+], ids=["qpoly-is-immutable", "mobius-0", "mu-hat-0"])
+def test_direct_calls_raise(call, error):
+    with pytest.raises(error):
+        call()

@@ -48,6 +48,30 @@ def test_every_definition_has_a_caller():
     assert dead == []
 
 
+def test_every_method_has_a_caller():
+    # a method that no statement of the package reads as an attribute,
+    # outside its own body, is dead code; the check goes by name, so two
+    # methods called coeff are kept alive by a read of either
+    trees = [ast.parse(p.read_text()) for p in SRC.glob("*.py")]
+    methods = [f for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for f in cls.body
+               if isinstance(f, ast.FunctionDef)
+               and not (f.name.startswith("__") and f.name.endswith("__"))]
+    assert methods
+
+    def reads(node, name, skip):
+        if node is skip:
+            return False
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        return any(reads(child, name, skip)
+                   for child in ast.iter_child_nodes(node))
+
+    dead = [f.name for f in methods
+            if not any(reads(tree, f.name, f) for tree in trees)]
+    assert dead == []
+
+
 def test_heap_words_stay_in_the_heap_layer():
     # core and quasisym read the heap layer's count tables, never its words
     tables = {"lyndon_count", "lyndon_support_counts", "pyramid_classes"}

@@ -14,7 +14,8 @@ from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import partitions_of, partitions_up_to, QPoly
 from kromatic.quasisym import kromatic_q
 from kromatic.symfunc import (
-    Expansion, SymPoly, _p_to_m, basis_element, extract, omega,
+    Expansion, SymPoly, _p_to_m, basis_element, extract, generator_series,
+    omega,
     p_decompose_homogeneous, product_over_variables, series_log_derivative,
     series_neg_sub, series_reciprocal, series_truncate,
     sympoly_from_vector_counts, verify_omega_basis_identities,
@@ -434,3 +435,25 @@ def test_stored_values_are_ints():
             assert ints(basis_element(basis, lam, N))
     for name in BUNDLED_MODELS:
         assert ints(kromatic_q(bundled_model(name), 6))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: setattr(SymPoly(3), "N", 4), AttributeError, "immutable"),
+    (lambda: setattr(Expansion("p", 3, {}), "N", 4), AttributeError,
+     "immutable"),
+    (lambda: SymPoly(3, {(1, 2): 1}), ValueError, "not a partition"),
+    (lambda: generator_series("p", 2, 4), ValueError, "no generator series"),
+    (lambda: basis_element("q", (1,), 3), ValueError, "unknown basis"),
+], ids=["sympoly-is-immutable", "expansion-is-immutable", "not-a-partition",
+        "no-p-generator", "unknown-basis"])
+def test_direct_calls_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_negation_truth_and_left_scalar_product():
+    F = kromatic(bundled_graph("p3"), 4)
+    assert (-F).scaled == {lam: -v for lam, v in F.scaled.items()}
+    assert -F + F == SymPoly(4)
+    assert not SymPoly(3) and F
+    assert 2 * F == F.scale(2) == F + F
