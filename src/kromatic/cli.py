@@ -302,11 +302,11 @@ def build_checks(named_graphs, N, selection):
 
     add("recovery", "recover-K2-honest",
         lambda: recover_signed_exponent_multiset(
-            extract(omega_kromatic(K2, 8), "pbar"), (2, 3))
+            extract(omega_kromatic(K2, 8), "pbar", max_part=2), (2, 3))
         == signed_exponent_family(K2, "1.3", (1, 2)))
     add("recovery", "recover-P3-honest",
         lambda: recover_signed_exponent_multiset(
-            extract(omega_kromatic(P3, 13), "pbar"), (3, 5))
+            extract(omega_kromatic(P3, 13), "pbar", max_part=2), (3, 5))
         == signed_exponent_family(P3, "1.3", (1, 2)))
 
     def recover_k4(g):

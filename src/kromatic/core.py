@@ -13,6 +13,7 @@ coloring enumeration proper_set_colorings takes a number M of colors.
 """
 import itertools
 from functools import cache
+from math import comb
 from types import MappingProxyType
 
 from .graphs import (acyclic_orientations, independence_polynomial,
@@ -350,7 +351,9 @@ def recover_signed_exponent_multiset(expansion, caps):
     componentwise-largest vectors downward inside the cap box.
 
     caps bounds the entries of the vectors, one per size 1..len(caps); the
-    true family must lie inside the box for the inversion to be exact."""
+    true family must lie inside the box for the inversion to be exact.  The
+    box reads the coefficients at partitions with parts <= len(caps) and
+    degree <= sum_k k caps[k - 1], so the expansion must reach both."""
     if expansion.basis != "pbar":
         raise ValueError("recovery needs a pbar expansion")
     need = sum((k + 1) * c for k, c in enumerate(caps))
@@ -358,18 +361,23 @@ def recover_signed_exponent_multiset(expansion, caps):
         raise ValueError(
             f"truncation too small: recovering up to caps={caps} needs "
             f"degree {need} > N={expansion.N}")
+    if expansion.max_part is not None and len(caps) > expansion.max_part:
+        raise ValueError(
+            f"parts too small: recovering up to caps={caps} needs parts "
+            f"up to {len(caps)} > max_part={expansion.max_part}")
     box = sorted(itertools.product(*(range(c + 1) for c in caps)),
                  key=lambda u: (-sum(u), u))
     support = {}
     for u in box:
         acc = expansion.coeff(partition_of_multiplicities(u))
         for v, w in support.items():
-            if any(vk < uk for vk, uk in zip(v, u)):
-                continue
-            prod = w
+            # box entries are nonnegative, so C(v_k, u_k) = 0 iff v_k < u_k
             for vk, uk in zip(v, u):
-                prod *= binomial(vk, uk)
-            acc -= prod
+                if vk < uk:
+                    break
+                w *= comb(vk, uk)
+            else:
+                acc -= w
         if acc:
             support[u] = acc
     return support

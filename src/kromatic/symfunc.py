@@ -28,7 +28,7 @@ from functools import cache
 from math import comb, factorial
 
 from .numbers import (QPoly, family_sums, norm_scalar, partition_sort_key,
-                      partitions_of, partitions_up_to, scalar_div, z_lambda)
+                      partitions_of, scalar_div, z_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +208,10 @@ class SymPoly:
         return f"SymPoly(N={self.N}: {body}{more})"
 
 
-def product_over_variables(family, N):
+def product_over_variables(family, N, max_part=None):
     """sum of w prod_i f(x_i) over the (f, w) pairs of a signed family of
-    USeries with constant term 1, truncated to degree N.  With c = log f,
+    USeries with constant term 1, truncated to degree N, and with p_k = 0
+    for every k > max_part if one is given.  With c = log f,
     prod_i f(x_i) is exp(sum_k c_k p_k), whose p_lambda coefficient is
     prod_i c_(lambda_i) / prod_k m_k(lambda)!.  In terms of d = t f'/f,
     with d_k = k c_k, that is prod_i d_(lambda_i) / z_lambda, so the stored
@@ -220,7 +221,7 @@ def product_over_variables(family, N):
     logs = [(series_log_derivative(f, N), w) for f, w in family]
     return SymPoly._of(N, {
         lam: norm_scalar(factorial(sum(lam)) // z_lambda(lam) * s)
-        for lam, s in family_sums(logs, N, pow).items()})
+        for lam, s in family_sums(logs, N, pow, max_part).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +331,14 @@ def generator_series(basis, k, N):
 
 
 @cache
-def basis_element(basis, lam, N):
+def basis_element(basis, lam, N, max_part=None):
     """Multiplicative basis element: p_lam for 'p'; for 'pbar' and
     'pbarprime' the product, over the parts k of lam, of
     prod_i g_k(x_i) - 1 with g_k the generator series.  Its lowest-degree
-    term is p_lam with coefficient 1."""
+    term is p_lam with coefficient 1.  For 'pbar' and 'pbarprime', a
+    max_part sets p_k = 0 for every k > max_part: the terms with a larger
+    part are never built.  'p' ignores it, as extract never asks for p_lam
+    with a part above max_part."""
     if basis == "p":
         return SymPoly(N, {lam: 1} if sum(lam) <= N else {})
     if basis not in ("pbar", "pbarprime"):
@@ -343,8 +347,9 @@ def basis_element(basis, lam, N):
         return SymPoly.const(N, 1)
     if len(lam) == 1:
         return product_over_variables(
-            [(generator_series(basis, lam[0], N), 1)], N) - 1
-    return basis_element(basis, lam[:1], N) * basis_element(basis, lam[1:], N)
+            [(generator_series(basis, lam[0], N), 1)], N, max_part) - 1
+    return (basis_element(basis, lam[:1], N, max_part)
+            * basis_element(basis, lam[1:], N, max_part))
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +362,19 @@ def omega(F):
 
 
 class Expansion:
-    """Coefficients of a symmetric function over a multiplicative basis."""
+    """Coefficients of a symmetric function over a multiplicative basis;
+    with max_part, only those at the partitions whose parts are all
+    <= max_part (None, or any max_part >= N, means every partition)."""
 
-    __slots__ = ("basis", "N", "coeffs")
+    __slots__ = ("basis", "N", "coeffs", "max_part")
 
-    def __init__(self, basis, N, coeffs):
+    def __init__(self, basis, N, coeffs, max_part=None):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "coeffs", dict(coeffs))
+        object.__setattr__(self, "max_part",
+                           None if max_part is None or max_part >= N
+                           else max_part)
 
     def __setattr__(self, *a):
         raise AttributeError("Expansion is immutable")
@@ -374,7 +384,8 @@ class Expansion:
 
     def __eq__(self, other):
         return (isinstance(other, Expansion)
-                and (self.basis, self.N) == (other.basis, other.N)
+                and (self.basis, self.N, self.max_part)
+                == (other.basis, other.N, other.max_part)
                 and self.coeffs == other.coeffs)
 
     def items_sorted(self):
@@ -382,16 +393,33 @@ class Expansion:
 
     def __repr__(self):
         terms = ", ".join(f"{list(l)}: {v!r}" for l, v in self.items_sorted())
-        return f"Expansion[{self.basis}, N={self.N}]({terms})"
+        cap = "" if self.max_part is None else f", max_part={self.max_part}"
+        return f"Expansion[{self.basis}, N={self.N}{cap}]({terms})"
 
 
-def extract(F, basis):
+def extract(F, basis, max_part=None):
     """Expand F over the multiplicative basis ('p', 'pbar', 'pbarprime') by
     peeling partitions in graded order: each basis element is p_lam plus
-    higher degrees, with stored value |lam|! at lam."""
+    higher degrees, with stored value |lam|! at lam.
+
+    With max_part = a, only the coefficients at the partitions whose parts
+    are all <= a are found, and exactly.  Setting p_k = 0 for every k > a
+    is a ring homomorphism pi of the truncated power-sum algebra, since the
+    product is the union of partitions.  It kills every basis element with
+    a part k > a: every term of the generator p_k, pbar_k or pbarprime_k
+    has all its parts divisible by k, so the generator maps to 0.  So
+    pi(F) = sum over the lam with parts <= a of c_lam pi(b_lam), and each
+    pi(b_lam) is still p_lam plus higher degrees, all with parts <= a: the
+    same peel, over those partitions only, on the projected F with the
+    elements pi(b_lam) built directly (basis_element with max_part) gives
+    the c_lam.  With no max_part, a is N and nothing is projected away."""
+    a = F.N if max_part is None else min(max_part, F.N)
+    if a < 0:
+        raise ValueError(f"max_part must be nonnegative, got {max_part}")
     return Expansion(basis, F.N, _peel(
-        dict(F.scaled), partitions_up_to(F.N),
-        lambda lam: basis_element(basis, lam, F.N).scaled))
+        {lam: v for lam, v in F.scaled.items() if max(lam, default=0) <= a},
+        (lam for d in range(F.N + 1) for lam in partitions_of(d, a)),
+        lambda lam: basis_element(basis, lam, F.N, a).scaled), a)
 
 
 def verify_omega_basis_identities(k, N):

@@ -136,6 +136,13 @@ def test_criterion_08_recovery_round_trip():
     assert recover_signed_exponent_multiset(
         extract(omega_kromatic(P3, 13), "pbar"), (3, 5)) == \
         signed_exponent_family(P3, "1.3", (1, 2))
+    # the same from the extractions restricted to the parts <= 2 they read
+    assert recover_signed_exponent_multiset(
+        extract(omega_kromatic(K2, 8), "pbar", max_part=2), (2, 3)) == \
+        signed_exponent_family(K2, "1.3", (1, 2))
+    assert recover_signed_exponent_multiset(
+        extract(omega_kromatic(P3, 13), "pbar", max_part=2), (3, 5)) == \
+        signed_exponent_family(P3, "1.3", (1, 2))
     # sizes up to 4, expansion generated by the subset formula (validated
     # against extraction degreewise in criterion 5's machinery)
     for g in (K2, P3):

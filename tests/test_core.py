@@ -314,6 +314,20 @@ def test_kromatic_expansion_matches_extraction(g, N):
     _check_kromatic_expansion(g, N)
 
 
+@DIFFERENTIAL
+@given(small_graphs(), st.integers(0, 9), st.sampled_from((1, 2, 3)))
+def test_restricted_extraction_keeps_the_small_parts(g, N, a):
+    # pi (p_k = 0 for k > a) kills every basis element with a larger part,
+    # so peeling the projection finds the full coefficients at parts <= a
+    for F in (kromatic(g, N), omega_kromatic(g, N)):
+        for basis in ("pbar", "pbarprime"):
+            got = extract(F, basis, max_part=a)
+            assert got.coeffs == {
+                lam: c for lam, c in extract(F, basis).coeffs.items()
+                if max(lam, default=0) <= a}
+            assert got.max_part == (a if a < N else None)
+
+
 def test_kromatic_expansion_eight_vertices_and_empty_graph():
     rng = random.Random(20261019)
     pairs = list(itertools.combinations(range(1, 9), 2))
@@ -361,6 +375,25 @@ def test_recover_signed_family_p3_from_extraction():
     fam = signed_exponent_family(P3, "1.3", (1, 2))
     assert fam == {(0, 0): -1, (1, 1): 3, (2, 2): -1, (2, 3): -2, (3, 5): 1}
     assert recover_signed_exponent_multiset(extract(F, "pbar"), (3, 5)) == fam
+
+
+def test_recover_signed_family_p3_from_restricted_extraction():
+    # the box (3, 5) reads only parts 1 and 2
+    F = omega_kromatic(P3, 13)
+    exp = extract(F, "pbar", max_part=2)
+    assert set(exp.coeffs) <= {lam for lam in partitions_up_to(13)
+                               if max(lam, default=0) <= 2}
+    assert recover_signed_exponent_multiset(exp, (3, 5)) == \
+        signed_exponent_family(P3, "1.3", (1, 2))
+
+
+def test_recover_refuses_caps_longer_than_max_part():
+    exp = extract(omega_kromatic(P3, 13), "pbar", max_part=1)
+    with pytest.raises(ValueError, match="max_part=1"):
+        recover_signed_exponent_multiset(exp, (3, 5))
+    # caps of one size read parts of size 1 only
+    assert recover_signed_exponent_multiset(exp, (3,)) == \
+        signed_exponent_family(P3, "1.3", (1,))
 
 
 def test_recover_requires_enough_degree():

@@ -48,9 +48,15 @@ MUTANTS = [
      "the count reads the one-heap pick table at every multiplicity"),
     ("symfunc.py", "if d + e > N:", "if d + e >= N:",
      "a product drops its top degree"),
-    ("symfunc.py", "family_sums(logs, N, pow)",
-     "family_sums(logs, N, lambda x, m: x * m)",
+    ("symfunc.py", "family_sums(logs, N, pow, max_part)",
+     "family_sums(logs, N, lambda x, m: x * m, max_part)",
      "a product over variables takes d_k m_k for d_k^m_k"),
+    ("numbers.py", "N if max_part is None else max_part, family)",
+     "N if max_part is None else max_part - 1, family)",
+     "family_sums starts its walk one part below max_part"),
+    ("symfunc.py", "if max(lam, default=0) <= a}",
+     "if max(lam, default=0) < a}",
+     "extraction projects away the parts equal to max_part"),
     ("heaps.py", "_upper_closure(_deps(g), w, 0)",
      "_upper_closure(_deps(g), w, len(w) - 1)",
      "the pyramid test reads the closure of the last piece"),

@@ -21,8 +21,8 @@ from kromatic.symfunc import (
     sympoly_from_vector_counts, verify_omega_basis_identities,
 )
 
-from helpers import (assemble, oracle_add, oracle_extract, oracle_mul,
-                     oracle_omega, oracle_p_decompose_homogeneous,
+from helpers import (assemble, clear_caches, oracle_add, oracle_extract,
+                     oracle_mul, oracle_omega, oracle_p_decompose_homogeneous,
                      oracle_p_to_m, oracle_product_over_variables,
                      oracle_scale, series_log)
 
@@ -262,6 +262,39 @@ def test_extract_round_trip():
             assert assemble(exp, N) == F
 
 
+def test_restricted_basis_elements_are_the_projection():
+    # pi sets p_k = 0 for k > a: it keeps the terms with parts <= a and
+    # sends every element with a larger part to 0
+    N = 7
+    for basis in ("pbar", "pbarprime"):
+        for lam in partitions_up_to(N):
+            for a in range(N + 1):
+                full = basis_element(basis, lam, N).scaled
+                assert basis_element(basis, lam, N, a).scaled == {
+                    mu: v for mu, v in full.items()
+                    if max(mu, default=0) <= a}, (basis, lam, a)
+
+
+def test_full_extraction_after_a_restricted_one():
+    # the restricted basis elements are cached apart from the full ones
+    F = omega_kromatic(bundled_graph("paw"), 8)
+    clear_caches()
+    fresh = {b: extract(F, b) for b in ("pbar", "pbarprime")}
+    clear_caches()
+    for b in ("pbar", "pbarprime"):
+        assert extract(F, b, max_part=2).max_part == 2
+        assert extract(F, b) == fresh[b]
+        assert extract(F, b, max_part=8) == fresh[b]
+
+
+def test_restricted_expansion_container():
+    e = Expansion("pbar", 4, {(2, 1): -2}, max_part=2)
+    assert e.max_part == 2 and e != Expansion("pbar", 4, {(2, 1): -2})
+    assert repr(e) == "Expansion[pbar, N=4, max_part=2]([2, 1]: -2)"
+    # a cap at N or above holds every partition
+    assert Expansion("pbar", 4, {}, max_part=4) == Expansion("pbar", 4, {})
+
+
 def test_extract_fractional_coefficients():
     # extraction is total on symmetric input: m_11 alone expands with
     # rational coefficients and still round-trips exactly
@@ -444,8 +477,10 @@ def test_stored_values_are_ints():
     (lambda: SymPoly(3, {(1, 2): 1}), ValueError, "not a partition"),
     (lambda: generator_series("p", 2, 4), ValueError, "no generator series"),
     (lambda: basis_element("q", (1,), 3), ValueError, "unknown basis"),
+    (lambda: extract(SymPoly(3), "pbar", max_part=-1), ValueError,
+     "max_part must be nonnegative"),
 ], ids=["sympoly-is-immutable", "expansion-is-immutable", "not-a-partition",
-        "no-p-generator", "unknown-basis"])
+        "no-p-generator", "unknown-basis", "negative-max-part"])
 def test_direct_calls_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
