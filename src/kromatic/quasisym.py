@@ -6,7 +6,10 @@ j a color on v, and i < j.  The resulting series is quasisymmetric in
 general and symmetric when the graph comes from a unit interval model.
 
 Routes implemented here:
-  * one transfer matrix over colors (for kromatic_q) and pyramid lists;
+  * one transfer matrix, walked over lists of nonincreasing sizes: over
+    colors (the partition table behind kromatic_q, which takes only graphs
+    whose own labels are those of a natural unit interval order) and over
+    pyramid lists;
   * direct enumeration over set colorings (exponent-vector level), kept as
     the oracle, also of the set-coloring series itself at q = 1;
   * the clan-graph route: blow vertices into cliques, give each piece one
@@ -23,10 +26,11 @@ from itertools import product
 from operator import add, mul
 
 from .core import RULES, proper_set_colorings, rule_sign
-from .graphs import clan_graph, independent_sets, mask_vertices, popcount
+from .graphs import (clan_graph, independent_sets, mask_vertices, popcount,
+                     unit_interval_bounds)
 from .heaps import pyramid_classes
 from .numbers import QPoly, mobius, mu_hat, q_factorial, z_lambda
-from .symfunc import SymPoly, sympoly_from_vector_counts
+from .symfunc import SymPoly, sympoly_from_monomials
 
 
 def _pairs_below(a, b):
@@ -58,8 +62,8 @@ def kromatic_q_vectors(g, N, M):
     Oracle: its cost grows with M, and no production route goes through it.
     The clans-vs-brute-* checks call it on both sides, directly and through
     kromatic_q_via_clans on each clan graph; at q = 1 it is the brute-force
-    side of multiset-roundtrip-*.  The tests hold composition_coefficients
-    and kromatic_q to it."""
+    side of multiset-roundtrip-*.  The tests hold partition_coefficients
+    (at the nonincreasing vectors) and kromatic_q to it."""
     acc = {}
     for coloring in proper_set_colorings(g, N, M):
         vec = tuple(sum(m >> c & 1 for m in coloring) for c in range(M))
@@ -68,10 +72,10 @@ def kromatic_q_vectors(g, N, M):
     return {vec: QPoly(lst) for vec, lst in acc.items() if any(lst)}
 
 
-def _covering_walk(g, steps, N, nonincreasing):
-    """{alpha: sum of q^ascents} over the lists of steps of sizes alpha,
-    |alpha| <= N (nonincreasing, if asked), that cover every vertex, without
-    zeros: the transfer-matrix method (Stanley, EC1 4.7).  steps maps a size
+def _covering_walk(g, steps, N):
+    """{alpha: sum of q^ascents} over the lists of steps of nonincreasing
+    sizes alpha, |alpha| <= N, that cover every vertex: the
+    transfer-matrix method (Stanley, EC1 4.7).  steps maps a size
     to {(c, own): multiplicity}, c the step's pieces per vertex and own its
     own ascents.  After steps with C pieces per vertex, a step adds own +
     sum_u C[u] weight[u], weight[u] its pieces on the neighbours above u.
@@ -92,7 +96,7 @@ def _covering_walk(g, steps, N, nonincreasing):
                 _q_shift_add(total, coeffs, 0)
         if total:
             out[alpha] = QPoly(total)
-        top = min(room, alpha[-1]) if nonincreasing and alpha else room
+        top = min(room, alpha[-1]) if alpha else room
         for a in range(1, top + 1):
             nxt = {}
             for cnt, coeffs in states.items():
@@ -108,27 +112,30 @@ def _covering_walk(g, steps, N, nonincreasing):
     return out
 
 
-def composition_coefficients(g, N):
-    """{alpha: coefficient of x_1^a_1 ... x_l^a_l} in the q-refined series
-    over the compositions with |alpha| <= N, by _covering_walk: color j is
-    a step on an independent set S of size a_j, and as every earlier color
-    is smaller, it adds one per color of u for each neighbour v > u in S."""
+def partition_coefficients(g, N):
+    """{lam: coefficient of x_1^lam_1 ... x_l^lam_l} in the q-refined
+    series over the partitions with |lam| <= N, on any graph, by
+    _covering_walk: color j is a step on an independent set S of size
+    lam_j, and as every earlier color is smaller, it adds one per color of
+    u for each neighbour v > u in S."""
     steps = {}
     for s in independent_sets(g)[1:]:
         steps.setdefault(popcount(s), {})[
             tuple(s >> u & 1 for u in range(g.n)), 0] = 1
-    return _covering_walk(g, steps, N, False)
+    return _covering_walk(g, steps, N)
 
 
 def kromatic_q(g, N):
     """The q-refined series as a SymPoly with QPoly coefficients, to degree
-    N: sympoly_from_vector_counts of composition_coefficients.  An
-    order-preserving relabelling of the colors keeps every ascent, so an
-    exponent vector's coefficient is that of its composition (the vector
-    with its zeros removed), and the compositions alone carry the series.
-    Raises ValueError if the coefficients are not symmetric (graphs with
-    no unit interval model)."""
-    return sympoly_from_vector_counts(composition_coefficients(g, N), N)
+    N: sympoly_from_monomials of partition_coefficients.  The series is
+    symmetric when g's own labels are those of a natural unit interval
+    order, so its m_lam coefficient is its coefficient at x^lam, and the
+    partitions alone carry it.  Raises ValueError (not symmetric) before
+    any walk if unit_interval_bounds finds no such labels."""
+    if unit_interval_bounds(g) is None:
+        raise ValueError(f"not symmetric: {g!r} has no natural unit "
+                         "interval labels")
+    return sympoly_from_monomials(partition_coefficients(g, N), N)
 
 
 def kromatic_q_via_clans(g, N, M):
@@ -165,7 +172,7 @@ def pyramid_p_expansion_q(g, N):
     earlier pyramid and vertex(a) < vertex(b)).  For unit-interval graphs
     this equals omega of kromatic_q."""
     table = _covering_walk(g, {a: pyramid_classes(g, a)
-                               for a in range(1, N + 1)}, N, True)
+                               for a in range(1, N + 1)}, N)
     return SymPoly(N, {lam: poly * Fraction(1, z_lambda(lam))
                        for lam, poly in table.items()})
 

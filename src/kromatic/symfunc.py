@@ -15,11 +15,12 @@ The product is the union of partitions, with the stored values multiplied
 by C(|lambda| + |mu|, |lambda|); omega is a sign on each p_lambda; and a
 product over variables prod_i f(x_i) is exp(sum_k c_k p_k) with
 sum_k c_k t^k = log f(t), so no number of variables enters.  Monomials
-appear only in sympoly_from_vector_counts, which reads exponent-vector
-coefficients by complete orbits (every rearrangement of a key must carry
-its coefficient) and takes no variable count: the compositions of the
-q-refined series and, at q = 1, the brute-force set-coloring counts of
-quasisym.kromatic_q_vectors.
+appear only in sympoly_from_monomials, which converts {lambda: coefficient
+of m_lambda} (the partition table of the q-refined series), and in
+sympoly_from_vector_counts, which reads exponent-vector coefficients by
+complete orbits (every rearrangement of a key must carry its coefficient),
+takes no variable count and ends in sympoly_from_monomials: at q = 1, the
+brute-force set-coloring counts of quasisym.kromatic_q_vectors.
 
 USeries values are plain tuples of coefficients, index = degree.
 """
@@ -28,7 +29,7 @@ from functools import cache
 from math import comb, factorial
 
 from .numbers import (QPoly, family_sums, norm_scalar, partition_sort_key,
-                      partitions_of, scalar_div, z_lambda)
+                      partitions_of, partitions_up_to, scalar_div, z_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +265,19 @@ def _p_to_m(lam):
     return out
 
 
-def p_decompose_homogeneous(slice_coeffs, n):
-    """Write a homogeneous degree-n monomial-basis dict as sum of c_lam
-    p_lam, and return the stored values {lam: n! c_lam}.  Solved
-    triangularly by partition length, longest first: p_lam holds m_lam with
-    coefficient prod_k m_k(lam)! and otherwise only m_mu for shorter mu.
-    The residual is scaled by n!, so that leading coefficient divides it
-    exactly whenever the monomial coefficients are integral (ints or QPolys
-    over the ints)."""
-    f = factorial(n)
-    order = sorted(partitions_of(n),
-                   key=lambda l: (-len(l), partition_sort_key(l)))
-    return _peel({mu: f * v for mu, v in slice_coeffs.items()}, order,
-                 _p_to_m)
+def sympoly_from_monomials(coeffs, N):
+    """The SymPoly, to degree N, of the sum of c m_lam over the items
+    (lam, c) of coeffs, every lam a partition with |lam| <= N.  Solved
+    triangularly by degree and, within one degree, by partition length,
+    longest first: p_lam holds m_lam with coefficient prod_k m_k(lam)! and
+    otherwise only m_mu for shorter mu.  The residual at mu is scaled by
+    |mu|!, so the peel gives the stored values, and that leading
+    coefficient divides them exactly whenever the monomial coefficients
+    are integral (ints or QPolys over the ints)."""
+    order = sorted(partitions_up_to(N), key=lambda l: (sum(l), -len(l)))
+    return SymPoly._of(N, _peel(
+        {mu: factorial(sum(mu)) * v for mu, v in coeffs.items()}, order,
+        _p_to_m))
 
 
 def sympoly_from_vector_counts(counts, N):
@@ -291,9 +292,9 @@ def sympoly_from_vector_counts(counts, N):
     read at its nonincreasing key.  A key that holds a zero must have at
     least N entries, since with fewer variables the m_lambda with more
     parts vanish and distinct functions coincide; and no two orbits may
-    give one lambda, as they do when a table mixes lengths.  Each degree
-    up to N is then converted to power sums."""
-    by_degree = {}
+    give one lambda, as they do when a table mixes lengths.  The m_lambda
+    coefficients up to degree N then go to sympoly_from_monomials."""
+    monomials = {}
     for key, c in counts.items():
         if 0 in key and len(key) < N:
             raise ValueError(f"vector {key} has a zero and fewer entries "
@@ -306,15 +307,11 @@ def sympoly_from_vector_counts(counts, N):
                     f"from the one at {swap} ({counts.get(swap, 0)!r})")
         if c and sum(key) <= N and key == tuple(sorted(key, reverse=True)):
             lam = tuple(x for x in key if x)
-            sl = by_degree.setdefault(sum(lam), {})
-            if lam in sl:
+            if lam in monomials:
                 raise ValueError(f"two orbits give m_{lam}: the keys mix "
                                  "lengths")
-            sl[lam] = c
-    out = {}
-    for n, sl in by_degree.items():
-        out.update(p_decompose_homogeneous(sl, n))
-    return SymPoly._of(N, out)
+            monomials[lam] = c
+    return sympoly_from_monomials(monomials, N)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,22 @@ DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=30,
 
 
 @DIFFERENTIAL
+@given(small_graphs(max_n=3))
+def test_proper_set_colorings_match_a_filter_over_every_tuple(g):
+    # the docstring's contract: one nonempty color mask per vertex, disjoint
+    # on every edge, total size at most the budget, each coloring once
+    for M in range(4):
+        masks = range(1, 1 << M)
+        for budget in range(6):
+            want = sorted(
+                c for c in itertools.product(masks, repeat=g.n)
+                if sum(map(popcount, c)) <= budget
+                and all(c[u - 1] & c[v - 1] == 0 for u, v in g.edges))
+            assert sorted(proper_set_colorings(g, budget, M)) == want, \
+                (M, budget)
+
+
+@DIFFERENTIAL
 @given(small_graphs())
 def test_kromatic_random_graphs(g):
     F = kromatic(g, 5)

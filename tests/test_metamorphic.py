@@ -1,19 +1,23 @@
 """Metamorphic relations on random small graphs: what a disjoint union and
 a relabelling of the vertices must do to F, its omega image, its
 expansions over the multiplicative bases, the Lyndon counts, the
-factorization exponents and the theorem coefficients, and what reversing
-the vertex labels does to the q-refined composition coefficients, and
+factorization exponents and the theorem coefficients, what reversing
+the vertex labels does to the q-refined exponent-vector coefficients,
 what a disjoint union and an added isolated vertex do to the pyramid
-classes."""
+classes, and how a join composes the independence multiset."""
+from itertools import zip_longest
+
 from hypothesis import given, settings, strategies as st
 
-from kromatic.core import exponent, kromatic, omega_kromatic, \
-    theorem_coefficient
-from kromatic.graphs import Graph, mask_of, mask_vertices
+from kromatic.core import RULES, exponent, image_series, \
+    independence_multiset, kromatic, kromatic_from_multiset, omega_kromatic, \
+    series_exponents, theorem_coefficient
+from kromatic.graphs import Graph, independence_polynomial, mask_of, \
+    mask_vertices
 from kromatic.heaps import lyndon_count, lyndon_support_counts, \
     pyramid_classes
 from kromatic.numbers import partitions_up_to
-from kromatic.quasisym import composition_coefficients
+from kromatic.quasisym import kromatic_q_vectors
 from kromatic.symfunc import SymPoly, extract
 
 from helpers import small_graphs
@@ -33,6 +37,21 @@ def disjoint_union(g, h):
     """g beside h, with h's vertices numbered after g's."""
     return Graph(g.n + h.n, list(g.edges)
                  + [(u + g.n, v + g.n) for u, v in h.edges])
+
+
+def join(g, h):
+    """g beside h, as in disjoint_union, with every vertex of g adjacent to
+    every vertex of h."""
+    return Graph(g.n + h.n, list(disjoint_union(g, h).edges)
+                 + [(u, v + g.n) for u in g.vertices() for v in h.vertices()])
+
+
+def join_polynomial(a, b):
+    """I_(W1 u W2) = I_W1 + I_W2 - 1 in a join: an independent set of the
+    join lies on one side."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    out[0] -= 1
+    return tuple(out)
 
 
 @METAMORPHIC
@@ -83,10 +102,10 @@ def test_relabelling_keeps_theorem_coefficients_and_lyndon_supports(g, data):
 @given(small_graphs())
 def test_reversing_the_labels_reverses_the_compositions(g):
     # an edge u < v with color(u) < color(v) is an ascent; renaming each
-    # vertex v to n + 1 - v and each color j to l + 1 - j keeps it one
+    # vertex v to n + 1 - v and each color j to M + 1 - j keeps it one
     reversed_g = relabel(g, range(g.n, 0, -1))
-    assert composition_coefficients(reversed_g, N) == {
-        alpha[::-1]: c for alpha, c in composition_coefficients(g, N).items()}
+    assert kromatic_q_vectors(reversed_g, 5, 4) == {
+        vec[::-1]: c for vec, c in kromatic_q_vectors(g, 5, 4).items()}
 
 
 @METAMORPHIC
@@ -119,3 +138,23 @@ def test_an_isolated_vertex_adds_one_lyndon_heap_and_its_own_pyramids(g):
                 for (pieces, asc), c in pyramid_classes(g, k).items()}
         want[((0,) * g.n + (k,), 0)] = 1
         assert pyramid_classes(plus, k) == want, k
+
+
+@METAMORPHIC
+@given(*PAIRS)
+def test_a_join_composes_the_independence_multiset(g, h):
+    # the join's multiset, composed from the two sides' multisets, gives
+    # its series, and its whole polynomial gives the Lyndon heap exponents
+    gh = join(g, h)
+    composed = tuple((join_polynomial(a, b), s + t)
+                     for a, s in independence_multiset(g)
+                     for b, t in independence_multiset(h))
+    assert kromatic_from_multiset(composed, 5) == kromatic(gh, 5)
+    assert kromatic_from_multiset(composed, 5, image="omega") == \
+        omega_kromatic(gh, 5)
+    whole = join_polynomial(independence_polynomial(g),
+                            independence_polynomial(h))
+    for rule in ("1.2", "1.3", "1.4", "1.5"):
+        image, basis = RULES[rule]
+        assert [exponent(gh, k, rule) for k in range(1, 6)] == \
+            series_exponents(image_series(whole, 5, image), 5, basis), rule

@@ -15,9 +15,8 @@ from kromatic.numbers import partitions_of, partitions_up_to, QPoly
 from kromatic.quasisym import kromatic_q
 from kromatic.symfunc import (
     Expansion, SymPoly, _p_to_m, basis_element, extract, generator_series,
-    omega,
-    p_decompose_homogeneous, product_over_variables, series_log_derivative,
-    series_neg_sub, series_reciprocal, series_truncate,
+    omega, product_over_variables, series_log_derivative, series_neg_sub,
+    series_reciprocal, series_truncate, sympoly_from_monomials,
     sympoly_from_vector_counts, verify_omega_basis_identities,
 )
 
@@ -184,22 +183,27 @@ def test_bases():
 
 
 def test_p_decompose_examples():
-    # the values returned are n! times the p-coefficients, as SymPoly
-    # stores them: 2 m_11 = p_11 - p_2
-    got = p_decompose_homogeneous({(1, 1): 2}, 2)
+    # the stored values are n! times the p-coefficients: 2 m_11 = p_11 - p_2
+    got = sympoly_from_monomials({(1, 1): 2}, 2).scaled
     assert got == {(1, 1): 2, (2,): -2}
     # h_2 = m_2 + m_11 = (p_11 + p_2)/2, stored as ints
-    got = p_decompose_homogeneous({(2,): 1, (1, 1): 1}, 2)
+    got = sympoly_from_monomials({(2,): 1, (1, 1): 1}, 2).scaled
     assert got == {(1, 1): 1, (2,): 1}
     assert all(type(v) is int for v in got.values())
     # m_21 = p_21 - p_3
-    assert p_decompose_homogeneous({(2, 1): 1}, 3) == {(2, 1): 6, (3,): -6}
+    assert sympoly_from_monomials({(2, 1): 1}, 3).scaled == \
+        {(2, 1): 6, (3,): -6}
     # q-polynomials divide exactly too: q m_11 = q (p_11 - p_2) / 2
     q = QPoly((0, 1))
-    assert p_decompose_homogeneous({(1, 1): q}, 2) == {(1, 1): q, (2,): -q}
+    assert sympoly_from_monomials({(1, 1): q}, 2).scaled == \
+        {(1, 1): q, (2,): -q}
     # a non-integral input still converts: m_11 / 3 = (p_11 - p_2) / 6
-    assert p_decompose_homogeneous({(1, 1): Fraction(1, 3)}, 2) == \
+    assert sympoly_from_monomials({(1, 1): Fraction(1, 3)}, 2).scaled == \
         {(1, 1): Fraction(1, 3), (2,): Fraction(-1, 3)}
+    # several degrees at once, each scaled by its own factorial, below N:
+    # 1 + m_1 + m_21 = 1 + p_1 + p_21 - p_3
+    assert sympoly_from_monomials({(): 1, (1,): 1, (2, 1): 1}, 4) == \
+        SymPoly(4, {(): 1, (1,): 1, (2, 1): 1, (3,): -1})
 
 
 def test_monomial_rows_match_box_filling_oracle():
@@ -447,7 +451,7 @@ def test_scaled_monomial_conversion_matches_fraction_oracle(n, data):
     lams = data.draw(st.lists(st.sampled_from(pool), min_size=1,
                               max_size=4, unique=True))
     sl = {lam: v for lam in lams if (v := data.draw(_coefficients))}
-    got = p_decompose_homogeneous(sl, n)
+    got = sympoly_from_monomials(sl, n).scaled
     assert {lam: v * Fraction(1, factorial(n)) for lam, v in got.items()} \
         == oracle_p_decompose_homogeneous(sl, n)
 
