@@ -14,7 +14,6 @@ Exit status: 0 success, 1 failed verification (or failed computation),
 
 import argparse
 import functools
-import itertools
 import json
 import random
 import sys
@@ -33,7 +32,7 @@ from .graphs import (acyclic_orientations, graph_from_json, model_from_json,
 from .heaps import (enumerate_lyndon, heap_from_word, is_lyndon,
                     lyndon_count, lyndon_mobius_check, rotation_class,
                     word_str)
-from .numbers import (QPoly, divisors, mu_hat, partition_of_multiplicities,
+from .numbers import (QPoly, binomial, divisors, family_sums, mu_hat,
                       partitions_up_to)
 from .quasisym import (RULES_Q, kromatic_q, kromatic_q_vectors,
                        kromatic_q_via_clans, power_sum_coefficient_q,
@@ -301,23 +300,22 @@ def build_checks(named_graphs, N, selection):
         add("recovery", f"multiset-roundtrip-{name}", roundtrip)
 
     add("recovery", "recover-K2-honest",
-        lambda: recover_signed_exponent_multiset(
-            extract(omega_kromatic(K2, 8), "pbar", max_part=2), (2, 3))
+        lambda: recover_signed_exponent_multiset(extract(
+            omega_kromatic(K2, 8, max_part=2), "pbar", max_part=2), (2, 3))
         == signed_exponent_family(K2, "1.3", (1, 2)))
     add("recovery", "recover-P3-honest",
-        lambda: recover_signed_exponent_multiset(
-            extract(omega_kromatic(P3, 13), "pbar", max_part=2), (3, 5))
+        lambda: recover_signed_exponent_multiset(extract(
+            omega_kromatic(P3, 13, max_part=2), "pbar", max_part=2), (3, 5))
         == signed_exponent_family(P3, "1.3", (1, 2)))
 
     def recover_k4(g):
+        # forward: the family walk over the partitions with parts <= 4
+        family = signed_exponent_family(g, "1.3", (1, 2, 3, 4))
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
-        lams = [partition_of_multiplicities(u)
-                for u in itertools.product(*(range(c + 1) for c in caps))]
-        exp = Expansion("pbar", max(map(sum, lams)),
-                        {lam: theorem_coefficient_subsets(g, lam, "1.3")
-                         for lam in lams})
-        return (recover_signed_exponent_multiset(exp, caps)
-                == signed_exponent_family(g, "1.3", (1, 2, 3, 4)))
+        N = sum(k * c for k, c in enumerate(caps, 1))
+        exp = Expansion("pbar", N, family_sums(
+            (((0, *v), w) for v, w in family.items()), N, binomial, 4), 4)
+        return recover_signed_exponent_multiset(exp, caps) == family
 
     add("recovery", "recover-K2-k4", lambda: recover_k4(K2))
     add("recovery", "recover-P3-k4", lambda: recover_k4(P3))

@@ -19,8 +19,7 @@ from types import MappingProxyType
 from .graphs import (acyclic_orientations, independence_polynomial,
                      mask_vertices, popcount, source_components)
 from .heaps import lyndon_count, lyndon_support_counts
-from .numbers import (binomial, family_sums, multiplicities,
-                      partition_of_multiplicities)
+from .numbers import binomial, family_sums, multiplicities
 from .symfunc import (
     Expansion, generator_series, product_over_variables,
     series_log_derivative, series_neg_sub, series_reciprocal,
@@ -102,10 +101,12 @@ def kromatic(g, N):
     return kromatic_from_multiset(independence_multiset(g), N)
 
 
-def omega_kromatic(g, N):
+def omega_kromatic(g, N, max_part=None):
     """omega of the set-coloring generating function, computed directly from
-    the reciprocal independence series of each induced subgraph."""
-    return kromatic_from_multiset(independence_multiset(g), N, image="omega")
+    the reciprocal independence series of each induced subgraph; with
+    max_part, projected as in kromatic_from_multiset."""
+    return kromatic_from_multiset(independence_multiset(g), N, "omega",
+                                  max_part)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +319,18 @@ def independence_multiset(g):
                         for mask in range(g.full_mask + 1)))
 
 
-def kromatic_from_multiset(ms, N, image="direct"):
+def kromatic_from_multiset(ms, N, image="direct", max_part=None):
     """The (direct or omega) set-coloring generating function from an
     independence multiset alone: the alternating sum over its entries of
     prod_i f(x_i), where f is the entry's independence polynomial I (direct)
     or 1 / I(-t) (omega).  Equal polynomials have their signs summed first:
-    many subsets share one."""
+    many subsets share one.  With max_part, p_k = 0 for every k > max_part:
+    the projection that symfunc.extract proves exact at the partitions with
+    parts <= max_part."""
     family = signed_subset_sum(ms, max(size for _, size in ms))
     return product_over_variables(
-        [(image_series(poly, N, image), w) for poly, w in family.items()], N)
+        [(image_series(poly, N, image), w) for poly, w in family.items()], N,
+        max_part)
 
 
 def kromatic_expansion(ms, N, image, basis):
@@ -353,7 +357,14 @@ def recover_signed_exponent_multiset(expansion, caps):
     caps bounds the entries of the vectors, one per size 1..len(caps); the
     true family must lie inside the box for the inversion to be exact.  The
     box reads the coefficients at partitions with parts <= len(caps) and
-    degree <= sum_k k caps[k - 1], so the expansion must reach both."""
+    degree <= sum_k k caps[k - 1], so the expansion must reach both.
+
+    The coefficients are read once into a residual keyed by the vector u of
+    part multiplicities.  A vector's row, prod_k C(v_k, u_k), is nonzero
+    only on its down-set u <= v, where it is 1 at u = v; so walking the box
+    by decreasing entry sum, the residual at u is final when the walk
+    reaches it.  A nonzero residual is u's weight, and u's row times it is
+    pushed off the down-set, built one part at a time."""
     if expansion.basis != "pbar":
         raise ValueError("recovery needs a pbar expansion")
     need = sum((k + 1) * c for k, c in enumerate(caps))
@@ -365,21 +376,22 @@ def recover_signed_exponent_multiset(expansion, caps):
         raise ValueError(
             f"parts too small: recovering up to caps={caps} needs parts "
             f"up to {len(caps)} > max_part={expansion.max_part}")
+    residual = {tuple(map(lam.count, range(1, len(caps) + 1))): c
+                for lam, c in expansion.coeffs.items()
+                if max(lam, default=0) <= len(caps)}
     box = sorted(itertools.product(*(range(c + 1) for c in caps)),
                  key=lambda u: (-sum(u), u))
     support = {}
     for u in box:
-        acc = expansion.coeff(partition_of_multiplicities(u))
-        for v, w in support.items():
-            # box entries are nonnegative, so C(v_k, u_k) = 0 iff v_k < u_k
-            for vk, uk in zip(v, u):
-                if vk < uk:
-                    break
-                w *= comb(vk, uk)
-            else:
-                acc -= w
-        if acc:
-            support[u] = acc
+        if not (w := residual.get(u)):
+            continue
+        support[u] = w
+        row = {(): w}
+        for u_k in u:
+            row = {x + (x_k,): c * comb(u_k, x_k)
+                   for x, c in row.items() for x_k in range(u_k + 1)}
+        for x, c in row.items():
+            residual[x] = residual.get(x, 0) - c
     return support
 
 

@@ -41,12 +41,6 @@ def multiplicities(lam):
     return m
 
 
-def partition_of_multiplicities(u):
-    """The partition with u[k - 1] parts equal to k: the inverse of
-    multiplicities, read as a vector over the part sizes 1..len(u)."""
-    return tuple(k for k in range(len(u), 0, -1) for _ in range(u[k - 1]))
-
-
 def family_sums(family, N, factor, max_part=None):
     """{lam: sum of w * prod_k factor(v[k], m_k(lam))} over the (v, w) pairs
     of a signed family, for every partition lam with |lam| <= N and parts

@@ -7,6 +7,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
+from math import comb, prod
 
 from hypothesis import strategies as st
 
@@ -118,6 +119,25 @@ def oracle_family_sums(family, N, factor):
             total += w
         if total:
             out[lam] = total
+    return out
+
+
+def partition_of_multiplicities(u):
+    """The partition with u[k - 1] parts equal to k: the inverse of
+    multiplicities, read as a vector over the part sizes 1..len(u)."""
+    return tuple(k for k in range(len(u), 0, -1) for _ in range(u[k - 1]))
+
+
+def binomial_sum_coefficients(pairs, caps):
+    """{partition_of_multiplicities(u): sum of w * prod_k C(v_k, u_k)} over
+    the (v, w) pairs, one vector u of the cap box at a time, with the zero
+    sums left out: the forward map that
+    core.recover_signed_exponent_multiset inverts."""
+    out = {}
+    for u in itertools.product(*(range(c + 1) for c in caps)):
+        total = sum(w * prod(map(comb, v, u)) for v, w in pairs)
+        if total:
+            out[partition_of_multiplicities(u)] = total
     return out
 
 

@@ -5,7 +5,7 @@ import itertools
 import random
 
 from helpers import (assemble, brute_force_kromatic,
-                     check_canonical_invariance)
+                     check_canonical_invariance, partition_of_multiplicities)
 
 from kromatic import bundled_graph
 from kromatic.core import (chromatic_p_expansion_oracles, exponent,
@@ -16,8 +16,7 @@ from kromatic.core import (chromatic_p_expansion_oracles, exponent,
                            theorem_coefficient_subsets, verify_factorization)
 from kromatic.heaps import (enumerate_pyramids, heap_from_word, is_lyndon,
                             lyndon_count, rotation_class, word_str)
-from kromatic.numbers import (divisors, mobius, mu_hat,
-                              partition_of_multiplicities, partitions_up_to)
+from kromatic.numbers import divisors, mobius, mu_hat, partitions_up_to
 from kromatic.quasisym import (kromatic_q, kromatic_q_vectors,
                                kromatic_q_via_clans, power_sum_coefficient_q,
                                pyramid_p_expansion_q, specialize_q)

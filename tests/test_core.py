@@ -17,11 +17,12 @@ from kromatic.core import (
 )
 from kromatic.graphs import Graph, popcount
 from kromatic.heaps import lyndon_support_counts
-from kromatic.numbers import partition_of_multiplicities, partitions_up_to
-from kromatic.symfunc import Expansion, extract, omega
+from kromatic.numbers import partitions_up_to
+from kromatic.symfunc import Expansion, SymPoly, extract, omega
 
-from helpers import (brute_force_chromatic, brute_force_kromatic,
-                     clear_caches, induced_subgraph, small_graphs,
+from helpers import (binomial_sum_coefficients, brute_force_chromatic,
+                     brute_force_kromatic, clear_caches, induced_subgraph,
+                     partition_of_multiplicities, small_graphs,
                      theorem_coefficient_by_products)
 
 K1 = bundled_graph("k1")
@@ -441,6 +442,60 @@ def test_recover_signed_family_k4_forward():
                          for lam in lams})
         got = recover_signed_exponent_multiset(exp, caps)
         assert got == fam
+
+
+@st.composite
+def signed_families_in_boxes(draw):
+    """(caps, pairs): one to four caps up to 3, and (vector, weight) pairs
+    inside their box with weights in -3..3, some of them repeated with the
+    opposite weight so that they cancel."""
+    caps = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)))
+    vectors = st.tuples(*(st.integers(0, c) for c in caps))
+    pairs = draw(st.lists(st.tuples(vectors, st.integers(-3, 3)),
+                          max_size=8))
+    undo = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return caps, pairs + [(v, -w) for v, w in undo]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(signed_families_in_boxes(), st.data())
+def test_recovery_round_trips_a_signed_family(box, data):
+    # the push peel inverts the per-vector binomial sums exactly, and the
+    # terms the box does not read change nothing
+    caps, pairs = box
+    family = {}
+    for v, w in pairs:
+        family[v] = family.get(v, 0) + w
+    family = {v: w for v, w in family.items() if w}
+    N = sum(k * c for k, c in enumerate(caps, 1)) + len(caps) + 1
+    coeffs = binomial_sum_coefficients(pairs, caps)
+    assert recover_signed_exponent_multiset(
+        Expansion("pbar", N, coeffs), caps) == family
+    # one multiplicity past its cap, and a part past len(caps)
+    over = list(caps)
+    over[data.draw(st.integers(0, len(caps) - 1))] += 1
+    weights = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    outside = {partition_of_multiplicities(over): data.draw(weights),
+               (len(caps) + 1, *partition_of_multiplicities(caps)):
+               data.draw(weights)}
+    assert recover_signed_exponent_multiset(
+        Expansion("pbar", N, {**coeffs, **outside}), caps) == family
+
+
+@DIFFERENTIAL
+@given(small_graphs(), st.integers(0, 7), st.sampled_from((1, 2, 3)))
+def test_projected_series_drops_the_large_parts(g, N, a):
+    # with max_part = a the series is the full one without every term that
+    # has a part > a, and extraction at the parts <= a reads the same
+    ms = independence_multiset(g)
+    for image in ("direct", "omega"):
+        full = kromatic_from_multiset(ms, N, image)
+        got = kromatic_from_multiset(ms, N, image, max_part=a)
+        assert got == SymPoly(N, {lam: c for lam, c in full.terms().items()
+                                  if max(lam, default=0) <= a})
+        assert extract(got, "pbar", max_part=a) == \
+            extract(full, "pbar", max_part=a)
+    assert omega_kromatic(g, N, max_part=a) == got
 
 
 def test_forward_coefficients_match_extraction_low_degree():

@@ -69,6 +69,10 @@ MUTANTS = [
     ("heaps.py", "        p = len(out)\n",
      "        p = len(out) - (len(out) > 2)\n",
      "insertion never tries the last place of a long word"),
+    ("core.py", "for x_k in range(u_k + 1)}", "for x_k in range(u_k)}",
+     "the recovery peel pushes a row off its down-set short of each top"),
+    ("cli.py", "N, binomial, 4), 4)", "N, binomial, 3), 4)",
+     "the recover-*-k4 forward walk stops at parts <= 3"),
 ]
 
 
