@@ -24,16 +24,15 @@ from . import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, bundled_model
 from .core import (CLAIMS, RULES, chromatic_p_expansion_oracles, exponent,
                    independence_multiset, kromatic, kromatic_expansion,
                    kromatic_from_multiset, omega_kromatic,
-                   recover_signed_exponent_multiset, rule_sign,
-                   signed_exponent_family, theorem_coefficient,
+                   peel_signed_family, recover_signed_exponent_multiset,
+                   rule_sign, signed_exponent_family, theorem_coefficient,
                    theorem_coefficient_subsets, verify_factorization)
 from .graphs import (acyclic_orientations, graph_from_json, model_from_json,
                      unit_interval_bounds)
 from .heaps import (enumerate_lyndon, heap_from_word, is_lyndon,
                     lyndon_count, lyndon_mobius_check, rotation_class,
                     word_str)
-from .numbers import (QPoly, binomial, divisors, family_sums, mu_hat,
-                      partitions_up_to)
+from .numbers import QPoly, binomial, divisors, mu_hat, partitions_up_to
 from .quasisym import (RULES_Q, kromatic_q, kromatic_q_vectors,
                        kromatic_q_via_clans, power_sum_coefficient_q,
                        pyramid_p_expansion_q, specialize_q)
@@ -117,14 +116,11 @@ def run_qexpand(args, parser):
 
 def run_lyndon(args, parser):
     name, g = _load(args.graph)
-    sizes = {}
-    counts = {}
-    for n in range(1, args.degree + 1):
-        words = [word_str(w) for w in enumerate_lyndon(g, n)]
-        counts[str(n)] = len(words)
-        sizes[str(n)] = words
-    _emit({"graph": name, "degree": args.degree, "counts": counts,
-           "words": sizes}, args.out)
+    words = {str(n): [word_str(w) for w in enumerate_lyndon(g, n)]
+             for n in range(1, args.degree + 1)}
+    _emit({"graph": name, "degree": args.degree,
+           "counts": {n: len(ws) for n, ws in words.items()},
+           "words": words}, args.out)
     return 0
 
 
@@ -165,6 +161,24 @@ def _invariant_word_shuffles(g):
     return True
 
 
+def binomial_box_sums(family, caps):
+    """{u: sum of w * prod_k binomial(v_k, u_k)} over the (v, w) of a signed
+    family, at the vectors u of the box 0 <= u <= caps: the forward map of
+    the recover-*-k4 checks.  Each v adds the outer product of its per-part
+    rows of binomial over the box, without their zero entries; no partition
+    is built."""
+    sums = {}
+    for v, w in family.items():
+        terms = {(): w}
+        for v_k, c in zip(v, caps):
+            row = [binomial(v_k, m) for m in range(c + 1)]
+            terms = {u + (m,): t * b for u, t in terms.items()
+                     for m, b in enumerate(row) if b}
+        for u, t in terms.items():
+            sums[u] = sums.get(u, 0) + t
+    return sums
+
+
 def build_checks(named_graphs, N, selection):
     """List of (suite, check-name, thunk) for the suite named by selection,
     or for every suite if it is "all".  Thunks return truthy on pass."""
@@ -178,15 +192,9 @@ def build_checks(named_graphs, N, selection):
     P3 = bundled_graph("p3")
 
     # --- numbers ---------------------------------------------------------
-    def dirichlet():
-        for n in range(1, 65):
-            want = 1 if n == 1 else 0
-            if sum(mu_hat(d) * (-1) ** (n // d + 1)
-                   for d in divisors(n)) != want:
-                return False
-        return True
-
-    add("numbers", "dirichlet-inverse-64", dirichlet)
+    add("numbers", "dirichlet-inverse-64",
+        lambda: all(sum(mu_hat(d) * (-1) ** (n // d + 1) for d in divisors(n))
+                    == (n == 1) for n in range(1, 65)))
     add("numbers", "omega-basis-rules-k4",
         lambda: all(verify_omega_basis_identities(k, 8)
                     for k in range(1, 5)))
@@ -194,11 +202,8 @@ def build_checks(named_graphs, N, selection):
     # --- heaps -----------------------------------------------------------
     def rotation_example():
         cls = rotation_class(P3, heap_from_word(P3, (2, 3, 1, 1)))
-        words = sorted(word_str(x) for x in cls)
-        if words != ["1123", "1231", "2311", "3211"]:
-            return False
-        reps = [word_str(x) for x in cls if is_lyndon(P3, x)]
-        return reps == ["1123"]
+        return (sorted(map(word_str, cls)) == ["1123", "1231", "2311", "3211"]
+                and [word_str(x) for x in cls if is_lyndon(P3, x)] == ["1123"])
 
     add("heaps", "rotation-example-P3-2311", rotation_example)
     add("heaps", "lyndon-counts-K2",
@@ -299,23 +304,17 @@ def build_checks(named_graphs, N, selection):
 
         add("recovery", f"multiset-roundtrip-{name}", roundtrip)
 
-    add("recovery", "recover-K2-honest",
-        lambda: recover_signed_exponent_multiset(extract(
-            omega_kromatic(K2, 8, max_part=2), "pbar", max_part=2), (2, 3))
-        == signed_exponent_family(K2, "1.3", (1, 2)))
-    add("recovery", "recover-P3-honest",
-        lambda: recover_signed_exponent_multiset(extract(
-            omega_kromatic(P3, 13, max_part=2), "pbar", max_part=2), (3, 5))
-        == signed_exponent_family(P3, "1.3", (1, 2)))
+    for name, g, n, caps in (("K2", K2, 8, (2, 3)), ("P3", P3, 13, (3, 5))):
+        add("recovery", f"recover-{name}-honest",
+            lambda g=g, n=n, caps=caps: recover_signed_exponent_multiset(
+                extract(omega_kromatic(g, n, max_part=2), "pbar", max_part=2),
+                caps) == signed_exponent_family(g, "1.3", (1, 2)))
 
     def recover_k4(g):
-        # forward: the family walk over the partitions with parts <= 4
         family = signed_exponent_family(g, "1.3", (1, 2, 3, 4))
         caps = tuple(exponent(g, k, "1.3") for k in range(1, 5))
-        N = sum(k * c for k, c in enumerate(caps, 1))
-        exp = Expansion("pbar", N, family_sums(
-            (((0, *v), w) for v, w in family.items()), N, binomial, 4), 4)
-        return recover_signed_exponent_multiset(exp, caps) == family
+        return peel_signed_family(binomial_box_sums(family, caps),
+                                  caps) == family
 
     add("recovery", "recover-K2-k4", lambda: recover_k4(K2))
     add("recovery", "recover-P3-k4", lambda: recover_k4(P3))

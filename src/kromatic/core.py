@@ -119,8 +119,7 @@ def proper_set_colorings(g, budget, M):
     Oracle: callers reach it through quasisym.kromatic_q_vectors, whose
     value at q = 1 is the brute-force series of the multiset-roundtrip-*
     checks and which is itself both sides of the clans-vs-brute-* checks."""
-    nonempty = [m for m in range(1, 1 << M)]
-    nonempty.sort(key=popcount)
+    nonempty = sorted(range(1, 1 << M), key=popcount)
 
     def rec(v, remaining, acc):
         if v > g.n:
@@ -351,20 +350,18 @@ def kromatic_expansion(ms, N, image, basis):
 
 def recover_signed_exponent_multiset(expansion, caps):
     """Invert a pbar expansion into the signed family {vector: weight} with
-    coefficient(lam(u)) = sum_v weight(v) * prod_k C(v_k, u_k), peeling from
-    componentwise-largest vectors downward inside the cap box.
+    coefficient(lam(u)) = sum_v weight(v) * prod_k C(v_k, u_k), by
+    peel_signed_family on the vectors of part multiplicities.
 
     caps bounds the entries of the vectors, one per size 1..len(caps); the
     true family must lie inside the box for the inversion to be exact.  The
     box reads the coefficients at partitions with parts <= len(caps) and
     degree <= sum_k k caps[k - 1], so the expansion must reach both.
 
-    The coefficients are read once into a residual keyed by the vector u of
-    part multiplicities.  A vector's row, prod_k C(v_k, u_k), is nonzero
-    only on its down-set u <= v, where it is 1 at u = v; so walking the box
-    by decreasing entry sum, the residual at u is final when the walk
-    reaches it.  A nonzero residual is u's weight, and u's row times it is
-    pushed off the down-set, built one part at a time."""
+    The coefficients are read once: a partition is nonincreasing, so its
+    first part says whether the box reads it, and one pass over its parts
+    counts them into the vector u.  Besides the refusals below, the peel
+    refuses a negative cap."""
     if expansion.basis != "pbar":
         raise ValueError("recovery needs a pbar expansion")
     need = sum((k + 1) * c for k, c in enumerate(caps))
@@ -376,22 +373,44 @@ def recover_signed_exponent_multiset(expansion, caps):
         raise ValueError(
             f"parts too small: recovering up to caps={caps} needs parts "
             f"up to {len(caps)} > max_part={expansion.max_part}")
-    residual = {tuple(map(lam.count, range(1, len(caps) + 1))): c
-                for lam, c in expansion.coeffs.items()
-                if max(lam, default=0) <= len(caps)}
-    box = sorted(itertools.product(*(range(c + 1) for c in caps)),
-                 key=lambda u: (-sum(u), u))
-    support = {}
-    for u in box:
-        if not (w := residual.get(u)):
-            continue
-        support[u] = w
-        row = {(): w}
-        for u_k in u:
-            row = {x + (x_k,): c * comb(u_k, x_k)
-                   for x, c in row.items() for x_k in range(u_k + 1)}
-        for x, c in row.items():
-            residual[x] = residual.get(x, 0) - c
+    coeffs = {}
+    for lam, c in expansion.coeffs.items():
+        if not lam or lam[0] <= len(caps):
+            u = [0] * len(caps)
+            for p in lam:
+                u[p - 1] += 1
+            coeffs[tuple(u)] = c
+    return peel_signed_family(coeffs, caps)
+
+
+def peel_signed_family(coeffs, caps):
+    """The signed family {v: weight} inside the box 0 <= v <= caps with
+    coeffs[u] = sum_v weight(v) * prod_k C(v_k, u_k) at every u of the box,
+    from {multiplicity vector: coefficient} (an absent u reads 0, a u
+    outside the box is never read).  A negative cap raises ValueError.
+
+    A vector's row, prod_k C(v_k, u_k), is nonzero only on its down-set
+    u <= v, where it is 1 at u = v.  The box is walked in reverse
+    lexicographic order, the product of its descending ranges: if u < v
+    componentwise, then at the first entry where they differ u is smaller,
+    so v comes first.  This order is thus a linear extension of the
+    componentwise order from the top, and no sort is needed: the residual
+    at u is final when the walk reaches it.  A nonzero residual is u's
+    weight, and u's row times it, the product of u's per-part rows of
+    comb, is pushed off the down-set."""
+    if any(c < 0 for c in caps):
+        raise ValueError(f"negative cap in caps={caps}")
+    residual, support = dict(coeffs), {}
+    for u in itertools.product(*(range(c, -1, -1) for c in caps)):
+        if w := residual.get(u):
+            support[u] = w
+            row = {(): w}
+            for u_k in u:
+                part = [comb(u_k, x_k) for x_k in range(u_k + 1)]
+                row = {x + (x_k,): c * b for x, c in row.items()
+                       for x_k, b in enumerate(part)}
+            for x, c in row.items():
+                residual[x] = residual.get(x, 0) - c
     return support
 
 

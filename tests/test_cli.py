@@ -677,6 +677,26 @@ def test_multiset_roundtrip_fails_on_either_side(capsys, monkeypatch):
         assert "FAIL multiset-roundtrip-P3" in out, name
 
 
+def test_recover_k4_checks_build_no_partition(monkeypatch):
+    # the k4 forward map and the peel work on multiplicity vectors: with
+    # the partition walks and Expansion made to raise wherever the package
+    # binds them, and every cache emptied, both checks still pass
+    from kromatic import numbers, symfunc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a recover-*-k4 check built a partition")
+
+    checks = {name: fn for _, name, fn in build_checks([], 6, "recovery")}
+    clear_caches()
+    refused = (numbers.family_sums, numbers.partitions_of, symfunc.Expansion)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "kromatic":
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in refused):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert checks["recover-K2-k4"]() and checks["recover-P3-k4"]()
+
+
 COMMON_OPTIONS = {"-h/--help": (None, argparse.SUPPRESS, False),
                   "--degree": (positive_int, 5, False),
                   "--out": (None, None, False),

@@ -7,13 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kromatic import bundled_graph
+from kromatic.cli import binomial_box_sums
 import kromatic.core as core
 from kromatic.core import (
     chromatic_p_expansion_oracles, exponent, exponent_column,
     independence_multiset, kromatic, kromatic_expansion,
-    kromatic_from_multiset, omega_kromatic, pick_table, proper_set_colorings,
-    recover_signed_exponent_multiset, rule_sign, signed_exponent_family,
-    theorem_coefficient, theorem_coefficient_subsets, verify_factorization,
+    kromatic_from_multiset, omega_kromatic, peel_signed_family, pick_table,
+    proper_set_colorings, recover_signed_exponent_multiset, rule_sign,
+    signed_exponent_family, theorem_coefficient, theorem_coefficient_subsets,
+    verify_factorization,
 )
 from kromatic.graphs import Graph, popcount
 from kromatic.heaps import lyndon_support_counts
@@ -426,6 +428,16 @@ def test_recover_requires_pbar():
             extract(omega_kromatic(K2, 8), "pbarprime"), (2, 3))
 
 
+@pytest.mark.parametrize("caps", [(-1,), (2, -1)])
+def test_recover_refuses_a_negative_cap(caps):
+    # an empty box would drop the whole residual and return {}
+    exp = extract(omega_kromatic(K2, 8), "pbar")
+    with pytest.raises(ValueError, match="negative cap"):
+        recover_signed_exponent_multiset(exp, caps)
+    with pytest.raises(ValueError, match="negative cap"):
+        peel_signed_family({(0,) * len(caps): 1}, caps)
+
+
 def test_recover_signed_family_k4_forward():
     # at sizes up to 4 the honest truncation is out of reach (degree ~38+),
     # so the expansion is generated by the subset formula, whose agreement
@@ -480,6 +492,20 @@ def test_recovery_round_trips_a_signed_family(box, data):
                data.draw(weights)}
     assert recover_signed_exponent_multiset(
         Expansion("pbar", N, {**coeffs, **outside}), caps) == family
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(signed_families_in_boxes())
+def test_box_binomial_sums_match_the_per_vector_oracle(box):
+    # the recover-*-k4 forward map, one outer product of binomial rows per
+    # family vector, against the sums taken one box vector at a time
+    caps, pairs = box
+    family = {}
+    for v, w in pairs:
+        family[v] = family.get(v, 0) + w
+    got = {partition_of_multiplicities(u): c
+           for u, c in binomial_box_sums(family, caps).items() if c}
+    assert got == binomial_sum_coefficients(pairs, caps)
 
 
 @DIFFERENTIAL

@@ -69,10 +69,14 @@ MUTANTS = [
     ("heaps.py", "        p = len(out)\n",
      "        p = len(out) - (len(out) > 2)\n",
      "insertion never tries the last place of a long word"),
-    ("core.py", "for x_k in range(u_k + 1)}", "for x_k in range(u_k)}",
+    ("core.py", "for x_k in range(u_k + 1)]", "for x_k in range(u_k)]",
      "the recovery peel pushes a row off its down-set short of each top"),
-    ("cli.py", "N, binomial, 4), 4)", "N, binomial, 3), 4)",
-     "the recover-*-k4 forward walk stops at parts <= 3"),
+    ("core.py", "range(c, -1, -1) for c in caps",
+     "range(c + 1) for c in caps",
+     "the recovery peel walks the box bottom-up"),
+    ("cli.py", "for v_k, c in zip(v, caps):",
+     "for v_k, c in zip(v[:3], caps):",
+     "the recover-*-k4 forward map leaves out part 4"),
 ]
 
 
