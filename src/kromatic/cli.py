@@ -23,9 +23,9 @@ from pathlib import Path
 from . import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, bundled_model
 from .core import (CLAIMS, RULES, chromatic_p_expansion_oracles, exponent,
                    independence_multiset, kromatic, kromatic_expansion,
-                   kromatic_from_multiset, omega_kromatic,
-                   peel_signed_family, recover_signed_exponent_multiset,
-                   rule_sign, signed_exponent_family, theorem_coefficient,
+                   kromatic_from_multiset, peel_signed_family,
+                   recover_signed_exponent_multiset, rule_sign,
+                   signed_exponent_family, theorem_coefficient,
                    theorem_coefficient_subsets, verify_factorization)
 from .graphs import (acyclic_orientations, graph_from_json, model_from_json,
                      unit_interval_bounds)
@@ -241,7 +241,7 @@ def build_checks(named_graphs, N, selection):
     @functools.cache
     def theorem_targets(g):
         return extractions(
-            {"direct": kromatic(g, N), "omega": omega_kromatic(g, N)},
+            {"direct": kromatic(g, N), "omega": kromatic(g, N, "omega")},
             CLAIMS.values())
 
     @functools.cache
@@ -307,7 +307,7 @@ def build_checks(named_graphs, N, selection):
     for name, g, n, caps in (("K2", K2, 8, (2, 3)), ("P3", P3, 13, (3, 5))):
         add("recovery", f"recover-{name}-honest",
             lambda g=g, n=n, caps=caps: recover_signed_exponent_multiset(
-                extract(omega_kromatic(g, n, max_part=2), "pbar", max_part=2),
+                extract(kromatic(g, n, "omega", 2), "pbar", max_part=2),
                 caps) == signed_exponent_family(g, "1.3", (1, 2)))
 
     def recover_k4(g):

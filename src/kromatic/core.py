@@ -6,7 +6,9 @@ disjoint sets.  The generating function weights a coloring by the product of
 x_i over all assigned colors (with multiplicity across vertices).  It equals
 the alternating sum over vertex subsets W of prod_i I_W(x_i), where I_W is
 the independence polynomial of the induced subgraph on W; its omega image
-swaps I_W for H_W(t) = 1 / I_W(-t).
+swaps I_W for H_W(t) = 1 / I_W(-t).  Each product over variables is
+carried as its log derivative t f'/f (see image_log), on which omega is a
+sign at every even power of t.
 
 Everything here is exact and truncated to total degree N; only the
 coloring enumeration proper_set_colorings takes a number M of colors.
@@ -20,10 +22,8 @@ from .graphs import (acyclic_orientations, independence_polynomial,
                      mask_vertices, popcount, source_components)
 from .heaps import lyndon_count, lyndon_support_counts
 from .numbers import binomial, family_sums, multiplicities
-from .symfunc import (
-    Expansion, generator_series, product_over_variables,
-    series_log_derivative, series_neg_sub, series_reciprocal,
-)
+from .symfunc import (Expansion, generator_logs, product_over_variables,
+                      series_log_derivative)
 
 
 # Every coefficient rule reads the coefficients of one basis in F(G) or in
@@ -52,13 +52,16 @@ def rule_sign(rule, lam):
     return -1 if direct and (sum(lam) - len(lam)) % 2 else 1
 
 
-def image_series(poly, N, image):
-    """The series f with prod_i f(x_i) the image of the independence
-    polynomial poly of an induced subgraph: poly itself (direct) or
-    1 / poly(-t) to degree N (omega)."""
+def image_log(poly, N, image):
+    """t f'/f mod t^(N+1) for the series f with prod_i f(x_i) the image of
+    the independence polynomial poly of an induced subgraph: f = poly
+    (direct) or 1 / poly(-t) (omega).  With h = poly(-t),
+    t (1/h)'/(1/h) = -t h'/h, and t h'/h is t poly'/poly evaluated at -t,
+    so omega puts the sign (-1)^(k+1) on entry k."""
+    d = series_log_derivative(poly, N)
     if image == "direct":
-        return poly
-    return series_reciprocal(series_neg_sub(poly), N)
+        return d
+    return tuple(-c if k % 2 == 0 else c for k, c in enumerate(d))
 
 
 def signed_subset_sum(pairs, n):
@@ -70,43 +73,28 @@ def signed_subset_sum(pairs, n):
     return {k: w for k, w in acc.items() if w}
 
 
-@cache
-def _generator_logs(basis, N):
-    """{k: t g_k'/g_k mod t^(N+1)} for the basis' generator series g_k."""
-    return {k: series_log_derivative(generator_series(basis, k, N), N)
-            for k in range(1, N + 1)}
-
-
-def series_exponents(f, N, basis):
-    """[e(1), ..., e(N)] with f = prod_k g_k^e(k) mod t^(N+1), g_k the
-    basis' generator series, solving t f'/f = sum_k e(k) t g_k'/g_k, which
-    is triangular as t g_k'/g_k starts with k t^k.  A division by k that is
-    not exact raises ValueError."""
-    d = list(series_log_derivative(f, N))
-    e = []
-    for k, log in _generator_logs(basis, N).items():
+def series_exponents(d, N, basis):
+    """[e(1), ..., e(N)] with f = prod_k g_k^e(k) mod t^(N+1), from
+    d = t f'/f and the basis' generator series g_k: it solves
+    d = sum_k e(k) t g_k'/g_k, which is triangular as t g_k'/g_k starts
+    with k t^k.  A division by k that is not exact raises ValueError."""
+    d, e = list(d), []
+    for k, log in generator_logs(basis, N).items():
         ek, rest = divmod(d[k], k)
         if rest:
-            raise ValueError(f"t^{k} coefficient {d[k]} of t f'/f for {f} "
-                             f"is not a multiple of {k}")
+            raise ValueError(f"t^{k} coefficient {d[k]} of t f'/f is not a "
+                             f"multiple of {k}")
         for i, c in enumerate(log):
             d[i] -= ek * c
         e.append(ek)
     return e
 
 
-def kromatic(g, N):
-    """The set-coloring generating function, truncated to degree N, from the
-    independence multiset of g."""
-    return kromatic_from_multiset(independence_multiset(g), N)
-
-
-def omega_kromatic(g, N, max_part=None):
-    """omega of the set-coloring generating function, computed directly from
-    the reciprocal independence series of each induced subgraph; with
-    max_part, projected as in kromatic_from_multiset."""
-    return kromatic_from_multiset(independence_multiset(g), N, "omega",
-                                  max_part)
+def kromatic(g, N, image="direct", max_part=None):
+    """The (direct or omega) set-coloring generating function, truncated
+    to degree N and projected by max_part as in kromatic_from_multiset,
+    from the independence multiset of g."""
+    return kromatic_from_multiset(independence_multiset(g), N, image, max_part)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +191,7 @@ def verify_factorization(g, variant, N):
     at the first k where they differ, with both values."""
     image, basis = RULES[CLAIMS[variant]]
     solved = series_exponents(
-        image_series(independence_polynomial(g), N, image), N, basis)
+        image_log(independence_polynomial(g), N, image), N, basis)
     for k, e in enumerate(solved, 1):
         counted = exponent(g, k, CLAIMS[variant])
         assert e == counted, (
@@ -322,26 +310,27 @@ def kromatic_from_multiset(ms, N, image="direct", max_part=None):
     """The (direct or omega) set-coloring generating function from an
     independence multiset alone: the alternating sum over its entries of
     prod_i f(x_i), where f is the entry's independence polynomial I (direct)
-    or 1 / I(-t) (omega).  Equal polynomials have their signs summed first:
-    many subsets share one.  With max_part, p_k = 0 for every k > max_part:
-    the projection that symfunc.extract proves exact at the partitions with
-    parts <= max_part."""
+    or 1 / I(-t) (omega), carried as its image_log.  Equal polynomials have
+    their signs summed first: many subsets share one.  With max_part,
+    p_k = 0 for every k > max_part: the projection that symfunc.extract
+    proves exact at the partitions with parts <= max_part."""
     family = signed_subset_sum(ms, max(size for _, size in ms))
     return product_over_variables(
-        [(image_series(poly, N, image), w) for poly, w in family.items()], N,
+        [(image_log(poly, N, image), w) for poly, w in family.items()], N,
         max_part)
 
 
 def kromatic_expansion(ms, N, image, basis):
     """extract(kromatic_from_multiset(ms, N, image), basis) for pbar or
     pbarprime, with no basis element built.  Each polynomial's image series
-    is prod_k g_k^e(k) mod t^(N+1), with e from series_exponents, so its
-    product over variables is prod_k (1 + basis_k)^e(k), whose basis_lam
-    coefficient is prod_k C(e(k), m_k(lam)); the signed sums over the
-    polynomials come from one family_sums walk."""
+    is prod_k g_k^e(k) mod t^(N+1), with e solved by series_exponents from
+    its image_log, so its product over variables is
+    prod_k (1 + basis_k)^e(k), whose basis_lam coefficient is
+    prod_k C(e(k), m_k(lam)); the signed sums over the polynomials come
+    from one family_sums walk."""
     family = signed_subset_sum(ms, max(size for _, size in ms))
     return Expansion(basis, N, family_sums((
-        ((0, *series_exponents(image_series(poly, N, image), N, basis)), w)
+        ((0, *series_exponents(image_log(poly, N, image), N, basis)), w)
         for poly, w in family.items()), N, binomial))
 
 

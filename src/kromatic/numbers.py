@@ -41,23 +41,17 @@ def multiplicities(lam):
     return m
 
 
-def family_sums(family, N, factor, max_part=None):
+def family_sums(family, N, factor):
     """{lam: sum of w * prod_k factor(v[k], m_k(lam))} over the (v, w) pairs
-    of a signed family, for every partition lam with |lam| <= N and parts
-    <= max_part (default N), without the zero sums.  Each v is a tuple
-    indexed by part size, v[0] unused.
+    of a signed family, for every partition lam with |lam| <= N, without
+    the zero sums.  Each v is a tuple indexed by part size, v[0] unused.
 
-    One depth-first walk goes down the parts max_part, ..., 1 and shares
+    One depth-first walk goes down the parts N, ..., 1 and shares
     every prefix.  A branch holds each vector, cut to the parts still to
     come, with its partial product; vectors that the cut makes equal are
     merged, and a vector leaves the branch once its product is 0.  This
     needs factor(x, 0) = 1, and factor(x, m) = 0 to imply
-    factor(x, m + 1) = 0, as for pow and binomial.  Starting the walk at
-    part max_part = a leaves each sum it takes as it was, since
-    factor(x, 0) = 1 makes the entries at the parts lam lacks count for
-    nothing, and skips the partitions with a larger part.  For a product
-    over variables that is the projection p_k = 0 for every k > a, a ring
-    homomorphism (see symfunc.extract)."""
+    factor(x, m + 1) = 0, as for pow and binomial."""
     out = {}
 
     def walk(lam, room, k, pairs):
@@ -74,7 +68,7 @@ def family_sums(family, N, factor, max_part=None):
                 return
             walk(lam + (k,) * m, room - k * m, k - 1, below)
 
-    walk((), N, N if max_part is None else max_part, family)
+    walk((), N, N, family)
     return {lam: s for lam, s in out.items() if s}
 
 

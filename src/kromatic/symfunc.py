@@ -14,9 +14,11 @@ the same code through Python's numeric tower.
 The product is the union of partitions, with the stored values multiplied
 by C(|lambda| + |mu|, |lambda|); omega is a sign on each p_lambda; and a
 product over variables prod_i f(x_i) is exp(sum_k c_k p_k) with
-sum_k c_k t^k = log f(t), so no number of variables enters.  Monomials
-appear only in sympoly_from_monomials, which converts {lambda: coefficient
-of m_lambda} (the partition table of the q-refined series), and in
+sum_k c_k t^k = log f(t), so no number of variables enters.  Such a
+product travels as the log derivative t f'/f = sum_k k c_k t^k, an
+integer vector wherever f is integral.  Monomials appear only in
+sympoly_from_monomials, which converts {lambda: coefficient of m_lambda}
+(the partition table of the q-refined series), and in
 sympoly_from_vector_counts, which reads exponent-vector coefficients by
 complete orbits (every rearrangement of a key must carry its coefficient),
 takes no variable count and ends in sympoly_from_monomials: at q = 1, the
@@ -38,19 +40,6 @@ from .numbers import (QPoly, family_sums, norm_scalar, partition_sort_key,
 def series_truncate(f, n):
     return tuple(f[: n + 1]) + (0,) * max(0, n + 1 - len(f))
 
-def series_reciprocal(f, n):
-    """1/f mod t^(n+1); constant term must be 1."""
-    f = series_truncate(f, n)
-    if f[0] != 1:
-        raise ValueError("series_reciprocal needs constant term 1")
-    out = [1] + [0] * n
-    for m in range(1, n + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            acc += f[k] * out[m - k]
-        out[m] = -acc
-    return tuple(out)
-
 
 def series_log_derivative(f, n):
     """t f'/f mod t^(n+1), whose t^k coefficient is k [t^k] log f; it stays
@@ -65,11 +54,6 @@ def series_log_derivative(f, n):
             acc -= out[k] * f[m - k]
         out[m] = acc
     return tuple(out)
-
-
-def series_neg_sub(f):
-    """f(-t)."""
-    return tuple(c if i % 2 == 0 else -c for i, c in enumerate(f))
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +193,25 @@ class SymPoly:
         return f"SymPoly(N={self.N}: {body}{more})"
 
 
-def product_over_variables(family, N, max_part=None):
-    """sum of w prod_i f(x_i) over the (f, w) pairs of a signed family of
-    USeries with constant term 1, truncated to degree N, and with p_k = 0
-    for every k > max_part if one is given.  With c = log f,
-    prod_i f(x_i) is exp(sum_k c_k p_k), whose p_lambda coefficient is
-    prod_i c_(lambda_i) / prod_k m_k(lambda)!.  In terms of d = t f'/f,
-    with d_k = k c_k, that is prod_i d_(lambda_i) / z_lambda, so the stored
-    value is (|lambda|! / z_lambda) sum_f w prod_i d_(lambda_i), where
-    |lambda|! / z_lambda counts the permutations of cycle type lambda; the
-    sums come from one family_sums walk."""
-    logs = [(series_log_derivative(f, N), w) for f, w in family]
+def product_over_variables(logs, N, max_part=None):
+    """sum of w prod_i f(x_i) over the (d, w) pairs of a signed family,
+    with d = t f'/f mod t^(N+1) for a USeries f with constant term 1,
+    truncated to degree N, and with p_k = 0 for every k > max_part if one
+    is given.  With c = log f, prod_i f(x_i) is exp(sum_k c_k p_k), whose
+    p_lambda coefficient is prod_i c_(lambda_i) / prod_k m_k(lambda)!.
+    With d_k = k c_k, that is prod_i d_(lambda_i) / z_lambda, so the
+    stored value is (|lambda|! / z_lambda) sum_f w prod_i d_(lambda_i),
+    where |lambda|! / z_lambda counts the permutations of cycle type
+    lambda; the sums come from one family_sums walk.  The projection
+    zeroes the entries of d above max_part: as pow(0, m) = 0, the walk
+    ends every branch that takes a larger part at once."""
+    a = N if max_part is None else max_part
+    if a < 0:
+        raise ValueError(f"max_part must be nonnegative, got {max_part}")
+    logs = [(d[:a + 1] + (0,) * (N - a), w) for d, w in logs]
     return SymPoly._of(N, {
         lam: norm_scalar(factorial(sum(lam)) // z_lambda(lam) * s)
-        for lam, s in family_sums(logs, N, pow, max_part).items()})
+        for lam, s in family_sums(logs, N, pow).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +317,32 @@ def generator_series(basis, k, N):
 
 
 @cache
+def generator_logs(basis, N):
+    """{k: t g_k'/g_k mod t^(N+1)} for the basis' generator series g_k,
+    k = 1..N, cached per (basis, N)."""
+    return {k: series_log_derivative(generator_series(basis, k, N), N)
+            for k in range(1, N + 1)}
+
+
+@cache
 def basis_element(basis, lam, N, max_part=None):
     """Multiplicative basis element: p_lam for 'p'; for 'pbar' and
     'pbarprime' the product, over the parts k of lam, of
     prod_i g_k(x_i) - 1 with g_k the generator series.  Its lowest-degree
-    term is p_lam with coefficient 1.  For 'pbar' and 'pbarprime', a
-    max_part sets p_k = 0 for every k > max_part: the terms with a larger
-    part are never built.  'p' ignores it, as extract never asks for p_lam
-    with a part above max_part."""
-    if basis == "p":
-        return SymPoly(N, {lam: 1} if sum(lam) <= N else {})
-    if basis not in ("pbar", "pbarprime"):
+    term is p_lam with coefficient 1, so it is 0 when |lam| > N.  For
+    'pbar' and 'pbarprime', a max_part sets p_k = 0 for every
+    k > max_part: the terms with a larger part are never built.  'p'
+    ignores it, as extract never asks for p_lam with a part above
+    max_part."""
+    if basis not in ("p", "pbar", "pbarprime"):
         raise ValueError(f"unknown basis {basis!r}")
-    if not lam:
-        return SymPoly.const(N, 1)
+    if sum(lam) > N:
+        return SymPoly(N)
+    if basis == "p" or not lam:
+        return SymPoly(N, {lam: 1})
     if len(lam) == 1:
         return product_over_variables(
-            [(generator_series(basis, lam[0], N), 1)], N, max_part) - 1
+            [(generator_logs(basis, N)[lam[0]], 1)], N, max_part) - 1
     return (basis_element(basis, lam[:1], N, max_part)
             * basis_element(basis, lam[1:], N, max_part))
 

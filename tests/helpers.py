@@ -319,6 +319,28 @@ def theorem_coefficient_by_products(g, lam, which):
 # |lambda|! scaling that SymPoly stores: the tests hold SymPoly.terms() and
 # the extractions to these.
 
+def series_neg_sub(f):
+    """f(-t).  Oracle: with series_reciprocal it builds the omega image
+    series 1 / I(-t), which kromatic.core carries only as its log
+    derivative (core.image_log)."""
+    return tuple(c if i % 2 == 0 else -c for i, c in enumerate(f))
+
+
+def series_reciprocal(f, n):
+    """1/f mod t^(n+1); constant term must be 1.  Oracle, as
+    series_neg_sub."""
+    f = series_truncate(f, n)
+    if f[0] != 1:
+        raise ValueError("series_reciprocal needs constant term 1")
+    out = [1] + [0] * n
+    for m in range(1, n + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            acc += f[k] * out[m - k]
+        out[m] = -acc
+    return tuple(out)
+
+
 def series_log(f, n):
     """log f mod t^(n+1) over Fraction; constant term must be 1."""
     f = series_truncate(f, n)

@@ -10,7 +10,7 @@ from helpers import (assemble, brute_force_kromatic,
 from kromatic import bundled_graph
 from kromatic.core import (chromatic_p_expansion_oracles, exponent,
                            independence_multiset, kromatic,
-                           kromatic_from_multiset, omega_kromatic,
+                           kromatic_from_multiset,
                            recover_signed_exponent_multiset,
                            signed_exponent_family, theorem_coefficient,
                            theorem_coefficient_subsets, verify_factorization)
@@ -76,7 +76,7 @@ def test_criterion_04_oracle_equivalence():
 def test_criterion_05_theorem_suite():
     for name, g in ALL_GRAPHS:
         X = kromatic(g, 5)
-        W = omega_kromatic(g, 5)
+        W = kromatic(g, 5, "omega")
         by_rule = {"1.2": extract(X, "pbar"), "1.3": extract(W, "pbar"),
                    "1.4": extract(X, "pbarprime"),
                    "1.5": extract(W, "pbarprime")}
@@ -130,17 +130,17 @@ def test_criterion_08_recovery_round_trip():
         assert kromatic_from_multiset(ms, 4, image="omega") == omega(F), name
     # sizes up to 2, fully honest truncations
     assert recover_signed_exponent_multiset(
-        extract(omega_kromatic(K2, 8), "pbar"), (2, 3)) == \
+        extract(kromatic(K2, 8, "omega"), "pbar"), (2, 3)) == \
         signed_exponent_family(K2, "1.3", (1, 2))
     assert recover_signed_exponent_multiset(
-        extract(omega_kromatic(P3, 13), "pbar"), (3, 5)) == \
+        extract(kromatic(P3, 13, "omega"), "pbar"), (3, 5)) == \
         signed_exponent_family(P3, "1.3", (1, 2))
     # the same from the extractions restricted to the parts <= 2 they read
     assert recover_signed_exponent_multiset(
-        extract(omega_kromatic(K2, 8), "pbar", max_part=2), (2, 3)) == \
+        extract(kromatic(K2, 8, "omega"), "pbar", max_part=2), (2, 3)) == \
         signed_exponent_family(K2, "1.3", (1, 2))
     assert recover_signed_exponent_multiset(
-        extract(omega_kromatic(P3, 13), "pbar", max_part=2), (3, 5)) == \
+        extract(kromatic(P3, 13, "omega"), "pbar", max_part=2), (3, 5)) == \
         signed_exponent_family(P3, "1.3", (1, 2))
     # sizes up to 4, expansion generated by the subset formula (validated
     # against extraction degreewise in criterion 5's machinery)

@@ -12,10 +12,10 @@ import kromatic.core as core
 from kromatic.core import (
     chromatic_p_expansion_oracles, exponent, exponent_column,
     independence_multiset, kromatic, kromatic_expansion,
-    kromatic_from_multiset, omega_kromatic, peel_signed_family, pick_table,
+    kromatic_from_multiset, peel_signed_family, pick_table,
     proper_set_colorings, recover_signed_exponent_multiset, rule_sign,
-    signed_exponent_family, theorem_coefficient, theorem_coefficient_subsets,
-    verify_factorization,
+    series_exponents, signed_exponent_family, theorem_coefficient,
+    theorem_coefficient_subsets, verify_factorization,
 )
 from kromatic.graphs import Graph, popcount
 from kromatic.heaps import lyndon_support_counts
@@ -66,7 +66,7 @@ def test_kromatic_matches_brute_force():
 
 def test_omega_kromatic_consistent():
     for g in (K1, K2, P3, E2, C4):
-        assert omega_kromatic(g, 4) == omega(kromatic(g, 4))
+        assert kromatic(g, 4, "omega") == omega(kromatic(g, 4))
 
 
 def test_kromatic_lowest_degree_is_chromatic():
@@ -134,7 +134,7 @@ def run_theorem_suite(g, N=5):
     """All four coefficient rules against basis extraction, degrees <= N.
     Returns the number of (rule, partition) pairs checked."""
     X = kromatic(g, N)
-    W = omega_kromatic(g, N)
+    W = kromatic(g, N, "omega")
     by_rule = {
         "1.2": extract(X, "pbar"),
         "1.3": extract(W, "pbar"),
@@ -191,7 +191,7 @@ def test_proper_set_colorings_match_a_filter_over_every_tuple(g):
 def test_kromatic_random_graphs(g):
     F = kromatic(g, 5)
     assert F == brute_force_kromatic(g, 5)
-    assert omega_kromatic(g, 5) == omega(F)
+    assert kromatic(g, 5, "omega") == omega(F)
 
 
 @DIFFERENTIAL
@@ -338,7 +338,7 @@ def test_kromatic_expansion_matches_extraction(g, N):
 def test_restricted_extraction_keeps_the_small_parts(g, N, a):
     # pi (p_k = 0 for k > a) kills every basis element with a larger part,
     # so peeling the projection finds the full coefficients at parts <= a
-    for F in (kromatic(g, N), omega_kromatic(g, N)):
+    for F in (kromatic(g, N), kromatic(g, N, "omega")):
         for basis in ("pbar", "pbarprime"):
             got = extract(F, basis, max_part=a)
             assert got.coeffs == {
@@ -359,6 +359,9 @@ def test_kromatic_expansion_refuses_inexact_division():
     ms = (((1,), 0), ((1, Fraction(1, 2)), 1))
     with pytest.raises(ValueError, match="not a multiple of 1"):
         kromatic_expansion(ms, 3, "direct", "pbar")
+    # t f'/f = t^2 has no integral exponents: e(2) would be 1/2
+    with pytest.raises(ValueError, match="not a multiple of 2"):
+        series_exponents((0, 0, 1), 2, "pbar")
 
 
 def test_independence_multiset():
@@ -374,14 +377,14 @@ def test_independence_multiset():
 def test_recover_signed_family_tiny():
     # one-vertex graph, sizes up to 1: subsets contribute -1 at (0,) and
     # +1 at (1,)
-    F = omega_kromatic(K1, 1)
+    F = kromatic(K1, 1, "omega")
     got = recover_signed_exponent_multiset(extract(F, "pbar"), (1,))
     assert got == {(0,): -1, (1,): 1}
 
 
 def test_recover_signed_family_k2_from_extraction():
     # fully honest: expansion comes from the truncated function itself
-    F = omega_kromatic(K2, 8)
+    F = kromatic(K2, 8, "omega")
     fam = signed_exponent_family(K2, "1.3", (1, 2))
     assert fam == {(0, 0): 1, (1, 1): -2, (2, 3): 1}
     got = recover_signed_exponent_multiset(extract(F, "pbar"), (2, 3))
@@ -390,7 +393,7 @@ def test_recover_signed_family_k2_from_extraction():
 
 def test_recover_signed_family_p3_from_extraction():
     # degree bound 1*3 + 2*5 = 13
-    F = omega_kromatic(P3, 13)
+    F = kromatic(P3, 13, "omega")
     fam = signed_exponent_family(P3, "1.3", (1, 2))
     assert fam == {(0, 0): -1, (1, 1): 3, (2, 2): -1, (2, 3): -2, (3, 5): 1}
     assert recover_signed_exponent_multiset(extract(F, "pbar"), (3, 5)) == fam
@@ -398,7 +401,7 @@ def test_recover_signed_family_p3_from_extraction():
 
 def test_recover_signed_family_p3_from_restricted_extraction():
     # the box (3, 5) reads only parts 1 and 2
-    F = omega_kromatic(P3, 13)
+    F = kromatic(P3, 13, "omega")
     exp = extract(F, "pbar", max_part=2)
     assert set(exp.coeffs) <= {lam for lam in partitions_up_to(13)
                                if max(lam, default=0) <= 2}
@@ -407,7 +410,7 @@ def test_recover_signed_family_p3_from_restricted_extraction():
 
 
 def test_recover_refuses_caps_longer_than_max_part():
-    exp = extract(omega_kromatic(P3, 13), "pbar", max_part=1)
+    exp = extract(kromatic(P3, 13, "omega"), "pbar", max_part=1)
     with pytest.raises(ValueError, match="max_part=1"):
         recover_signed_exponent_multiset(exp, (3, 5))
     # caps of one size read parts of size 1 only
@@ -416,7 +419,7 @@ def test_recover_refuses_caps_longer_than_max_part():
 
 
 def test_recover_requires_enough_degree():
-    F = omega_kromatic(K2, 6)
+    F = kromatic(K2, 6, "omega")
     with pytest.raises(ValueError):
         # needs degree 8
         recover_signed_exponent_multiset(extract(F, "pbar"), (2, 3))
@@ -425,13 +428,13 @@ def test_recover_requires_enough_degree():
 def test_recover_requires_pbar():
     with pytest.raises(ValueError, match="needs a pbar expansion"):
         recover_signed_exponent_multiset(
-            extract(omega_kromatic(K2, 8), "pbarprime"), (2, 3))
+            extract(kromatic(K2, 8, "omega"), "pbarprime"), (2, 3))
 
 
 @pytest.mark.parametrize("caps", [(-1,), (2, -1)])
 def test_recover_refuses_a_negative_cap(caps):
     # an empty box would drop the whole residual and return {}
-    exp = extract(omega_kromatic(K2, 8), "pbar")
+    exp = extract(kromatic(K2, 8, "omega"), "pbar")
     with pytest.raises(ValueError, match="negative cap"):
         recover_signed_exponent_multiset(exp, caps)
     with pytest.raises(ValueError, match="negative cap"):
@@ -521,14 +524,14 @@ def test_projected_series_drops_the_large_parts(g, N, a):
                                   if max(lam, default=0) <= a})
         assert extract(got, "pbar", max_part=a) == \
             extract(full, "pbar", max_part=a)
-    assert omega_kromatic(g, N, max_part=a) == got
+    assert kromatic(g, N, "omega", max_part=a) == got
 
 
 def test_forward_coefficients_match_extraction_low_degree():
     # the subset-formula coefficients of rule 1.3 agree with honest
     # extraction wherever both are defined
     for g in (K2, P3):
-        W = extract(omega_kromatic(g, 5), "pbar")
+        W = extract(kromatic(g, 5, "omega"), "pbar")
         for lam in partitions_up_to(5):
             if lam and all(p <= 4 for p in lam):
                 assert theorem_coefficient_subsets(g, lam, "1.3") == \

@@ -13,12 +13,12 @@ from kromatic.heaps import (
     rotation_class, word_str,
 )
 from kromatic.numbers import divisors, mobius
-from kromatic.symfunc import series_neg_sub, series_reciprocal
 
 from helpers import (check_canonical_invariance, clear_caches, compose_all,
                      enumerate_heaps, heap_count_identity_defect,
                      is_aperiodic, lyndon_factorize, series_log,
-                     small_graphs, sources)
+                     series_neg_sub, series_reciprocal, small_graphs,
+                     sources)
 
 K2 = bundled_graph("k2")
 P3 = bundled_graph("p3")

@@ -9,8 +9,8 @@ from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
-from kromatic.core import RULES, exponent, image_series, \
-    independence_multiset, kromatic, kromatic_from_multiset, omega_kromatic, \
+from kromatic.core import RULES, exponent, image_log, \
+    independence_multiset, kromatic, kromatic_from_multiset, \
     series_exponents, theorem_coefficient
 from kromatic.graphs import Graph, independence_polynomial, mask_of, \
     mask_vertices
@@ -58,13 +58,15 @@ def join_polynomial(a, b):
 @given(*PAIRS)
 def test_disjoint_union_multiplies_series_and_adds_lyndon_counts(g, h):
     gh = disjoint_union(g, h)
-    for series in (kromatic, omega_kromatic):
-        assert series(gh, N) == series(g, N) * series(h, N)
+    for image in ("direct", "omega"):
+        assert kromatic(gh, N, image) == \
+            kromatic(g, N, image) * kromatic(h, N, image)
         # every basis is multiplicative and SymPoly's product is the union
         # of partitions, so the coefficients, read as a SymPoly, multiply
         for basis in ("p", "pbar", "pbarprime"):
             def coeffs(x):
-                return SymPoly(N, extract(series(x, N), basis).coeffs)
+                return SymPoly(N, extract(kromatic(x, N, image),
+                                          basis).coeffs)
             assert coeffs(gh) == coeffs(g) * coeffs(h), basis
     for k in range(1, N + 1):
         assert lyndon_count(gh, k) == lyndon_count(g, k) + lyndon_count(h, k)
@@ -77,7 +79,7 @@ def test_relabelling_keeps_series_and_exponents(g, h, data):
     perm = data.draw(st.permutations(range(1, gh.n + 1)), label="perm")
     moved = relabel(gh, perm)
     assert kromatic(moved, N) == kromatic(gh, N)
-    assert omega_kromatic(moved, N) == omega_kromatic(gh, N)
+    assert kromatic(moved, N, "omega") == kromatic(gh, N, "omega")
     for rule in ("1.2", "1.3", "1.4", "1.5"):
         for k in range(1, N + 1):
             assert exponent(moved, k, rule) == exponent(gh, k, rule)
@@ -151,10 +153,10 @@ def test_a_join_composes_the_independence_multiset(g, h):
                      for b, t in independence_multiset(h))
     assert kromatic_from_multiset(composed, 5) == kromatic(gh, 5)
     assert kromatic_from_multiset(composed, 5, image="omega") == \
-        omega_kromatic(gh, 5)
+        kromatic(gh, 5, "omega")
     whole = join_polynomial(independence_polynomial(g),
                             independence_polynomial(h))
     for rule in ("1.2", "1.3", "1.4", "1.5"):
         image, basis = RULES[rule]
         assert [exponent(gh, k, rule) for k in range(1, 6)] == \
-            series_exponents(image_series(whole, 5, image), 5, basis), rule
+            series_exponents(image_log(whole, 5, image), 5, basis), rule

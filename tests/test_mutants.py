@@ -12,9 +12,10 @@ Known escapes, which verify passes and tier-1 catches:
   Every pyramid and prop-* check runs on a unit-interval graph, where the
   class tables cannot tell ascents from descents, and clans-vs-brute-*
   calls `coloring_ascents` on both of its sides;
-- `series_exponents` without its exactness raise: the image series of an
-  independence polynomial always divides exactly, so verify never reaches
-  it.  tests/test_core.py pins the raise.
+- `series_exponents` without its exactness raise: the log derivative of
+  an integral series with constant term 1, as every image_log is, always
+  solves in integer exponents, so verify never reaches it.
+  tests/test_core.py pins the raise.
 """
 import os
 import shutil
@@ -48,12 +49,14 @@ MUTANTS = [
      "the count reads the one-heap pick table at every multiplicity"),
     ("symfunc.py", "if d + e > N:", "if d + e >= N:",
      "a product drops its top degree"),
-    ("symfunc.py", "family_sums(logs, N, pow, max_part)",
-     "family_sums(logs, N, lambda x, m: x * m, max_part)",
+    ("symfunc.py", "family_sums(logs, N, pow)",
+     "family_sums(logs, N, lambda x, m: x * m)",
      "a product over variables takes d_k m_k for d_k^m_k"),
-    ("numbers.py", "N if max_part is None else max_part, family)",
-     "N if max_part is None else max_part - 1, family)",
-     "family_sums starts its walk one part below max_part"),
+    ("symfunc.py", "(d[:a + 1] + (0,) * (N - a), w)",
+     "(d[:a] + (0,) * (N - a + 1), w)",
+     "the projection zeroes part a too"),
+    ("core.py", "-c if k % 2 == 0 else c", "-c if k % 2 else c",
+     "the omega image_log negates the odd entries, not the even"),
     ("symfunc.py", "if max(lam, default=0) <= a}",
      "if max(lam, default=0) < a}",
      "extraction projects away the parts equal to max_part"),

@@ -154,16 +154,6 @@ def test_family_sums_match_the_per_partition_sums(N_and_family, factor):
         oracle_family_sums(family, N, factor)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(_signed_families(), st.sampled_from((pow, binomial)),
-       st.integers(0, 9))
-def test_family_sums_to_a_largest_part(N_and_family, factor, a):
-    N, family = N_and_family
-    assert family_sums(family, N, factor, max_part=a) == {
-        lam: s for lam, s in oracle_family_sums(family, N, factor).items()
-        if max(lam, default=0) <= a}
-
-
 def test_family_sums_examples():
     # one vector: prod_k v_k^(m_k); the empty partition carries the weight
     assert family_sums([((0, 2, 3), 1)], 2, pow) == \

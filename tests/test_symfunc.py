@@ -8,22 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, \
     bundled_model
-from kromatic.core import kromatic, omega_kromatic
+from kromatic.core import image_log, kromatic
 from kromatic.graphs import independence_polynomial
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import partitions_of, partitions_up_to, QPoly
 from kromatic.quasisym import kromatic_q
 from kromatic.symfunc import (
     Expansion, SymPoly, _p_to_m, basis_element, extract, generator_series,
-    omega, product_over_variables, series_log_derivative, series_neg_sub,
-    series_reciprocal, series_truncate, sympoly_from_monomials,
-    sympoly_from_vector_counts, verify_omega_basis_identities,
+    omega, product_over_variables, series_log_derivative, series_truncate,
+    sympoly_from_monomials, sympoly_from_vector_counts,
+    verify_omega_basis_identities,
 )
 
 from helpers import (assemble, clear_caches, oracle_add, oracle_extract,
                      oracle_mul, oracle_omega, oracle_p_decompose_homogeneous,
                      oracle_p_to_m, oracle_product_over_variables,
-                     oracle_scale, series_log)
+                     oracle_scale, series_log, series_neg_sub,
+                     series_reciprocal)
 
 
 def test_series_ops():
@@ -38,6 +39,8 @@ def test_series_ops():
     for bad in ((2, 1), (-1, 1)):
         with pytest.raises(ValueError):
             series_reciprocal(bad, 3)
+        with pytest.raises(ValueError):
+            series_log_derivative(bad, 3)
     with pytest.raises(ValueError):
         series_log((0, 1), 3)
 
@@ -153,10 +156,9 @@ def test_specific_monomial_products():
 
 
 def test_product_over_variables():
-    F = product_over_variables([((1, 2), 1)], 3)
+    # prod_i (1 + 2 x_i), from t f'/f = 2t - 4t^2 + 8t^3
+    F = product_over_variables([(series_log_derivative((1, 2), 3), 1)], 3)
     assert F == _m({(): 1, (1,): 2, (1, 1): 4, (1, 1, 1): 8}, 3)
-    with pytest.raises(ValueError):
-        product_over_variables([((2, 1), 1)], 3)
 
 
 def test_bases():
@@ -245,10 +247,13 @@ def test_omega_multiplicativity_lemma():
     N = 5
     for _ in range(10):
         f = (1, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-2, 2))
-        lhs = omega(product_over_variables([(f, 1)], N))
-        rhs = product_over_variables(
-            [(series_reciprocal(series_neg_sub(f), N), 1)], N)
+        lhs = omega(product_over_variables(
+            [(series_log_derivative(f, N), 1)], N))
+        rhs = product_over_variables([(series_log_derivative(
+            series_reciprocal(series_neg_sub(f), N), N), 1)], N)
         assert lhs == rhs
+        assert product_over_variables([(image_log(f, N, "omega"), 1)], N) \
+            == rhs
 
 
 def test_extract_round_trip():
@@ -281,7 +286,7 @@ def test_restricted_basis_elements_are_the_projection():
 
 def test_full_extraction_after_a_restricted_one():
     # the restricted basis elements are cached apart from the full ones
-    F = omega_kromatic(bundled_graph("paw"), 8)
+    F = kromatic(bundled_graph("paw"), 8, "omega")
     clear_caches()
     fresh = {b: extract(F, b) for b in ("pbar", "pbarprime")}
     clear_caches()
@@ -418,10 +423,11 @@ def test_scaled_arithmetic_matches_fraction_oracle(data):
     assert extract(A, basis).coeffs == oracle_extract(a, basis, N)
     f = (1,) + tuple(data.draw(st.lists(_scalars, min_size=N, max_size=N),
                                label="f"))
-    same(product_over_variables([(f, 1)], N),
+    d = series_log_derivative(f, N)
+    same(product_over_variables([(d, 1)], N),
          oracle_product_over_variables(f, N))
     # values written one by one are stored as ints wherever integral
-    for F in (A, A.scale(x), product_over_variables([(f, 1)], N),
+    for F in (A, A.scale(x), product_over_variables([(d, 1)], N),
               A.map_coeffs(lambda v: v * x)):
         for v in F.scaled.values():
             for y in (v.c if isinstance(v, QPoly) else (v,)):
@@ -441,7 +447,36 @@ def test_product_over_a_family_matches_the_weighted_oracle_sum(N, data):
     for f, w in family:
         want = oracle_add(want, oracle_scale(
             oracle_product_over_variables(f, N), w))
-    assert product_over_variables(family, N) == SymPoly(N, want)
+    assert product_over_variables(
+        [(series_log_derivative(f, N), w) for f, w in family], N) == \
+        SymPoly(N, want)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_product_over_variables_to_a_largest_part(N, data):
+    # the projection p_k = 0 for every k > a is the unprojected product
+    # with every term that has a part above a dropped
+    series = st.tuples(st.just(1), *[st.integers(-3, 3)] * N)
+    family = data.draw(st.lists(st.tuples(series, st.integers(-3, 3)),
+                                max_size=4), label="family")
+    a = data.draw(st.integers(0, N + 1), label="max_part")
+    logs = [(series_log_derivative(f, N), w) for f, w in family]
+    full = product_over_variables(logs, N)
+    assert product_over_variables(logs, N, a) == SymPoly._of(N, {
+        lam: v for lam, v in full.scaled.items() if max(lam, default=0) <= a})
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_image_log_is_the_log_derivative_of_the_image_series(N, data):
+    # omega swaps I for 1 / I(-t); image_log carries that series as its
+    # log derivative, a sign on each entry of t I'/I
+    p = (1,) + tuple(data.draw(st.lists(st.integers(-4, 4), max_size=6),
+                               label="poly"))
+    assert image_log(p, N, "direct") == series_log_derivative(p, N)
+    assert image_log(p, N, "omega") == series_log_derivative(
+        series_reciprocal(series_neg_sub(p), N), N)
 
 
 @settings(max_examples=40, deadline=None)
@@ -466,7 +501,7 @@ def test_stored_values_are_ints():
     N = 10
     for name in BUNDLED_GRAPHS:
         g = bundled_graph(name)
-        assert ints(kromatic(g, N)) and ints(omega_kromatic(g, N))
+        assert ints(kromatic(g, N)) and ints(kromatic(g, N, "omega"))
     for basis in ("pbar", "pbarprime"):
         for lam in partitions_up_to(N):
             assert ints(basis_element(basis, lam, N))
@@ -483,8 +518,16 @@ def test_stored_values_are_ints():
     (lambda: basis_element("q", (1,), 3), ValueError, "unknown basis"),
     (lambda: extract(SymPoly(3), "pbar", max_part=-1), ValueError,
      "max_part must be nonnegative"),
+    (lambda: product_over_variables([((0, 1, 1, 1), 1)], 3, -1), ValueError,
+     "max_part must be nonnegative"),
+    (lambda: basis_element("pbar", (1,), 3, -1), ValueError,
+     "max_part must be nonnegative"),
+    (lambda: kromatic(bundled_graph("p3"), 3, "omega", -1), ValueError,
+     "max_part must be nonnegative"),
 ], ids=["sympoly-is-immutable", "expansion-is-immutable", "not-a-partition",
-        "no-p-generator", "unknown-basis", "negative-max-part"])
+        "no-p-generator", "unknown-basis", "negative-max-part",
+        "product-negative-max-part", "basis-element-negative-max-part",
+        "kromatic-negative-max-part"])
 def test_direct_calls_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
