@@ -8,13 +8,15 @@ Modes:
   lyndon        Lyndon heap counts and canonical words up to a size
   independence  the induced-subgraph independence-polynomial multiset
 
-Exit status: 0 success, 1 failed verification (or failed computation),
-2 configuration error.
+Exit status: 0 success, 1 failed verification (or failed computation, or
+a closed stdout), 2 configuration error.
 """
 
 import argparse
 import functools
+import gc
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -464,15 +466,43 @@ RUNNERS = {"expand": run_expand, "qexpand": run_qexpand,
 
 
 def main(argv=None):
+    """Run one mode and return its exit status.
+
+    The first statement freezes the heap: every object alive once the
+    modules are imported (the interpreter's, the stdlib's and kromatic's
+    modules, functions and tables, about 12,900 tracked objects) moves to
+    the collector's permanent generation, in about 4 microseconds.  No
+    collection in the run walks them again, and at exit the interpreter no
+    longer collects and frees their cycles one by one.  Exit after `import
+    kromatic.cli` took 9.5-10.1 ms, and 3.0-3.2 ms with the freeze
+    (medians of 20 fresh interpreters, two probes, 2-vCPU host).  In a CLI
+    process these objects live until exit anyway, and reference counting
+    still frees any that die sooner, so outputs and peak memory do not
+    change; a long-lived caller of `main` can hand them back with
+    `gc.unfreeze()`.  Nothing is collected first (2.7-2.9 ms that freed no
+    object), and the collector stays on: `numbers.family_sums` and
+    `quasisym._covering_walk` leave a cycle behind on every call.
+
+    A reader that closes stdout early (`kromatic verify | head -1`) ends
+    the run with status 1 and no message, as SIGPIPE would: stdout is
+    flushed here so that the closed pipe shows here, and then pointed at
+    the null device so that the flush at exit does not fail again.
+    """
+    gc.freeze()
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return RUNNERS[args.mode](args, parser)
+        code = RUNNERS[args.mode](args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as e:
         parser.error(f"cannot access file: {e}")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

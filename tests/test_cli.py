@@ -1,10 +1,14 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kromatic
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, core
 from kromatic.cli import (build_checks, main, make_parser, positive_int,
                           rational)
@@ -419,6 +423,44 @@ def test_out_flag(tmp_path, capsys):
     assert target.read_text() == capsys.readouterr().out
 
 
+def run_fresh(args, **kwargs):
+    """Run `python args` in a fresh interpreter that imports kromatic from
+    this tree and writes no bytecode into it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kromatic.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], env=env, timeout=120,
+                          **kwargs)
+
+
+def test_main_freezes_the_heap_and_loses_nothing_at_exit(tmp_path):
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    argv = ["expand", "--graph", "paw", "--basis", "pbar", "--degree", "6"]
+    script = ("import gc, sys\n"
+              "from kromatic.cli import main\n"
+              f"code = main({[*argv, '--out', str(fresh)]!r})\n"
+              "print(gc.get_freeze_count())\n"
+              "sys.exit(code)\n")
+    run = run_fresh(["-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) > 0
+    assert main([*argv, "--out", str(here)]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
+
+
+def test_closed_stdout_exits_one_without_usage():
+    # the reader is gone before the child writes, as in `kromatic ... | head`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = run_fresh(["-m", "kromatic.cli", "verify", "--suite",
+                         "numbers"], stdout=write, stderr=subprocess.PIPE,
+                        text=True)
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert run.stderr == ""
+
+
 def test_custom_graph_file(tmp_path, capsys):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
@@ -500,10 +542,15 @@ def test_malformed_json_shape_exits_two(tmp_path, capsys, mode, option, obj,
     assert captured.err == f"error: {message}\n"
 
 
-def test_graph_directory_exits_two(tmp_path):
-    with pytest.raises(SystemExit) as e:
-        main(["verify", "--graph", str(tmp_path), "--suite", "heaps"])
-    assert e.value.code == 2
+def test_graph_directory_exits_two(tmp_path, capsys):
+    # a directory as the input graph, and one as the --out file
+    for argv in (["verify", "--graph", str(tmp_path), "--suite", "heaps"],
+                 ["expand", "--graph", "k2", "--degree", "3",
+                  "--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2, argv
+        assert "cannot access file" in capsys.readouterr().err
 
 
 def test_verify_numbers_suite(capsys):
