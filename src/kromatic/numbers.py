@@ -165,8 +165,8 @@ class QPoly:
     """Polynomial in q with exact (int or Fraction) coefficients.
 
     Immutable; coefficients stored low degree first with no trailing zeros.
-    Supports +, -, * against QPoly and plain scalars, evaluation, and exact
-    division (raises if the division does not come out even).
+    Supports + and * against QPoly and plain scalars, negation, evaluation,
+    and exact division (raises if the division does not come out even).
     """
 
     __slots__ = ("c",)
@@ -184,9 +184,6 @@ class QPoly:
 
     def __bool__(self):
         return bool(self.c)
-
-    def __hash__(self):
-        return hash(self.c)
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
@@ -212,12 +209,6 @@ class QPoly:
 
     def __neg__(self):
         return QPoly(tuple(-x for x in self.c))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return QPoly(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

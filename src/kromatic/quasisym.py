@@ -197,7 +197,7 @@ def _p_over_basis(basis, mu, N):
         = sum_(d,n) f(d) (-1)^(n+1)/(d n) b_(ad)^n,
     and p_mu is the product of these series over the parts a of mu."""
     if not mu:
-        return SymPoly.const(N, 1)
+        return SymPoly(N, {(): 1})
     if len(mu) > 1:
         return (_p_over_basis(basis, mu[:1], N)
                 * _p_over_basis(basis, mu[1:], N))
@@ -231,4 +231,5 @@ def power_sum_coefficient_q(g, lam, rule):
 
 def specialize_q(F, value):
     """Evaluate every QPoly coefficient of a SymPoly at a fixed q."""
-    return F.map_coeffs(lambda c: c(value) if isinstance(c, QPoly) else c)
+    return SymPoly(F.N, {lam: c(value) if isinstance(c, QPoly) else c
+                         for lam, c in F.terms().items()})

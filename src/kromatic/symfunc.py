@@ -7,11 +7,15 @@ has a denominator dividing z_lambda, which divides |lambda|!, so for F(G),
 its omega image, every basis element and the q-refined series the stored
 values are ints (or QPolys over the ints) and all the arithmetic below is
 integer arithmetic; a Fraction then appears only where a coefficient that
-is really fractional is read out (coeff, terms, map_coeffs, repr).  Values
-that are not integral (a Fraction, a QPoly with Fraction coefficients) take
-the same code through Python's numeric tower.
+is really fractional is read out (coeff, terms, repr).  Values that are not
+integral (a Fraction, a QPoly with Fraction coefficients) take the same
+code through Python's numeric tower.
 
-The product is the union of partitions, with the stored values multiplied
+A SymPoly is built once, from a signed family (product_over_variables), a
+peel, monomials or a table of coefficients, and then only multiplied and
+read: there is no addition, negation or scalar product, and a sum is
+accumulated as stored values before its SymPoly is made.  The product is
+the union of partitions, with the stored values multiplied
 by C(|lambda| + |mu|, |lambda|); omega is a sign on each p_lambda; and a
 product over variables prod_i f(x_i) is exp(sum_k c_k p_k) with
 sum_k c_k t^k = log f(t), so no number of variables enters.  Such a
@@ -26,11 +30,10 @@ brute-force set-coloring counts of quasisym.kromatic_q_vectors.
 
 USeries values are plain tuples of coefficients, index = degree.
 """
-from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .numbers import (QPoly, family_sums, norm_scalar, partition_sort_key,
+from .numbers import (family_sums, norm_scalar, partition_sort_key,
                       partitions_of, partitions_up_to, scalar_div, z_lambda)
 
 
@@ -70,9 +73,10 @@ def _add_term(out, lam, v):
 class SymPoly:
     """Symmetric function truncated to degree <= N.  `scaled` maps each
     partition lam to |lam|! times the coefficient of p_lam; the constructor,
-    coeff and terms take and give the coefficients themselves.  Two
-    SymPolys are equal only when N is equal too, and arithmetic between
-    different N is refused."""
+    coeff and terms take and give the coefficients themselves.  It is
+    built once and never added to: the one operation is the product with
+    another SymPoly, refused between different N, and two SymPolys are
+    equal only when N is equal too."""
 
     __slots__ = ("N", "scaled")
 
@@ -101,10 +105,6 @@ class SymPoly:
     def __setattr__(self, *a):
         raise AttributeError("SymPoly is immutable; build new instances")
 
-    @classmethod
-    def const(cls, N, value=1):
-        return cls(N, {(): value} if value else {})
-
     def coeff(self, lam):
         lam = tuple(lam)
         return scalar_div(self.scaled.get(lam, 0), factorial(sum(lam)))
@@ -124,46 +124,16 @@ class SymPoly:
             return not self.scaled
         return NotImplemented
 
-    def _same_N(self, other):
-        if self.N != other.N:
-            raise ValueError(
-                f"SymPoly truncations differ (N={self.N} and N={other.N})")
-        return self.N
-
-    def __add__(self, other):
-        if isinstance(other, SymPoly):
-            N = self._same_N(other)
-            out = dict(self.scaled)
-            for lam, v in other.scaled.items():
-                _add_term(out, lam, v)
-            return SymPoly._of(N, out)
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self + SymPoly.const(self.N, other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymPoly._of(self.N, {l: -v for l, v in self.scaled.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        if scalar == 0:
-            return SymPoly._of(self.N, {})
-        return SymPoly._of(self.N, {l: norm_scalar(scalar * v)
-                                    for l, v in self.scaled.items()})
-
     def __mul__(self, other):
         """p_lam * p_mu = p_(lam union mu), dropping degrees above N; the
         stored values multiply with C(|lam| + |mu|, |lam|), taken only at
         the degrees |mu| where other has terms."""
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self.scale(other)
         if not isinstance(other, SymPoly):
             return NotImplemented
-        N = self._same_N(other)
+        N = self.N
+        if N != other.N:
+            raise ValueError(
+                f"SymPoly truncations differ (N={N} and N={other.N})")
         right = {}
         for mu, b in other.scaled.items():
             right.setdefault(sum(mu), []).append((mu, b))
@@ -179,11 +149,6 @@ class SymPoly:
                     nu = tuple(sorted(lam + mu, reverse=True))
                     out[nu] = out.get(nu, 0) + ca * b
         return SymPoly._of(N, {nu: v for nu, v in out.items() if v})
-
-    __rmul__ = __mul__
-
-    def map_coeffs(self, fn):
-        return SymPoly(self.N, {l: fn(v) for l, v in self.terms().items()})
 
     def __repr__(self):
         items = sorted(self.terms().items(),
@@ -328,7 +293,9 @@ def generator_logs(basis, N):
 def basis_element(basis, lam, N, max_part=None):
     """Multiplicative basis element: p_lam for 'p'; for 'pbar' and
     'pbarprime' the product, over the parts k of lam, of
-    prod_i g_k(x_i) - 1 with g_k the generator series.  Its lowest-degree
+    prod_i g_k(x_i) - 1 with g_k the generator series: one signed family
+    of two log derivatives, that of g_k and the zero vector of the
+    constant 1 with weight -1.  Its lowest-degree
     term is p_lam with coefficient 1, so it is 0 when |lam| > N.  For
     'pbar' and 'pbarprime', a max_part sets p_k = 0 for every
     k > max_part: the terms with a larger part are never built.  'p'
@@ -342,7 +309,8 @@ def basis_element(basis, lam, N, max_part=None):
         return SymPoly(N, {lam: 1})
     if len(lam) == 1:
         return product_over_variables(
-            [(generator_logs(basis, N)[lam[0]], 1)], N, max_part) - 1
+            [(generator_logs(basis, N)[lam[0]], 1), ((0,) * (N + 1), -1)],
+            N, max_part)
     return (basis_element(basis, lam[:1], N, max_part)
             * basis_element(basis, lam[1:], N, max_part))
 
@@ -420,11 +388,12 @@ def extract(F, basis, max_part=None):
 def verify_omega_basis_identities(k, N):
     """Check both omega images: for odd k, omega swaps 1 + pbarprime_k and
     1 + pbar_k; for even k, omega(1 + b_k) is the reciprocal of 1 + b_k for
-    both bases b, checked as omega(1 + b_k) * (1 + b_k) == 1.
+    both bases b, checked as omega(1 + b_k) * (1 + b_k) == 1.  b_k has
+    no constant term, so 1 + b_k is its stored values with 1 at ().
     Returns True; raises AssertionError otherwise."""
-    one = SymPoly.const(N, 1)
-    prime = one + basis_element("pbarprime", (k,), N)
-    bar = one + basis_element("pbar", (k,), N)
+    one = SymPoly(N, {(): 1})
+    prime, bar = (SymPoly._of(N, {(): 1, **basis_element(b, (k,), N).scaled})
+                  for b in ("pbarprime", "pbar"))
     if k % 2:
         assert omega(prime) == bar, f"omega(1+pbarprime_{k}) mismatch"
         assert omega(bar) == prime, f"omega(1+pbar_{k}) mismatch"

@@ -18,7 +18,7 @@ from kromatic.graphs import (Graph, independence_polynomial, mask_of,
 from kromatic.heaps import (_deps, _extends_canonically, ascent_count,
                             canonical_word, enumerate_lyndon,
                             enumerate_pyramids, heap_from_word)
-from kromatic.numbers import (QPoly, divisors, multiplicities,
+from kromatic.numbers import (QPoly, divisors, multiplicities, norm_scalar,
                               partition_sort_key, partitions_of,
                               partitions_up_to)
 from kromatic.quasisym import kromatic_q_vectors
@@ -142,11 +142,19 @@ def binomial_sum_coefficients(pairs, caps):
 
 
 def assemble(expansion, N):
-    """Rebuild the SymPoly from an Expansion (inverse of extract)."""
-    acc = SymPoly(N, {})
+    """Rebuild the SymPoly from an Expansion (inverse of extract): the
+    stored values of every c b_lam, summed in one dict."""
+    out = {}
     for lam, c in expansion.coeffs.items():
-        acc = acc + basis_element(expansion.basis, lam, N).scale(c)
-    return acc
+        for mu, v in basis_element(expansion.basis, lam, N).scaled.items():
+            out[mu] = out.get(mu, 0) + c * v
+    return SymPoly._of(N, {mu: norm_scalar(v) for mu, v in out.items() if v})
+
+
+def twice(F):
+    """2 F, from its stored values: a wrong value that a mutant test can
+    hand to a check in place of F."""
+    return SymPoly._of(F.N, {lam: 2 * v for lam, v in F.scaled.items()})
 
 
 def compose_all(g, words):

@@ -14,7 +14,7 @@ from kromatic.cli import (build_checks, main, make_parser, positive_int,
                           rational)
 from kromatic.symfunc import Expansion, SymPoly, basis_element
 
-from helpers import clear_caches
+from helpers import clear_caches, twice
 
 GOLDEN_K2 = {
     (2,): "-1", (1, 1): "1",
@@ -293,16 +293,17 @@ def _refuse_heap_layer(monkeypatch, mode):
 
 def test_expand_stays_off_heaps_and_builds_no_basis_element(capsys,
                                                             monkeypatch):
-    # nor does it add, multiply or scale series, or list the partitions in
-    # core: one family_sums walk gives every coefficient
+    # nor does it multiply series or list the partitions in core: one
+    # family_sums walk gives every coefficient
+    import kromatic.symfunc as symfunc
     _refuse_heap_layer(monkeypatch, "expand")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("expand did SymPoly arithmetic or listed "
-                             "partitions in core")
+        raise AssertionError("expand did SymPoly arithmetic, built a basis "
+                             "element or listed partitions in core")
 
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "scale"):
-        monkeypatch.setattr(SymPoly, name, refuse)
+    monkeypatch.setattr(SymPoly, "__mul__", refuse)
+    monkeypatch.setattr(symfunc, "basis_element", refuse)
     monkeypatch.setattr(core, "partitions_up_to", refuse, raising=False)
     for basis in ("p", "pbar", "pbarprime"):
         for omega in ((), ("--omega",)):
@@ -565,12 +566,16 @@ def test_omega_basis_check_sees_doubled_pbar_4(capsys, monkeypatch):
     # b_4^2 starts at degree 8, so a doubled pbar_4 is only seen there
     import kromatic.symfunc as symfunc
     element = symfunc.basis_element
-    monkeypatch.setattr(
-        symfunc, "basis_element", lambda basis, lam, N: element(
-            basis, lam, N).scale(2 if (basis, lam) == ("pbar", (4,)) else 1))
+
+    def wrong_pbar_4(basis, lam, N):
+        F = element(basis, lam, N)
+        return twice(F) if (basis, lam) == ("pbar", (4,)) else F
+
+    monkeypatch.setattr(symfunc, "basis_element", wrong_pbar_4)
     assert main(["verify", "--suite", "numbers"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL omega-basis-rules-k4" in out
+    # a wrong value, and not a crash, is what the check sees
+    assert "FAIL omega-basis-rules-k4 (AssertionError: " in out
     assert "PASS dirichlet-inverse-64" in out
 
 
@@ -711,7 +716,7 @@ def test_multiset_roundtrip_fails_on_either_side(capsys, monkeypatch):
         return fake
 
     def doubled(ms, N, image="direct"):
-        return from_multiset(ms, N, image).scale(2)
+        return twice(from_multiset(ms, N, image))
 
     for name, fake in (("kromatic_q_vectors", dropping((2, 1, 1, 0))),
                        ("kromatic_q_vectors", dropping((0, 0, 1, 2))),
@@ -722,6 +727,8 @@ def test_multiset_roundtrip_fails_on_either_side(capsys, monkeypatch):
         out = capsys.readouterr().out
         assert rc == 1, name
         assert "FAIL multiset-roundtrip-P3" in out, name
+        # a wrong value, and not a crash of the fake, fails the check
+        assert "(AttributeError" not in out and "(TypeError" not in out, name
 
 
 def test_recover_k4_checks_build_no_partition(monkeypatch):

@@ -99,15 +99,11 @@ def test_qpoly_ring_ops():
     q = QPoly((0, 1))
     one = QPoly(1)
     assert (one + q) * (one + q) == QPoly((1, 2, 1))
-    assert (one + q) - (one + q) == 0
     assert q * 0 == QPoly()
     assert QPoly() * q == q * QPoly() == QPoly() * QPoly() == 0
-    assert (one + q) - 1 == q
     assert not QPoly()
     assert (one + q)(1) == 2
     assert (QPoly((1, 2, 1)))(Fraction(1, 2)) == Fraction(9, 4)
-    assert 2 - q == QPoly((2, -1))
-    assert hash(QPoly([0, 1, 0])) == hash(q)
     assert QPoly(Fraction(4, 2)) == 2
 
 

@@ -8,7 +8,8 @@ import kromatic.core as core
 import kromatic.heaps as heaps
 import kromatic.quasisym as quasisym
 import kromatic.symfunc as symfunc
-from helpers import ascent_polynomial_by_lists, clear_caches, small_graphs
+from helpers import (ascent_polynomial_by_lists, assemble, clear_caches,
+                     small_graphs)
 from kromatic import BUNDLED_MODELS, bundled_graph, bundled_model
 from kromatic.core import kromatic, theorem_coefficient
 from kromatic.graphs import Graph, unit_interval_bounds, unit_interval_graph
@@ -19,7 +20,7 @@ from kromatic.quasisym import (
     kromatic_q_via_clans, partition_coefficients, power_sum_coefficient_q,
     pyramid_p_expansion_q, specialize_q,
 )
-from kromatic.symfunc import (SymPoly, basis_element, extract, omega,
+from kromatic.symfunc import (Expansion, SymPoly, extract, omega,
                               sympoly_from_vector_counts)
 
 K1 = bundled_graph("k1")
@@ -294,10 +295,9 @@ def test_p_over_basis_inverts_the_basis_change():
     N = 6
     for basis in ("pbar", "pbarprime"):
         for mu in partitions_up_to(N):
-            total = SymPoly.const(N, 0)
-            for lam, c in _p_over_basis(basis, mu, N).terms().items():
-                total = total + basis_element(basis, lam, N).scale(c)
-            assert total == SymPoly(N, {mu: 1}), (basis, mu)
+            series = _p_over_basis(basis, mu, N).terms()
+            assert assemble(Expansion(basis, N, series), N) == \
+                SymPoly(N, {mu: 1}), (basis, mu)
 
 
 def test_rule_coefficients_do_not_extract(monkeypatch):
