@@ -28,12 +28,19 @@ complete orbits (every rearrangement of a key must carry its coefficient),
 takes no variable count and ends in sympoly_from_monomials: at q = 1, the
 brute-force set-coloring counts of quasisym.kromatic_q_vectors.
 
+Both changes of basis are one triangular peel, _peel.  Where the values
+carry q (QPolys), the peel runs on ints instead: _peel_q packs each value
+at q = 2^B (Kronecker substitution), runs the same _peel on the packed ints
+and decodes each output once, so a q-series is never added or multiplied
+as a QPoly.  sympoly_from_monomials and extract give it the scaling D that
+makes every division exact, and a majorant pass of the peel gives B.
+
 USeries values are plain tuples of coefficients, index = degree.
 """
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
-from .numbers import (family_sums, norm_scalar, partition_sort_key,
+from .numbers import (QPoly, family_sums, norm_scalar, partition_sort_key,
                       partitions_of, partitions_up_to, scalar_div, z_lambda)
 
 
@@ -188,7 +195,9 @@ def _peel(residual, order, row):
     the residual holds a nonzero v at key, c_key = v / row(key)[key], and
     c_key row(key) is subtracted.  Precondition: row(key) holds key and
     otherwise only keys later in `order`, and every key of the residual is
-    in `order`; so each step clears its key for good."""
+    in `order`; so each step clears its key for good.  The rows are
+    scalars; the values are ints, Fractions or QPolys, or the packed ints
+    of _peel_q, on which the same loop solves every power of q at once."""
     out = {}
     for key in order:
         v = residual.get(key)
@@ -199,6 +208,60 @@ def _peel(residual, order, row):
         for mu, m in r.items():
             _add_term(residual, mu, c * -m)
     return out
+
+
+def _peel_bound(top, order, row):
+    """A bound on every |q-coefficient| of what _peel gives on a residual
+    whose q-coefficients at each key are at most top[key] in absolute
+    value; top is consumed.  The rows are scalars, so each power of q is
+    peeled on its own, and the same loop on the majorants, with |row|
+    entries and each quotient rounded up, keeps every residual coefficient
+    at or below the majorant at its key."""
+    bound = 0
+    for key in order:
+        if v := top.get(key):
+            r = row(key)
+            bound = max(bound, c := -(-v // abs(r[key])))
+            for mu, m in r.items():
+                top[mu] = top.get(mu, 0) + c * abs(m)
+    return bound
+
+
+def _unpack(n, B, bound, D):
+    """The QPoly whose coefficients times D are the digits of n in balanced
+    base 2^B, each refused with ValueError above bound."""
+    c, half = [], 1 << B - 1
+    while n:
+        x = ((n + half) & ((1 << B) - 1)) - half
+        if abs(x) > bound:
+            raise ValueError(f"q-coefficient {x} exceeds its bound {bound}")
+        c.append(scalar_div(x, D))
+        n = (n - x) >> B
+    return QPoly(c)
+
+
+def _peel_q(values, order, row, scale, D=1):
+    """_peel on the residual {key: scale(key) * v}, order a list.  Where no
+    v is a QPoly, that is all.  Otherwise (an int among the QPolys is a
+    constant) every v is scaled by D times the lcm of the denominators of
+    all the Fraction coefficients and packed at q = X = 2^B, and _peel
+    runs on those ints.  Evaluation at X is a ring homomorphism Z[q] -> Z, and the
+    division of P in Z[q] by an int d commutes with it whenever P/d is in
+    Z[q]; the caller's D makes every division exact.  So no intermediate
+    value need fit in B bits, only the outputs: _peel_bound bounds their
+    coefficients, B leaves two bits above the bound, and each output is
+    decoded once, in balanced base X, and divided by D."""
+    if not any(isinstance(v, QPoly) for v in values.values()):
+        return _peel({k: scale(k) * v for k, v in values.items()}, order, row)
+    cs = {k: getattr(v, "c", (v,)) for k, v in values.items()}
+    D *= lcm(*(x.denominator for c in cs.values() for x in c))
+    cs = {k: [int(x * D) * scale(k) for x in c] for k, c in cs.items()}
+    bound = _peel_bound({k: max(map(abs, c), default=0)
+                         for k, c in cs.items()}, order, row)
+    B = bound.bit_length() + 2
+    return {k: _unpack(n, B, bound, D) for k, n in _peel(
+        {k: sum(x << B * i for i, x in enumerate(c)) for k, c in cs.items()},
+        order, row).items()}
 
 
 @cache
@@ -227,11 +290,13 @@ def sympoly_from_monomials(coeffs, N):
     otherwise only m_mu for shorter mu.  The residual at mu is scaled by
     |mu|!, so the peel gives the stored values, and that leading
     coefficient divides them exactly whenever the monomial coefficients
-    are integral (ints or QPolys over the ints)."""
+    are integral (ints or QPolys over the ints).  So QPoly values take the
+    packed peel of _peel_q with D = 1: the stored values over the ints are
+    the decoded outputs themselves (a Fraction coefficient folds its
+    denominator into D)."""
     order = sorted(partitions_up_to(N), key=lambda l: (sum(l), -len(l)))
-    return SymPoly._of(N, _peel(
-        {mu: factorial(sum(mu)) * v for mu, v in coeffs.items()}, order,
-        _p_to_m))
+    return SymPoly._of(N, _peel_q(coeffs, order, _p_to_m,
+                                  lambda mu: factorial(sum(mu))))
 
 
 def sympoly_from_vector_counts(counts, N):
@@ -375,14 +440,31 @@ def extract(F, basis, max_part=None):
     pi(b_lam) is still p_lam plus higher degrees, all with parts <= a: the
     same peel, over those partitions only, on the projected F with the
     elements pi(b_lam) built directly (basis_element with max_part) gives
-    the c_lam.  With no max_part, a is N and nothing is projected away."""
+    the c_lam.  With no max_part, a is N and nothing is projected away.
+
+    QPoly values take the packed peel of _peel_q with D = (N!)^2 (times
+    the lcm of any Fraction coefficients), which makes every division of
+    that peel exact.  Write F = sum_mu (s_mu / |mu|!) p_mu, with stored
+    values s_mu over the ints (the q-refined series and its omega image),
+    and each p_mu over the basis as quasisym._p_over_basis does:
+    p_a = sum_(d,n) f(d) (-1)^(n+1) / (d n) b_(ad)^n with f integral, so a
+    term of the product over the parts a_i of mu has the denominator
+    prod_i d_i n_i, and it survives the truncation only when
+    sum_i a_i d_i n_i <= N.  Positive integers with sum at most N have a
+    product dividing N!, as multinomial coefficients are integral.  So
+    N! [b_lam] p_mu is integral, |mu|! divides N!, and D c_lam is a
+    polynomial over the ints.  When the peel reaches lam, the residual is
+    D times the stored values of sum c_kappa b_kappa over the kappa not yet
+    peeled; each b_kappa is p_kappa plus higher degrees, so at lam it is
+    D c_lam |lam|!, and its division by |lam|! is exact."""
     a = F.N if max_part is None else min(max_part, F.N)
     if a < 0:
         raise ValueError(f"max_part must be nonnegative, got {max_part}")
-    return Expansion(basis, F.N, _peel(
+    return Expansion(basis, F.N, _peel_q(
         {lam: v for lam, v in F.scaled.items() if max(lam, default=0) <= a},
-        (lam for d in range(F.N + 1) for lam in partitions_of(d, a)),
-        lambda lam: basis_element(basis, lam, F.N, a).scaled), a)
+        [lam for d in range(F.N + 1) for lam in partitions_of(d, a)],
+        lambda lam: basis_element(basis, lam, F.N, a).scaled, lambda lam: 1,
+        factorial(F.N) ** 2), a)
 
 
 def verify_omega_basis_identities(k, N):

@@ -1,7 +1,7 @@
 """Shared randomized-property drivers, reused by the acceptance suite, the
-random-graph strategy of the differential tests, the hook that empties the
-package's caches, the oracles that only tests call, and the Fraction oracle
-of the power-sum arithmetic."""
+random-graph and unit-interval-model strategies of the differential tests,
+the hook that empties the package's caches, the oracles that only tests
+call, and the Fraction oracle of the power-sum arithmetic."""
 import itertools
 import random
 import sys
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from kromatic import bundled_graph
 from kromatic.core import _menu_sizes, rule_sign
 from kromatic.graphs import (Graph, independence_polynomial, mask_of,
-                             mask_vertices, popcount)
+                             mask_vertices, popcount, unit_interval_bounds,
+                             unit_interval_graph)
 from kromatic.heaps import (_deps, _extends_canonically, ascent_count,
                             canonical_word, enumerate_lyndon,
                             enumerate_pyramids, heap_from_word)
@@ -34,6 +35,19 @@ def small_graphs(draw, max_n=5):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     bits = draw(st.integers(0, (1 << len(pairs)) - 1))
     return Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@st.composite
+def unit_interval_models(draw, max_n=5):
+    """Random natural unit interval graphs on at most max_n vertices, drawn
+    as their bounds."""
+    n = draw(st.integers(0, max_n))
+    h = []
+    for i in range(1, n + 1):
+        h.append(draw(st.integers(max([i] + h[-1:]), n)))
+    g = unit_interval_graph(n, h)
+    assert unit_interval_bounds(g) == tuple(h)
+    return g
 
 
 def random_word_and_swaps(g, rng, max_len=8, swaps=30):

@@ -12,6 +12,7 @@ import kromatic
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, core
 from kromatic.cli import (build_checks, main, make_parser, positive_int,
                           rational)
+from kromatic.numbers import QPoly
 from kromatic.symfunc import Expansion, SymPoly, basis_element
 
 from helpers import clear_caches, twice
@@ -324,6 +325,45 @@ def test_qexpand_stays_off_heaps(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_qexpand_does_no_qpoly_arithmetic(capsys, monkeypatch):
+    # both q peels run on packed ints, decoded once into QPolys: no QPoly
+    # is added or multiplied, in the monomial conversion or the extraction
+    def refuse(*args):
+        raise AssertionError("qexpand added or multiplied QPolys")
+
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(QPoly, op, refuse)
+    clear_caches()
+    for model in BUNDLED_MODELS:
+        for basis in ("p", "pbar", "pbarprime"):
+            for omega in ((), ("--omega",)):
+                assert main(["qexpand", "--model", model, "--basis", basis,
+                             *omega, "--degree", "8"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("shrunk", [0, 1], ids=["monomials", "extraction"])
+def test_qexpand_refuses_a_too_small_bound(capsys, monkeypatch, shrunk):
+    # the decode refuses a q-coefficient above the bound, so a bound that
+    # is wrong ends the run with the error and no expansion.  At this degree
+    # the largest output coefficient has 43 bits in the monomial conversion
+    # and 72 in the extraction, and their bounds 69 and 79 bits; 32 bits
+    # less is too small for both
+    import kromatic.symfunc as symfunc
+    bound, calls = symfunc._peel_bound, []
+
+    def small(*args):
+        calls.append(bound(*args))
+        return calls[-1] >> 32 if len(calls) == shrunk + 1 else calls[-1]
+
+    monkeypatch.setattr(symfunc, "_peel_bound", small)
+    assert main(["qexpand", "--model", "ui-paw", "--basis", "pbar",
+                 "--degree", "12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds its bound" in err
+    assert len(calls) == shrunk + 1
+
+
 def test_qexpand_stdout_digests(capsys):
     assert _sweep(capsys, "qexpand", "--model", BUNDLED_MODELS, 5) == \
         QEXPAND_DIGESTS
@@ -331,6 +371,22 @@ def test_qexpand_stdout_digests(capsys):
         "qexpand", "--model", "ui-p3", "--basis", "pbar", "--omega",
         "--degree", "5", "--q", "1"]) == QEXPAND_Q1_DIGEST
     for (model, basis, *rest), digest in QEXPAND_NONINTEGRAL_DIGESTS.items():
+        assert _stdout_digest(capsys, [
+            "qexpand", "--model", model, "--basis", basis, *rest]) == digest
+
+
+# sha256 of the stdout of two qexpand jobs at high degree, recorded while
+# both q peels still ran on QPoly values
+QEXPAND_HIGH_DEGREE_DIGESTS = {
+    ("ui-paw", "pbar", "--degree", "14"):
+        "286f7be60cffb1eebf4ee1ffd0fa4c7ce23da1a38b95166ef193357a3ca0a25c",
+    ("ui-paw", "pbarprime", "--omega", "--degree", "14"):
+        "34f586709e531f7583c91c9b5184b8e0acf102e6cec665f69a2ba3d91fbe4401",
+}
+
+
+def test_qexpand_stdout_digests_high_degree(capsys):
+    for (model, basis, *rest), digest in QEXPAND_HIGH_DEGREE_DIGESTS.items():
         assert _stdout_digest(capsys, [
             "qexpand", "--model", model, "--basis", basis, *rest]) == digest
 

@@ -9,10 +9,10 @@ import kromatic.heaps as heaps
 import kromatic.quasisym as quasisym
 import kromatic.symfunc as symfunc
 from helpers import (ascent_polynomial_by_lists, assemble, clear_caches,
-                     small_graphs)
+                     small_graphs, unit_interval_models)
 from kromatic import BUNDLED_MODELS, bundled_graph, bundled_model
 from kromatic.core import kromatic, theorem_coefficient
-from kromatic.graphs import Graph, unit_interval_bounds, unit_interval_graph
+from kromatic.graphs import Graph
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import QPoly, partitions_of, partitions_up_to, z_lambda
 from kromatic.quasisym import (
@@ -249,19 +249,6 @@ def test_rule_coefficients_match_extraction():
             for rule in ("5.1", "5.2", "5.3", "5.4"):
                 got = power_sum_coefficient_q(g, lam, rule)
                 assert got == tgt[rule].coeff(lam), (g, lam, rule)
-
-
-@st.composite
-def unit_interval_models(draw, max_n=5):
-    """Random natural unit interval graphs on at most max_n vertices, drawn
-    as their bounds."""
-    n = draw(st.integers(0, max_n))
-    h = []
-    for i in range(1, n + 1):
-        h.append(draw(st.integers(max([i] + h[-1:]), n)))
-    g = unit_interval_graph(n, h)
-    assert unit_interval_bounds(g) == tuple(h)
-    return g
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

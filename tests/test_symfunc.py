@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kromatic import BUNDLED_GRAPHS, BUNDLED_MODELS, bundled_graph, \
     bundled_model
@@ -12,11 +12,11 @@ from kromatic.core import image_log, kromatic
 from kromatic.graphs import independence_polynomial
 from kromatic.heaps import enumerate_pyramids
 from kromatic.numbers import partitions_of, partitions_up_to, QPoly
-from kromatic.quasisym import kromatic_q
+from kromatic.quasisym import kromatic_q, partition_coefficients
 from kromatic.symfunc import (
-    Expansion, SymPoly, _p_to_m, basis_element, extract, generator_series,
-    omega, product_over_variables, series_log_derivative, series_truncate,
-    sympoly_from_monomials, sympoly_from_vector_counts,
+    Expansion, SymPoly, _p_to_m, _peel, _peel_bound, basis_element, extract,
+    generator_series, omega, product_over_variables, series_log_derivative,
+    series_truncate, sympoly_from_monomials, sympoly_from_vector_counts,
     verify_omega_basis_identities,
 )
 
@@ -24,7 +24,7 @@ from helpers import (assemble, clear_caches, oracle_add, oracle_extract,
                      oracle_mul, oracle_omega, oracle_p_decompose_homogeneous,
                      oracle_p_to_m, oracle_product_over_variables,
                      oracle_scale, series_log, series_neg_sub,
-                     series_reciprocal, twice)
+                     series_reciprocal, twice, unit_interval_models)
 
 
 def test_series_ops():
@@ -540,3 +540,83 @@ def test_sympoly_keeps_only_the_product():
             refused()
     assert F != SymPoly(F.N) and F != 0 and SymPoly(F.N) == 0
     assert not SymPoly(3) and F
+
+
+# The two q peels pack their QPoly values into ints; the oracle is _peel
+# itself on the QPoly residual, as both peels ran before the packing.
+
+def _monomial_order(N):
+    return sorted(partitions_up_to(N), key=lambda l: (sum(l), -len(l)))
+
+
+def _qpoly_monomial_peel(coeffs, N):
+    return _peel({mu: factorial(sum(mu)) * v for mu, v in coeffs.items()},
+                 _monomial_order(N), _p_to_m)
+
+
+def _basis_rows(basis, N):
+    return lambda lam: basis_element(basis, lam, N).scaled
+
+
+def _qpoly_extract_peel(F, basis):
+    return _peel(dict(F.scaled), list(partitions_up_to(F.N)),
+                 _basis_rows(basis, F.N))
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(unit_interval_models(), st.integers(0, 8))
+@example(bundled_model("ui-paw"), 8)
+@example(bundled_model("ui-p4"), 8)
+def test_packed_peels_match_the_qpoly_peel(g, N):
+    X = kromatic_q(g, N)
+    assert X.scaled == _qpoly_monomial_peel(partition_coefficients(g, N), N)
+    for F in (X, omega(X)):
+        for basis in ("pbar", "pbarprime"):
+            assert extract(F, basis).coeffs == _qpoly_extract_peel(F, basis)
+
+
+def test_packed_peels_take_fractions_and_constants():
+    # Fraction coefficients fold their denominators into the scaling, and
+    # an int among QPoly values is a constant
+    q, N = QPoly((0, 1)), 5
+    fractional = SymPoly(N, {
+        (1,): QPoly((Fraction(1, 3), Fraction(-2, 7))),
+        (2, 1): QPoly((0, Fraction(5, 2))), (3, 2): q})
+    mixed = SymPoly(N, {(): 3, (2,): QPoly((1, 0, -4)), (1, 1, 1): -2,
+                        (4, 1): q})
+    for F in (fractional, mixed):
+        for basis in ("p", "pbar", "pbarprime"):
+            want = _qpoly_extract_peel(F, basis)
+            assert want and extract(F, basis).coeffs == want, (F, basis)
+    for coeffs in ({(1,): QPoly((Fraction(1, 3),)),
+                    (2, 1): QPoly((0, Fraction(-3, 4)))},
+                   {(2,): 5, (1, 1): QPoly((1, 2)), (3,): -q}):
+        assert sympoly_from_monomials(coeffs, N).scaled == \
+            _qpoly_monomial_peel(coeffs, N), coeffs
+
+
+def _largest(v):
+    return max(map(abs, v.c), default=0)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(unit_interval_models(), st.integers(0, 8))
+@example(bundled_model("ui-paw"), 8)
+def test_peel_bound_holds_every_output_coefficient(g, N):
+    # the majorant pass bounds each q-coefficient of the scaled outputs:
+    # D = 1 for the monomial conversion, (N!)^2 for the extraction
+    coeffs = partition_coefficients(g, N)
+    order = _monomial_order(N)
+    bound = _peel_bound({mu: factorial(sum(mu)) * _largest(v)
+                         for mu, v in coeffs.items()}, order, _p_to_m)
+    got = _qpoly_monomial_peel(coeffs, N).values()
+    assert all(_largest(v) <= bound for v in got)
+    X, D = kromatic_q(g, N), factorial(N) ** 2
+    for F in (X, omega(X)):
+        for basis in ("pbar", "pbarprime"):
+            bound = _peel_bound({lam: D * _largest(v)
+                                 for lam, v in F.scaled.items()},
+                                list(partitions_up_to(N)),
+                                _basis_rows(basis, N))
+            got = _qpoly_extract_peel(F, basis).values()
+            assert all(D * _largest(v) <= bound for v in got), basis
